@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +45,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
     },
     "output": {"directory": str, "seed": int},
 }
-
-
-def thread_cap() -> int:
-    """Worker-thread cap from AGLAB_THREADS (>= 1; default 1)."""
-    try:
-        return max(1, int(os.environ.get("AGLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass

@@ -255,15 +255,8 @@ def jump_bracket(phi: EntropyMap, m_plus, m_minus, n) -> float:
 
 
 def entropy_production(m: VectorField, phi: EntropyMap) -> CellMeasure:
-    """Weak divergence of Phi(m) as a dual-cell measure.
-
-    Nodes where | |m| - 1 | > 0.1 are recorded on the returned measure's
-    ``flagged`` attribute; their cells still receive mass.
-    """
-    vals = phi.eval_vectors(m.values)
-    measure = weak_divergence(VectorField(m.grid, vals))
-    measure.flagged = np.abs(m.norm() - 1.0) > 0.1
-    return measure
+    """Weak divergence of Phi(m) as a dual-cell measure."""
+    return weak_divergence(VectorField(m.grid, phi.eval_vectors(m.values)))
 
 
 def f0_tilde_two_frames(m: VectorField) -> float:

@@ -33,13 +33,5 @@ class LineSearchFailure(AglabError):
     """Backtracking exhausted its budget without an acceptable step."""
 
 
-class NotConverged(AglabError):
-    """Optimizer stopped at max iterations with gradient above tolerance."""
-
-
-class StuckAtRidge(AglabError):
-    """Characteristic jump produced a direction incompatible on both sides."""
-
-
 class ConfigError(AglabError):
     """Experiment configuration failed to parse or validate."""

@@ -35,9 +35,6 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
 
-    def check_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values[self.grid.active()])))
-
 
 @dataclass
 class VectorField:
@@ -67,10 +64,6 @@ class CellMeasure:
     def total_variation(self, region: np.ndarray | None = None) -> float:
         m = self.masses if region is None else self.masses[region]
         return float(np.sum(np.abs(m)))
-
-    def restrict(self, region: np.ndarray) -> "CellMeasure":
-        out = np.where(region, self.masses, 0.0)
-        return CellMeasure(self.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -118,62 +118,59 @@ def core_distance(domain: Stadium, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closest-point projection (ellipse: damped Newton with bisection safeguard)
+# closest-point projection (ellipse: monotone Newton on the Lagrange multiplier)
+
+_NEWTON_MAX_ITER = 30
 
 
-def _ellipse_quadrant_param(a: float, b: float, px, py, tol=1e-12, max_iter=60):
-    """Boundary parameter t in [0, pi/2] of the point closest to (px, py).
+def _ellipse_quadrant_point(a: float, b: float, px, py):
+    """Closest ellipse point (qx, qy) to (px, py); requires px, py >= 0.
 
-    Requires px, py >= 0 elementwise.  For py == 0 the parameter is the
-    upper-quadrant root in closed form, which encodes the one-sided
+    Eberly, "Distance from a Point to an Ellipse, an Ellipsoid, or a
+    Hyperellipsoid" (Geometric Tools, 2013): with X = a px, Y = b py,
+    c2 = a^2 - b^2 and the shifted Lagrange multiplier u > 0, the closest
+    point is q = (a X / (u + c2), b Y / u), where u is the root of
+
+        F(u) = (X / (u + c2))^2 + (Y / u)^2 - 1,
+
+    and p - q is normal to the ellipse at q for every u.  F is convex and
+    decreasing, so Newton climbs monotonically to the root from any start
+    with F >= 0.  Each term of F alone gives one, u >= Y and u >= X - c2.
+    Near the evolute cusp (X ~ c2, Y -> 0) the root ~ (c2 Y^2 / 2)^(1/3)
+    lies far above both; there (1 + u/c2)^-2 >= 1 - 2u/c2 gives a third,
+    min(c2 Y / sqrt(2 (c2^2 - X^2)), c2 (Y / 2X)^(2/3)).  From the largest
+    of the three, no point of the hard sets in tests/test_geometry.py takes
+    more than 6 steps.  A circle (c2 == 0) converges to u = hypot(X, Y).
+
+    Where Y is zero, or subnormal so that u would carry too few digits, q
+    is the upper-quadrant root in closed form, which encodes the one-sided
     (from above) projection on the ridge segment.
     """
-    px = np.asarray(px, dtype=float)
-    py = np.asarray(py, dtype=float)
-    t = np.empty(np.broadcast(px, py).shape)
-    px, py = np.broadcast_arrays(px, py)
-
-    if a == b:
-        t[...] = np.arctan2(py, px)
-        return t
-
     c2 = a * a - b * b
-    axis = py == 0.0
-    if np.any(axis):
-        t[axis] = np.arccos(np.clip(a * px[axis] / c2, -1.0, 1.0))
+    X, Y = np.broadcast_arrays(a * np.asarray(px, dtype=float), b * np.asarray(py, dtype=float))
+    qx, qy = np.empty(X.shape), np.empty(X.shape)
+    axis = Y < np.finfo(float).tiny
+    # NaN marks a ratio or bound that does not apply (X >= c2, or c2 == 0);
+    # fmin / fmax skip it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.fmin(X[axis] / c2, 1.0)
+        X, Y = X[~axis], Y[~axis]
+        cusp = np.fmin(c2 * Y / np.sqrt(2 * (c2 - X) * (c2 + X)), c2 * np.cbrt(Y / (2 * X)) ** 2)
+    qx[axis], qy[axis] = a * rho, b * np.sqrt((1 - rho) * (1 + rho))
 
-    free = ~axis
-    if np.any(free):
-        fx, fy = px[free], py[free]
-        lo = np.zeros_like(fx)
-        hi = np.full_like(fx, 0.5 * np.pi)
-        # g(t) = d/dt (|q(t) - p|^2 / 2); g(0) = -b*py < 0 <= g(pi/2) = a*px
-        tk = np.arctan2(a * fy, b * fx)
-
-        def g(tt):
-            return (b * b - a * a) * np.sin(tt) * np.cos(tt) + a * fx * np.sin(tt) - b * fy * np.cos(tt)
-
-        def gp(tt):
-            return (b * b - a * a) * np.cos(2 * tt) + a * fx * np.cos(tt) + b * fy * np.sin(tt)
-
-        gk = g(tk)
-        scale = np.hypot(a * fx, b * fy) + a * a
-        for _ in range(max_iter):
-            lo = np.where(gk < 0, tk, lo)
-            hi = np.where(gk > 0, tk, hi)
-            dgk = gp(tk)
-            step = np.where(dgk != 0, -gk / np.where(dgk != 0, dgk, 1.0), 0.0)
-            cand = tk + step
-            bad = (cand <= lo) | (cand >= hi) | (dgk == 0)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-            tk, gk = cand, g(cand)
-            if np.all(((hi - lo) < tol) | (np.abs(gk) <= 1e-15 * scale)):
-                break
-        else:
-            if np.any(np.abs(gk) > 1e-9 * scale):
-                raise NoConvergence("ellipse closest-point iteration did not converge")
-        t[free] = tk
-    return t
+    u = np.fmax(np.maximum(Y, X - c2), cusp)
+    for _ in range(_NEWTON_MAX_ITER):
+        g0, g1 = X / (u + c2), Y / u
+        f = g0 * g0 + g1 * g1 - 1
+        live = f > 4 * np.finfo(float).eps
+        if not live.any():
+            break
+        # Newton step -F/F', scaled by u so that no term overflows
+        u = u + np.where(live, 0.5 * u * f / (g0 * g0 * (u / (u + c2)) + g1 * g1), 0.0)
+    else:
+        raise NoConvergence("ellipse closest-point iteration did not converge")
+    qx[~axis], qy[~axis] = a * g0, b * g1
+    return qx, qy
 
 
 def _project_raw(domain: Domain, x: np.ndarray):
@@ -187,9 +184,8 @@ def _project_raw(domain: Domain, x: np.ndarray):
     sx = np.where(x[..., 0] < 0, -1.0, 1.0)
     sy = np.where(x[..., 1] < 0, -1.0, 1.0)
     if isinstance(domain, Ellipse):
-        px, py = np.abs(x[..., 0]), np.abs(x[..., 1])
-        t = _ellipse_quadrant_param(domain.a, domain.b, px, py)
-        q = np.stack([sx * domain.a * np.cos(t), sy * domain.b * np.sin(t)], axis=-1)
+        qx, qy = _ellipse_quadrant_point(domain.a, domain.b, np.abs(x[..., 0]), np.abs(x[..., 1]))
+        q = np.stack([sx * qx, sy * qy], axis=-1)
         dist = np.hypot(x[..., 0] - q[..., 0], x[..., 1] - q[..., 1])
         return q, dist
     # stadium: closed-form case split through the core segment

@@ -16,7 +16,6 @@ normalization checks honest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -105,14 +104,6 @@ class CircleMeasure:
         for p in self.pieces:
             sel = (s >= p.s0) & (s < p.s1)
             out[sel] = p.density(s[sel])
-        return out
-
-    def density_derivative(self, s) -> np.ndarray:
-        s = _wrap(np.asarray(s, dtype=float))
-        out = np.zeros_like(s)
-        for p in self.pieces:
-            sel = (s >= p.s0) & (s < p.s1)
-            out[sel] = p.amp * np.cos(s[sel] - p.phase)
         return out
 
     # -- integrals ----------------------------------------------------------
@@ -375,6 +366,8 @@ class RidgeSigmaField:
 
 def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     """Calibrated minimal-measure candidate concentrated on the ridge row."""
+    if grid.angle != 0.0:
+        raise NotImplementedError("ridge sigma field expects an axis-aligned grid")
     ridge = ridge_set(domain)
     lo, hi = ridge.p_minus[0], ridge.p_plus[0]
     if hi <= lo:

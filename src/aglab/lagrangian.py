@@ -21,7 +21,6 @@ stationarity statistics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ import numpy as np
 from scipy.stats import distributions as _dists
 
 from . import geometry
-from .geometry import Domain, ridge_set, ridge_span
+from .geometry import Domain, ridge_span
 
 TWO_PI = 2.0 * np.pi
 _SIDE_EPS = 1e-30
@@ -123,14 +122,6 @@ class Characteristic:
     @property
     def tot_var_s(self) -> float:
         return float(sum(j.arc_length for j in self.jumps))
-
-
-def _classify_arc(s_minus: float, s_plus: float) -> tuple[bool, float]:
-    """Orientation and length of the shorter arc from s- to s+ (ties ccw)."""
-    ccw_len = float(np.mod(s_plus - s_minus, TWO_PI))
-    if ccw_len <= np.pi + 1e-14:
-        return True, ccw_len
-    return False, TWO_PI - ccw_len
 
 
 def sigma_gamma(curve: Characteristic) -> list[dict]:

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from aglab.fields import exact_limit_field
 from aglab.geometry import Ellipse, Grid, Stadium
+
+# property tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

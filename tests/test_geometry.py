@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from aglab import geometry
 from aglab.errors import AmbiguousProjection
 from aglab.geometry import (
     COLLAR,
@@ -14,6 +17,7 @@ from aglab.geometry import (
     offset_boundary,
     project_to_boundary,
     ridge_set,
+    _project_raw,
     signed_distance,
 )
 
@@ -189,3 +193,95 @@ def test_limit_field_one_sided_on_ridge(ellipse):
     m_up2 = limit_vector_field(ellipse, np.array([0.3, 1e-9]))
     assert np.allclose(m_up, m_up2, atol=1e-6)
     assert m_up[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# ellipse projection on numerically hard inputs
+
+SHAPES = [Ellipse(1.0, 0.5), Ellipse(1.0, 1.0)]
+
+
+def _ridge_end(dom):
+    return (dom.a**2 - dom.b**2) / dom.a
+
+
+def _evolute(dom, t):
+    c2 = dom.a**2 - dom.b**2
+    return c2 / dom.a * np.cos(t) ** 3, c2 / dom.b * np.sin(t) ** 3
+
+
+def near_ridge(dom):
+    """x across the ridge span and exactly at its ends, y in [5e-324, 1e-3]."""
+    e = _ridge_end(dom)
+    xs = st.one_of(st.sampled_from([-e, e]), st.floats(-1.2 * e, 1.2 * e))
+    ys = st.one_of(st.just(5e-324), st.floats(-323.0, -3.0).map(lambda k: 10.0**k))
+    return st.tuples(xs, ys)
+
+
+def hard_points(dom):
+    near_evolute = st.builds(lambda t, dx, dy: np.add(_evolute(dom, t), (dx, dy)),
+                             st.floats(0, 2 * np.pi), st.floats(-1e-6, 1e-6), st.floats(-1e-6, 1e-6))
+    far = st.builds(lambda r, t: (r * np.cos(t), r * np.sin(t)),
+                    st.floats(2 * dom.a, 1e3 * dom.a), st.floats(0, 2 * np.pi))
+    return st.one_of(near_ridge(dom), near_evolute, far)
+
+
+@pytest.mark.parametrize("dom", SHAPES, ids=["ellipse", "circle"])
+@given(data=st.data())
+def test_projection_properties_hard_inputs(dom, data, boundary_samples):
+    p = np.array(data.draw(hard_points(dom)))
+    q, dist = _project_raw(dom, p)
+    a, b = dom.a, dom.b
+    scale = np.hypot(*p) + a
+    # q on the ellipse
+    assert abs((q[0] / a) ** 2 + (q[1] / b) ** 2 - 1) <= 1e-14
+    # p - q along the normal at q
+    n = np.array([q[0] / a**2, q[1] / b**2])
+    assert abs((p[0] - q[0]) * n[1] - (p[1] - q[1]) * n[0]) <= 64 * np.finfo(float).eps * scale * np.hypot(*n)
+    # no boundary point is closer
+    if a == b:
+        assert dist == pytest.approx(abs(np.hypot(*p) - a), abs=8 * np.finfo(float).eps * scale)
+    else:
+        assert dist <= oracle_distance(boundary_samples, p) + 8 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("dom", SHAPES, ids=["ellipse", "circle"])
+@given(data=st.data())
+def test_projection_ridge_limit_from_above(dom, data):
+    x, y = data.draw(near_ridge(dom))
+    q, dist = _project_raw(dom, np.array([x, y]))
+    q0, dist0 = _project_raw(dom, np.array([x, 0.0]))
+    # the distance is 1-Lipschitz
+    assert abs(dist - dist0) <= y + 4 * np.finfo(float).eps
+    # y -> 0+ reaches the one-sided closed form; on the circle the ridge is
+    # the centre, which every boundary point is closest to
+    if y <= 1e-100 and dom.a > dom.b:
+        assert q == pytest.approx(q0, abs=1e-14)
+
+
+def test_projection_subnormal_y_takes_axis_branch(ellipse):
+    for x in (0.3, -0.71816327524742196):
+        q, dist = _project_raw(ellipse, np.array([x, 5e-324]))
+        q0, dist0 = _project_raw(ellipse, np.array([x, 0.0]))
+        assert np.all(np.isfinite(q)) and q[1] > 0
+        assert np.array_equal(q, q0) and dist == dist0
+    assert q0 == pytest.approx([-0.95755103366, 0.14413189960], abs=1e-10)
+
+
+@pytest.mark.parametrize("ab", [(1.0, 0.5), (1.0, 0.99), (3.0, 0.2), (1.0, 0.01), (1.0, 1.0)])
+def test_projection_newton_steps_bounded(ab, monkeypatch):
+    """Every hard point converges within six Newton steps plus the final check."""
+    dom = Ellipse(*ab)
+    rng = np.random.default_rng(3)
+    e, k = _ridge_end(dom), 2000
+    tiny_y = 10.0 ** rng.uniform(-307.0, -3.0, k)
+    pts = np.concatenate([
+        rng.uniform(-2 * dom.a, 2 * dom.a, (20 * k, 2)),
+        np.stack([rng.uniform(-1.2 * e, 1.2 * e, k), tiny_y], axis=-1),
+        np.stack([rng.choice([-e, e], k) * (1 + rng.choice([0, 1e-16, -1e-8, 1e-4], k)), tiny_y], axis=-1),
+        np.stack(_evolute(dom, rng.uniform(0, 2 * np.pi, k)), axis=-1) + rng.uniform(-1e-6, 1e-6, (k, 2)),
+        rng.standard_normal((k, 2)) * 10.0 ** rng.uniform(0, 8, (k, 1)),
+    ])
+    monkeypatch.setattr(geometry, "_NEWTON_MAX_ITER", 7)
+    _, dist = _project_raw(dom, pts)
+    assert np.all(np.isfinite(dist))

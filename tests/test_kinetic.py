@@ -194,6 +194,11 @@ def test_ridge_sigma_field_calibration(ellipse, grid64):
     assert tv == pytest.approx(want, rel=1e-9)
 
 
+def test_ridge_sigma_field_rejects_rotated_grid(ellipse):
+    with pytest.raises(NotImplementedError):
+        ridge_sigma_field(ellipse, Grid.cover(ellipse, resolution=16, angle=0.3))
+
+
 def test_kinetic_residual_refines(ellipse):
     prev = None
     for h in (1 / 32, 1 / 64):
