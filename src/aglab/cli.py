@@ -6,6 +6,11 @@ with a line diagnostic.  All relative paths resolve against the config
 file's directory.  Every emitted table and JSON report carries the
 config hash and the seed, and a fixed (config, seed) pair reproduces
 the outputs byte for byte.
+
+``[diagnostics] ensemble_dt`` is still accepted, so configs written for
+the former time-stepping tracer keep parsing, but nothing reads it: the
+tracer moves from event to event and has no time step.  It still enters
+the config hash.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "eta_min": float, "optimizer": str, "hessian_power": int, "warm_start": str,
     },
     "diagnostics": {
-        "n_frames": int, "n_s": int, "ensemble_n": int, "ensemble_T": float,
-        "ensemble_dt": float, "beta_grid": int,
+        "n_frames": int, "n_s": int, "ensemble_n": int, "ensemble_T": float, "beta_grid": int,
+        "ensemble_dt": float,  # accepted so that older configs parse; read by nothing
     },
     "output": {"directory": str, "seed": int},
 }
@@ -338,9 +343,7 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     domain, grid = cfg.domain(), cfg.grid()
     n = cfg.diag("ensemble_n", 20000)
     T = cfg.diag("ensemble_T", 1.0)
-    dt = cfg.diag("ensemble_dt", 0.005)
-    report = lagrangian_mod.ensemble_representation_check(
-        domain, n, T, dt, cfg.seed(), grid.h)
+    report = lagrangian_mod.ensemble_representation_check(domain, n, T, cfg.seed(), grid.h)
     out = cfg.output_dir()
     _write_json(out / "ensemble_report.json", {**_stamp(cfg), **report.to_json()})
     # a handful of individual curves for inspection
@@ -350,7 +353,7 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     pts, angs = lagrangian_mod._sample_chi_points(flow, 6, rng)
     rows, jrows = [], []
     for k in range(pts.shape[0]):
-        curve = lagrangian_mod.trace_characteristic(domain, ((pts[k, 0], pts[k, 1]), angs[k]), T, dt, inset=inset)
+        curve = lagrangian_mod.trace_characteristic(domain, ((pts[k, 0], pts[k, 1]), angs[k]), T, inset=inset)
         for tt in np.linspace(curve.t_minus, curve.t_plus, 33):
             p = curve.position(min(tt, curve.t_plus))
             rows.append([k, tt, p[0], p[1], curve.angle(min(tt, curve.t_plus))])

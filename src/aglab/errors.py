@@ -10,7 +10,7 @@ class AmbiguousProjection(AglabError):
 
 
 class NoConvergence(AglabError):
-    """Iterative closest-point solve did not reach its tolerance."""
+    """An iterative solve (closest point, exit time) did not reach its tolerance."""
 
 
 class NonClosed(AglabError):

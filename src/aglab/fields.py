@@ -245,10 +245,8 @@ def exact_limit_field(domain: Domain, grid: Grid) -> tuple[ScalarField, VectorFi
     the ridge (upper side for x2 == 0 exactly); they stay flagged in
     ``grid.ridge_near``.
     """
-    pts = grid.nodes
-    u = geometry.signed_distance(domain, pts)
-    m = geometry.limit_vector_field(domain, pts)
-    return ScalarField(grid, u), VectorField(grid, m)
+    u, grad = geometry._signed_distance_grad(domain, grid.nodes)
+    return ScalarField(grid, u), VectorField(grid, geometry.rot90(grad))
 
 
 # ---------------------------------------------------------------------------

@@ -242,11 +242,19 @@ def _inward_normal(domain: Domain, x: np.ndarray) -> np.ndarray:
     return -v / np.where(nrm == 0, 1.0, nrm)
 
 
-def grad_signed_distance(domain: Domain, x) -> np.ndarray:
-    """Analytic gradient of the signed distance (one-sided on the ridge)."""
+def _signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
+    """Signed distance and its gradient from one closest-point query.
+
+    Equal bit for bit to ``signed_distance`` and ``grad_signed_distance``
+    (closed-form distance on the stadium, one-sided gradient on the ridge).
+    """
     x = np.asarray(x, dtype=float)
     q, dist = _project_raw(domain, x)
     inside = domain.contains(x)
+    if isinstance(domain, Stadium):
+        sd = domain.R - core_distance(domain, x)
+    else:
+        sd = np.where(inside, dist, -dist)
     on_bdry = dist <= 1e-15
     safe = np.where(on_bdry, 1.0, dist)
     # outside, u = -dist so grad u keeps pointing from q toward the interior
@@ -254,7 +262,12 @@ def grad_signed_distance(domain: Domain, x) -> np.ndarray:
     g = sign * (x - q) / safe[..., None]
     if np.any(on_bdry):
         g = np.where(on_bdry[..., None], _inward_normal(domain, x), g)
-    return g
+    return sd, g
+
+
+def grad_signed_distance(domain: Domain, x) -> np.ndarray:
+    """Analytic gradient of the signed distance (one-sided on the ridge)."""
+    return _signed_distance_grad(domain, x)[1]
 
 
 def limit_vector_field(domain: Domain, x) -> np.ndarray:

@@ -9,6 +9,11 @@ the curve re-enters its own side.  For the reference field the mirrored
 angle is admissible on the near side exactly when the crossing is
 blocked, so the rule is total away from ties.
 
+The tracer therefore has no time step: it moves each curve from event to
+event.  The ridge y = 0 is met at ``-y / v_y``, and the exit from the
+convex domain {sd > level} is the root of sd - level along the ray,
+which Newton reaches monotonically from the far end of the segment.
+
 The ensemble check samples phase points uniformly from {chi = 1} on an
 inset subdomain, attaches a uniform random time in (0, T), traces each
 curve forward and backward to exit or window edge, and reweights by
@@ -28,11 +33,13 @@ import numpy as np
 from scipy.stats import distributions as _dists
 
 from . import geometry
+from .errors import NoConvergence
 from .geometry import Domain, ridge_span
 
 TWO_PI = 2.0 * np.pi
 _SIDE_EPS = 1e-30
 _CHI_TOL = 1e-12
+_EXIT_MAX_ITER = 40
 
 
 # ---------------------------------------------------------------------------
@@ -59,25 +66,29 @@ class DomainFlow:
     def inside(self, x: np.ndarray) -> np.ndarray:
         return geometry.signed_distance(self.domain, x) > self.level
 
+    def exit_time(self, p: np.ndarray, v: np.ndarray, t_end: np.ndarray) -> np.ndarray:
+        """First t at which p + t v leaves {sd > level}, or t_end if it stays inside.
 
-class ConstantFlow:
-    """Uniform field on an axis box; no ridge.  Test double for the checker."""
-
-    def __init__(self, half_width: float, half_height: float, direction: float = 0.0):
-        self.bbox = (-half_width, half_width, -half_height, half_height)
-        self.direction = direction
-        self.ridge = None
-
-    def m(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        out[..., 0] = np.cos(self.direction)
-        out[..., 1] = np.sin(self.direction)
-        return out
-
-    def inside(self, x: np.ndarray) -> np.ndarray:
-        x0, x1, y0, y1 = self.bbox
-        return (x[..., 0] > x0) & (x[..., 0] < x1) & (x[..., 1] > y0) & (x[..., 1] < y1)
+        Newton on g(t) = sd(p + t v) - level, started from t_end.  The
+        domain is convex, so sd is a minimum of affine functions and hence
+        concave along the ray; from a point outside (g < 0) Newton
+        decreases t monotonically to the root, with no bracket and no
+        bisection.  A point is frozen once g >= -16 eps max|x_i|, the
+        rounding floor of sd at x; on the first step this means that the
+        segment end is inside.
+        """
+        t = np.array(t_end, dtype=float)
+        live = np.arange(t.size)
+        for _ in range(_EXIT_MAX_ITER):
+            x = p[live] + t[live, None] * v[live]
+            sd, grad = geometry._signed_distance_grad(self.domain, x)
+            g = sd - self.level
+            out = g < -16 * np.finfo(float).eps * np.abs(x).max(axis=-1)
+            live = live[out]
+            if not live.size:
+                return t
+            t[live] -= g[out] / np.sum(grad[out] * v[live], axis=-1)
+        raise NoConvergence("exit-time iteration did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +160,28 @@ def sigma_gamma(curve: Characteristic) -> list[dict]:
 # batched tracer
 
 
-def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray,
-                 dt: float, direction: int):
-    """March a batch of curves to exit / budget, with exact ridge events.
+def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, direction: int):
+    """Trace a batch of curves from event to event.
 
-    Returns elapsed times, final positions, stuck flags, a flat jump
-    table, and flat anchor arrays (anchor = start or angle change).
+    Between events a curve moves at unit speed on a straight line.  Each
+    pass takes every live curve to its first event: the ridge hit at
+    ``-y / v_y`` when the crossing lies in the ridge span, else the first
+    of its exit from the flow's domain and the end of its budget
+    (``flow.exit_time``).  At the ridge a curve crosses freely, reflects,
+    or stops (dead, counted as stuck).  A free crossing or a reflection
+    leaves y = 0 on a straight line that never meets it again, so each
+    curve has at most one ridge event and the loop makes at most two
+    passes.
+
+    Raises ValueError when a start lies outside the flow's domain.
+    Returns elapsed times, final positions and angles, stuck flags, a flat
+    jump table, and flat anchor arrays (anchor = start or angle change).
     """
-    n = pos0.shape[0]
-    pos = pos0.astype(float).copy()
-    ang = ang0.astype(float).copy()
+    pos = np.array(pos0, dtype=float)
+    ang = np.array(ang0, dtype=float)
+    if not np.all(flow.inside(pos)):
+        raise ValueError("a characteristic starts outside the traced domain")
+    n = pos.shape[0]
     elapsed = np.zeros(n)
     alive = budget > 0
     stuck = np.zeros(n, dtype=bool)
@@ -169,113 +192,68 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray,
     a_pos = [pos.copy()]
     a_ang = [ang.copy()]
 
-    if flow.ridge is not None:
-        r_lo, r_hi, r_sbar = flow.ridge
-
-    max_steps = int(np.ceil(np.max(budget, initial=0.0) / dt)) + 2
-    for _ in range(max_steps):
-        if not np.any(alive):
-            break
+    while np.any(alive):
         idx = np.flatnonzero(alive)
-        step = np.minimum(dt, budget[idx] - elapsed[idx])
+        remain = budget[idx] - elapsed[idx]
         # motion is direction * e^{is}; admissibility always references e^{is}
         v = direction * np.stack([np.cos(ang[idx]), np.sin(ang[idx])], axis=-1)
-        seg_start = pos[idx].copy()
-        seg_t = np.zeros(idx.size)  # time consumed within this step
-        cur_ang = ang[idx].copy()
-
+        hit = np.zeros(idx.size, dtype=bool)
         if flow.ridge is not None:
-            y0 = seg_start[:, 1]
-            y1 = y0 + step * v[:, 1]
-            tau = np.full(idx.size, np.inf)
-            nz = v[:, 1] != 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tau_all = np.where(nz, -y0 / np.where(nz, v[:, 1], 1.0), np.inf)
-            crossing = nz & (tau_all > 1e-14) & (tau_all <= step)
-            if np.any(crossing):
-                xc = seg_start[:, 0] + tau_all * v[:, 0]
-                crossing &= (xc >= r_lo) & (xc <= r_hi)
-            if np.any(crossing):
-                c = np.flatnonzero(crossing)
-                tau_c = tau_all[c]
-                xc_c = xc[c]
-                from_above = y0[c] > 0
-                far_y = np.where(from_above, -_SIDE_EPS, _SIDE_EPS)
-                near_y = -far_y
-                far_pts = np.stack([xc_c, far_y], axis=-1)
-                m_far = flow.m(far_pts)
-                dots_far = np.cos(cur_ang[c]) * m_far[:, 0] + np.sin(cur_ang[c]) * m_far[:, 1]
-                blocked = dots_far <= _CHI_TOL
-                # free crossers keep their angle; blocked ones reflect
-                s_new = np.mod(2.0 * r_sbar - cur_ang[c] + np.pi, TWO_PI)
-                near_pts = np.stack([xc_c, near_y], axis=-1)
-                m_near = flow.m(near_pts)
-                dots_near = np.cos(s_new) * m_near[:, 0] + np.sin(s_new) * m_near[:, 1]
-                dead = blocked & (dots_near < -_CHI_TOL)
-                bounce = blocked & ~dead
+            r_lo, r_hi, r_sbar = flow.ridge
+            y0 = pos[idx, 1]
+            # a tiny or zero v_y gives an infinite or NaN tau, which fails every test below
+            with np.errstate(all="ignore"):
+                tau = -y0 / v[:, 1]
+                xc = pos[idx, 0] + tau * v[:, 0]
+                hit = (tau > 1e-14) & (tau <= remain) & (xc >= r_lo) & (xc <= r_hi)
+        if np.any(hit):
+            c = np.flatnonzero(hit)
+            gi = idx[c]
+            tau_c = tau[c]
+            xc_c = xc[c]
+            cur_ang = ang[gi]
+            from_above = y0[c] > 0
+            far_y = np.where(from_above, -_SIDE_EPS, _SIDE_EPS)
+            near_y = -far_y
+            m_far = flow.m(np.stack([xc_c, far_y], axis=-1))
+            dots_far = np.cos(cur_ang) * m_far[:, 0] + np.sin(cur_ang) * m_far[:, 1]
+            blocked = dots_far <= _CHI_TOL
+            # free crossers keep their angle; blocked ones reflect
+            s_new = np.mod(2.0 * r_sbar - cur_ang + np.pi, TWO_PI)
+            m_near = flow.m(np.stack([xc_c, near_y], axis=-1))
+            dots_near = np.cos(s_new) * m_near[:, 0] + np.sin(s_new) * m_near[:, 1]
+            dead = blocked & (dots_near < -_CHI_TOL)
+            bounce = blocked & ~dead
 
-                if np.any(bounce):
-                    b = c[bounce]
-                    gi = idx[b]
-                    t_abs = elapsed[gi] + tau_c[bounce]
-                    old = np.mod(cur_ang[b], TWO_PI)
-                    new = s_new[bounce]
-                    if direction > 0:
-                        sm, sp = old, new
-                    else:
-                        sm, sp = new, old
-                    j_curve.append(gi)
-                    j_t.append(t_abs)
-                    j_x.append(np.stack([xc_c[bounce], np.zeros(bounce.sum())], axis=-1))
-                    j_sm.append(sm)
-                    j_sp.append(sp)
-                    cur_ang[b] = new
-                    # anchor at the event
-                    a_curve.append(gi)
-                    a_t.append(t_abs)
-                    a_pos.append(np.stack([xc_c[bounce], np.zeros(bounce.sum())], axis=-1))
-                    a_ang.append(new)
-                if np.any(dead):
-                    d = c[dead]
-                    gi = idx[d]
-                    elapsed[gi] += tau_c[dead]
-                    pos[gi, 0] = xc_c[dead]
-                    pos[gi, 1] = 0.0
-                    stuck[gi] = True
-                    alive[gi] = False
-                # advance crossing curves to the event point, shrink their step
-                adv = c[~dead]
-                seg_start[adv, 0] = xc_c[~dead]
-                seg_start[adv, 1] = 0.0
-                seg_t[adv] = tau_c[~dead]
+            elapsed[gi] += tau_c
+            pos[gi, 0] = xc_c
+            pos[gi, 1] = 0.0
+            stuck[gi[dead]] = True
+            alive[gi[dead]] = False
+            if np.any(bounce):
+                b = gi[bounce]
+                t_event = elapsed[b]
+                x_event = np.stack([xc_c[bounce], np.zeros(b.size)], axis=-1)
+                old = np.mod(cur_ang[bounce], TWO_PI)
+                new = s_new[bounce]
+                j_curve.append(b)
+                j_t.append(t_event)
+                j_x.append(x_event)
+                j_sm.append(old if direction > 0 else new)
+                j_sp.append(new if direction > 0 else old)
+                ang[b] = new
+                a_curve.append(b)
+                a_t.append(t_event)
+                a_pos.append(x_event)
+                a_ang.append(new)
 
-        still = alive[idx]
-        v = direction * np.stack([np.cos(cur_ang), np.sin(cur_ang)], axis=-1)
-        remain = step - seg_t
-        end = seg_start + remain[:, None] * v
-        outside = np.zeros(idx.size, dtype=bool)
-        outside[still] = ~flow.inside(end[still])
-        if np.any(outside):
-            o = np.flatnonzero(outside)
-            lo_t = np.zeros(o.size)
-            hi_t = remain[o]
-            for _ in range(50):
-                mid = 0.5 * (lo_t + hi_t)
-                pm = seg_start[o] + mid[:, None] * v[o]
-                ins = flow.inside(pm)
-                lo_t = np.where(ins, mid, lo_t)
-                hi_t = np.where(ins, hi_t, mid)
-            gi = idx[o]
-            pos[gi] = seg_start[o] + lo_t[:, None] * v[o]
-            elapsed[gi] += seg_t[o] + lo_t
-            alive[gi] = False
-        ok = still & ~outside
-        gi = idx[ok]
-        pos[gi] = end[ok]
-        ang[gi] = cur_ang[ok]
-        elapsed[gi] += step[ok]
-        done = ok & (elapsed[idx] >= budget[idx] - 1e-14)
-        alive[idx[done]] = False
+        last = np.flatnonzero(~hit)
+        gi = idx[last]
+        t = flow.exit_time(pos[gi], v[last], remain[last])
+        pos[gi] += t[:, None] * v[last]
+        # after a ridge event, tau + (budget - tau) can round above the budget
+        elapsed[gi] = np.minimum(elapsed[gi] + t, budget[gi])
+        alive[gi] = False
 
     jumps = {
         "curve": np.concatenate(j_curve) if j_curve else np.zeros(0, dtype=int),
@@ -294,14 +272,17 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray,
 
 
 def trace_characteristic(domain: Domain, start: tuple[tuple[float, float], float],
-                         T: float, dt: float, inset: float | None = None) -> Characteristic:
-    """Trace a single forward characteristic from (x, s) over [0, T]."""
+                         T: float, inset: float | None = None) -> Characteristic:
+    """Trace a single forward characteristic from (x, s) over [0, T].
+
+    Raises ValueError when x lies outside the inset domain.
+    """
     (x0, y0), s0 = start
     if inset is None:
         inset = 0.25 * domain.delta
     flow = DomainFlow(domain, inset)
     elapsed, pos_end, _, stuck, jumps, anchors = _trace_batch(
-        flow, np.array([[x0, y0]]), np.array([s0]), np.array([T]), dt, direction=+1
+        flow, np.array([[x0, y0]]), np.array([s0]), np.array([T]), direction=+1
     )
     order = np.argsort(anchors["t"], kind="stable")
     times = anchors["t"][order]
@@ -360,7 +341,6 @@ class ProbeStat:
 class EnsembleReport:
     n_curves: int
     window: float
-    dt: float
     seed: int
     stuck_curves: int
     n_jumps: int
@@ -376,7 +356,7 @@ class EnsembleReport:
 
     def to_json(self) -> dict:
         out = {k: getattr(self, k) for k in (
-            "n_curves", "window", "dt", "seed", "stuck_curves", "n_jumps",
+            "n_curves", "window", "seed", "stuck_curves", "n_jumps",
             "pushforward_ok", "ridge_mass_fraction", "concentration_ok",
             "cancellation_ratio", "cancellation_ok", "ks_statistic",
             "ks_p_value", "stationarity_ok")}
@@ -407,7 +387,6 @@ def ensemble_representation_check(
     domain_or_flow,
     n_curves: int,
     T: float,
-    dt: float,
     seed: int,
     h: float,
     probe_fracs: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8),
@@ -439,9 +418,9 @@ def ensemble_representation_check(
     t0 = rng.uniform(0.0, T, n_curves)
 
     fwd_elapsed, _, _, fwd_stuck, fwd_jumps, fwd_anchors = _trace_batch(
-        flow, pts, angs, T - t0, dt, direction=+1)
+        flow, pts, angs, T - t0, direction=+1)
     bwd_elapsed, bwd_end_pos, bwd_end_ang, bwd_stuck, bwd_jumps, bwd_anchors = _trace_batch(
-        flow, pts, angs, t0, dt, direction=-1)
+        flow, pts, angs, t0, direction=-1)
 
     t_plus = t0 + fwd_elapsed
     t_minus = t0 - bwd_elapsed
@@ -594,7 +573,6 @@ def ensemble_representation_check(
     report = EnsembleReport(
         n_curves=n_curves,
         window=T,
-        dt=dt,
         seed=seed,
         stuck_curves=stuck_curves,
         n_jumps=n_jumps,

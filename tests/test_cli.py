@@ -162,6 +162,18 @@ def test_characteristics_report(tmp_path):
     assert (out / "jumps.csv").exists()
 
 
+def test_ensemble_dt_is_ignored(tmp_path):
+    """Configs may still set ensemble_dt; the event tracer has no time step."""
+    reports = []
+    for dt in ("0.005", "0.5"):
+        p = write_cfg(tmp_path, ELLIPSE_CFG.replace("ensemble_dt = 0.01", f"ensemble_dt = {dt}"), f"dt{dt}.cfg")
+        assert run("characteristics", p) == EXIT_OK
+        rep = json.loads((tmp_path / "out" / "ensemble_report.json").read_text())
+        assert rep.pop("config_hash") == parse_config(p).config_hash()
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
 def test_disk_reports_zero_jump_energy(tmp_path):
     p = write_cfg(tmp_path, DISK_CFG)
     assert run("entropy-report", p) == EXIT_OK

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aglab import geometry
 from aglab.fields import (
     CellMeasure,
     ScalarField,
@@ -16,7 +17,7 @@ from aglab.fields import (
     w11_distance,
     weak_divergence,
 )
-from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, grad_signed_distance
+from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, grad_signed_distance
 
 RNG = np.random.default_rng(7)
 
@@ -203,6 +204,20 @@ def test_vortex_production_second_order():
         wd = weak_divergence(VectorField(g, m))
         tvs.append(wd.total_variation(g.active()))
     assert tvs[1] < tvs[0] / 3.0  # at least close to the h^2 rate
+
+
+@pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Stadium(2.0, 1.0)], ids=["ellipse", "stadium"])
+def test_exact_limit_field_projects_once(domain, monkeypatch):
+    calls = []
+    project = geometry._project_raw
+    monkeypatch.setattr(geometry, "_project_raw", lambda d, x: calls.append(1) or project(d, x))
+    grid = Grid.cover(domain, h=1 / 32)
+    calls.clear()
+    u, m = exact_limit_field(domain, grid)
+    assert len(calls) == 1
+    # the same bits as the separate distance and field queries
+    assert np.array_equal(u.values, geometry.signed_distance(domain, grid.nodes))
+    assert np.array_equal(m.values, geometry.limit_vector_field(domain, grid.nodes))
 
 
 def test_dump_roundtrip(tmp_path, grid64, limit64):
