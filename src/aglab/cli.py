@@ -42,7 +42,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "grid": {"resolution": int, "h": float, "ghost": int},
     "minimize": {
         "eps_list": str, "max_iter": int, "tol": float, "eta0": float,
-        "eta_min": float, "optimizer": str, "hessian_power": int, "warm_start": str,
+        "eta_min": float, "hessian_power": int, "warm_start": str,
     },
     "diagnostics": {
         "n_frames": int, "n_s": int, "ensemble_n": int, "ensemble_T": float, "beta_grid": int,
@@ -92,10 +92,6 @@ class ExperimentConfig:
             opts.eta0 = float(sec["eta0"])
         if "eta_min" in sec:
             opts.eta_min = float(sec["eta_min"])
-        if "optimizer" in sec:
-            if sec["optimizer"] not in ("bb", "lbfgs"):
-                raise ConfigError(f"optimizer must be bb or lbfgs, got {sec['optimizer']!r}")
-            opts.optimizer = sec["optimizer"]
         if "hessian_power" in sec:
             opts.hessian_power = int(sec["hessian_power"])
             if opts.hessian_power not in (1, 2):

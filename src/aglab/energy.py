@@ -11,10 +11,9 @@ Frobenius norm (``hessian_power=1``, the default) or |hess u|_F^2
 distance, which encodes both the boundary value and the unit inward
 slope; minimization acts on interior nodes only.
 
-The default optimizer is Barzilai-Borwein steps with monotone Armijo
-backtracking, run under a continuation schedule on the smoothing
-parameter eta.  A limited-memory quasi-Newton mode backed by
-scipy.optimize is available as ``optimizer="lbfgs"``.
+The one solver is preconditioned Barzilai-Borwein steps with a
+nonmonotone Armijo backtracking window, run under a continuation
+schedule on the smoothing parameter eta.
 """
 
 from __future__ import annotations
@@ -25,9 +24,13 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import entropy as entropy_mod
-from .errors import LineSearchFailure, NonFiniteEnergy
+from .errors import NonFiniteEnergy
 from .fields import ScalarField, diff_ops, exact_limit_field, w11_distance
 from .geometry import Domain, Grid, ridge_set
+
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
+_MAX_BACKTRACKS = 60  # step halvings before a line search gives up
+_WINDOW = 10  # accepted energies the nonmonotone test compares against
 
 
 @dataclass(frozen=True)
@@ -46,13 +49,8 @@ class MinimizeOptions:
     tol: float = 1e-3
     eta0: float = 1.0
     eta_min: float | None = None  # default 1e-4 / h
-    optimizer: str = "bb"
     hessian_power: int = 1
     warm_start: ScalarField | None = None
-    armijo: float = 1e-4
-    max_backtracks: int = 60
-    history_stride: int = 1
-    memory: int = 10  # nonmonotone acceptance window
 
     def resolved_eta_min(self, h: float) -> float:
         return self.eta_min if self.eta_min is not None else 1e-4 / h
@@ -177,9 +175,15 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
 
     Steps follow the gradient in the metric of the (stiff, quadratic)
     hessian-term operator; acceptance compares against the worst of the
-    last few accepted energies, since forcing per-step monotonicity
-    degrades BB to tiny-step steepest descent.  The recorded history
-    follows the best accepted state, which is also what gets returned.
+    last ``_WINDOW`` accepted energies (Grippo, Lampariello & Lucidi
+    1986), since forcing per-step monotonicity degrades BB to tiny-step
+    steepest descent.  The recorded history follows the best accepted
+    state, which is also what gets returned.
+
+    If ``_MAX_BACKTRACKS`` halvings find no acceptable step, the level
+    ends there: the best state is recorded and returned with the
+    iterations actually taken, and counts as converged only if its
+    gradient norm meets ``tol``.
     """
     from collections import deque
 
@@ -190,56 +194,53 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
     idx, lu, M = _hessian_metric(grid, eps, eta, power)
 
     def E(vals):
-        return energy(ScalarField(grid, vals), eps, eta, power).total
+        return energy(ScalarField(grid, vals), eps, eta, power)
 
     def direction(gvals):
         d = np.zeros(grid.shape[0] * grid.shape[1])
         d[idx] = lu.solve(gvals.ravel()[idx])
         return d.reshape(grid.shape)
 
-    e_curr = E(u)
+    split = E(u)
     g = energy_gradient(ScalarField(grid, u), eps, eta, power)
     gn = grad_norm(grid, g)
     alpha = 1.0
-    window = deque([e_curr], maxlen=opts.memory)
-    best_u, best_e, best_gn = u.copy(), e_curr, gn
+    window = deque([split.total], maxlen=_WINDOW)
+    best_u, best_split, best_gn = u.copy(), split, gn
     it = 0
 
     def record():
-        history.append(energy(ScalarField(grid, best_u), eps, eta, power))
+        history.append(best_split)
         gn_history.append(best_gn)
 
     while it < budget:
-        if gn <= opts.tol and e_curr <= best_e + 1e-9:
-            best_u, best_e, best_gn = u, e_curr, gn
+        if gn <= opts.tol and split.total <= best_split.total + 1e-9:
+            best_u, best_split, best_gn = u, split, gn
             record()
             return ScalarField(grid, best_u), it, True
         d = direction(g)
         slope = float(np.sum(g * d))  # positive: d is the metric gradient
         step = alpha
         ref = max(window)
-        accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = u - step * d
             trial[~interior] = u0.values[~interior]
-            e_trial = E(trial)
-            if e_trial <= ref - opts.armijo * step * slope + 1e-12:
-                accepted = True
+            trial_split = E(trial)
+            if trial_split.total <= ref - _ARMIJO * step * slope + 1e-12:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             record()
-            raise LineSearchFailure("no acceptable step after backtracking")
+            return ScalarField(grid, best_u), it, best_gn <= opts.tol
         prev_u, prev_g = u, g
-        u, e_curr = trial, e_trial
-        window.append(e_curr)
+        u, split = trial, trial_split
+        window.append(split.total)
         g = energy_gradient(ScalarField(grid, u), eps, eta, power)
         gn = grad_norm(grid, g)
         it += 1
-        if e_curr < best_e:
-            best_u, best_e, best_gn = u.copy(), e_curr, gn
-            if it % opts.history_stride == 0:
-                record()
+        if split.total < best_split.total:
+            best_u, best_split, best_gn = u.copy(), split, gn
+            record()
         s = (u - prev_u).ravel()[idx]
         y = (g - prev_g).ravel()[idx]
         sy = float(s @ y)
@@ -249,40 +250,7 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
             alpha = step * 2.0
         alpha = min(max(alpha, 1e-10), 1e10)
     record()
-    return ScalarField(grid, best_u), it, gn <= opts.tol and e_curr <= best_e + 1e-9
-
-
-def _lbfgs_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
-                    budget: int, history: list, gn_history: list) -> tuple[ScalarField, int, bool]:
-    from scipy.optimize import minimize as sp_minimize
-
-    grid = u0.grid
-    interior = grid.interior()
-    idx = np.flatnonzero(interior.ravel())
-    base = u0.values.copy().ravel()
-    power = opts.hessian_power
-    count = {"n": 0}
-
-    def pack(free):
-        full = base.copy()
-        full[idx] = free
-        return full.reshape(grid.shape)
-
-    def fun(free):
-        vals = pack(free)
-        e = energy(ScalarField(grid, vals), eps, eta, power).total
-        g = energy_gradient(ScalarField(grid, vals), eps, eta, power)
-        count["n"] += 1
-        return e, g.ravel()[idx]
-
-    res = sp_minimize(fun, base[idx], jac=True, method="L-BFGS-B",
-                      options={"maxiter": budget, "ftol": 1e-14, "gtol": opts.tol * grid.h})
-    vals = pack(res.x)
-    g = energy_gradient(ScalarField(grid, vals), eps, eta, power)
-    gn = grad_norm(grid, g)
-    history.append(energy(ScalarField(grid, vals), eps, eta, power))
-    gn_history.append(gn)
-    return ScalarField(grid, vals), int(res.nit), gn <= opts.tol
+    return ScalarField(grid, best_u), it, gn <= opts.tol and split.total <= best_split.total + 1e-9
 
 
 def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> MinimizeResult:
@@ -320,16 +288,10 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
     level_starts: list[int] = []
     total_it = 0
     converged = False
-    runner = _lbfgs_minimize if opts.optimizer == "lbfgs" else _bb_minimize
     for k, eta in enumerate(etas):
         level_starts.append(len(history))
         budget = max(1, (opts.max_iter - total_it) // max(1, len(etas) - k))
-        try:
-            u, it, converged = runner(u, eps, eta, opts, budget, history, gn_history)
-        except LineSearchFailure:
-            g = energy_gradient(u, eps, eta, opts.hessian_power)
-            converged = grad_norm(u.grid, g) <= 10 * opts.tol
-            it = 0
+        u, it, converged = _bb_minimize(u, eps, eta, opts, budget, history, gn_history)
         total_it += it
     return MinimizeResult(
         u=u,

@@ -29,9 +29,5 @@ class NonFiniteEnergy(AglabError):
     """A nodal energy term evaluated to NaN or infinity."""
 
 
-class LineSearchFailure(AglabError):
-    """Backtracking exhausted its budget without an acceptable step."""
-
-
 class ConfigError(AglabError):
     """Experiment configuration failed to parse or validate."""

@@ -267,20 +267,13 @@ def dump_field(path: str | Path, fld: ScalarField | VectorField) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     grid = fld.grid
-    pts = grid.nodes
-    lines = []
-    vector = isinstance(fld, VectorField)
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            x, y = pts[i, j]
-            if vector:
-                v = fld.values[i, j]
-                lines.append(f"{i} {j} {x:.12g} {y:.12g} {v[0]:.12g} {v[1]:.12g}")
-            else:
-                lines.append(f"{i} {j} {x:.12g} {y:.12g} {fld.values[i, j]:.12g}")
-    path.write_text("\n".join(lines) + "\n")
+    # one row per node, i-major: i j x y value(s)
+    ij = np.indices((grid.nx, grid.ny)).transpose(1, 2, 0)
+    values = fld.values.reshape(grid.nx, grid.ny, -1)
+    cols = np.concatenate([ij, grid.nodes, values], axis=-1).reshape(grid.nx * grid.ny, -1)
+    np.savetxt(path, cols, fmt="%d %d " + " ".join(["%.12g"] * (cols.shape[1] - 2)))
     meta = _grid_meta(grid)
-    meta["components"] = 2 if vector else 1
+    meta["components"] = values.shape[-1]
     Path(str(path) + ".json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 

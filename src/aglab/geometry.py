@@ -151,8 +151,9 @@ def _ellipse_quadrant_point(a: float, b: float, px, py):
     qx, qy = np.empty(X.shape), np.empty(X.shape)
     axis = Y < np.finfo(float).tiny
     # NaN marks a ratio or bound that does not apply (X >= c2, or c2 == 0);
-    # fmin / fmax skip it
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # fmin / fmax skip it.  Y / 2X overflows to inf for subnormal X beside a
+    # normal Y; fmin then takes the other bound
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho = np.fmin(X[axis] / c2, 1.0)
         X, Y = X[~axis], Y[~axis]
         cusp = np.fmin(c2 * Y / np.sqrt(2 * (c2 - X) * (c2 + X)), c2 * np.cbrt(Y / (2 * X)) ** 2)

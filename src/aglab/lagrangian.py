@@ -64,7 +64,11 @@ class DomainFlow:
         return geometry.limit_vector_field(self.domain, x)
 
     def inside(self, x: np.ndarray) -> np.ndarray:
-        return geometry.signed_distance(self.domain, x) > self.level
+        # in the domain sd >= 0 > level, so only the other points are projected
+        keep = self.domain.contains(x)
+        out = ~keep
+        keep[out] = geometry.signed_distance(self.domain, x[out]) > self.level
+        return keep
 
     def exit_time(self, p: np.ndarray, v: np.ndarray, t_end: np.ndarray) -> np.ndarray:
         """First t at which p + t v leaves {sd > level}, or t_end if it stays inside.
@@ -376,8 +380,8 @@ def _sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
         cand = np.stack([rng.uniform(x0, x1, k), rng.uniform(y0, y1, k)], axis=-1)
         s = rng.uniform(0.0, TWO_PI, k)
         keep = flow.inside(cand)
-        m = flow.m(cand)
-        keep &= (np.cos(s) * m[..., 0] + np.sin(s) * m[..., 1]) > _CHI_TOL
+        m = flow.m(cand[keep])
+        keep[keep] = (np.cos(s[keep]) * m[..., 0] + np.sin(s[keep]) * m[..., 1]) > _CHI_TOL
         pts = np.vstack([pts, cand[keep]])
         angs = np.concatenate([angs, s[keep]])
     return pts[:n], angs[:n]

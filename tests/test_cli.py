@@ -100,6 +100,13 @@ def test_run_bad_config_exit_code(tmp_path):
     assert run("fly-to-the-moon", p) == EXIT_CONFIG
 
 
+def test_removed_optimizer_key_is_a_config_error(tmp_path):
+    # there is one minimizer; a config asking for another must not run it
+    p = write_cfg(tmp_path, ELLIPSE_CFG + "\n[minimize]\noptimizer = lbfgs\n")
+    assert run("minimize", p) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_entropy_report_deterministic(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert run("entropy-report", p) == EXIT_OK

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from aglab import energy as energy_mod
 from aglab.energy import (
     MinimizeOptions,
     energy,
@@ -154,11 +155,23 @@ def test_minimize_rotation_covariance_disk():
     assert abs(totals[1] - totals[0]) / totals[0] < 1e-3
 
 
-def test_lbfgs_mode_agrees_with_bb(ellipse):
-    grid = Grid.cover(ellipse, resolution=40)
-    e_bb = minimize(ellipse, grid, 0.4, MinimizeOptions(max_iter=3000, tol=2e-3, hessian_power=2))
-    e_lb = minimize(ellipse, grid, 0.4, MinimizeOptions(max_iter=3000, tol=2e-3, hessian_power=2, optimizer="lbfgs"))
-    assert e_lb.energy_history[-1].total == pytest.approx(e_bb.energy_history[-1].total, rel=1e-3)
+def test_failed_line_search_keeps_its_iterations(ellipse, monkeypatch):
+    # one halving per line search: most levels end on a failed search
+    monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", 1)
+    calls = []
+
+    def counted_gradient(*args, **kwargs):
+        calls.append(1)
+        return energy_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(energy_mod, "energy_gradient", counted_gradient)
+    grid = Grid.cover(ellipse, resolution=32)
+    res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=400, hessian_power=1))
+    # one gradient per level start, one per accepted step
+    assert res.iterations == len(calls) - len(res.level_starts)
+    assert not res.converged
+    start = mollified_limit_field(ellipse, grid)
+    assert energy(res.u, 0.3, res.eta_final).total <= energy(start, 0.3, res.eta_final).total
 
 
 def test_limit_table_single_row(ellipse):

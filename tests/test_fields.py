@@ -235,3 +235,21 @@ def test_dump_roundtrip(tmp_path, grid64, limit64):
     assert (tmp_path / "again.txt").read_bytes() == p1.read_bytes()
     meta = json.loads((tmp_path / "u.txt.json").read_text())
     assert meta["nx"] == grid64.nx and meta["components"] == 1
+
+
+def test_dump_field_matches_row_loop(tmp_path, grid64, limit64):
+    """The file holds the rows of a per-node f-string loop, byte for byte."""
+    pts = grid64.nodes
+    for fld in limit64:
+        lines = []
+        for i in range(grid64.nx):
+            for j in range(grid64.ny):
+                x, y = pts[i, j]
+                if isinstance(fld, VectorField):
+                    v = fld.values[i, j]
+                    lines.append(f"{i} {j} {x:.12g} {y:.12g} {v[0]:.12g} {v[1]:.12g}")
+                else:
+                    lines.append(f"{i} {j} {x:.12g} {y:.12g} {fld.values[i, j]:.12g}")
+        path = tmp_path / "f.txt"
+        dump_field(path, fld)
+        assert path.read_text() == "\n".join(lines) + "\n"

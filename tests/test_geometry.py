@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -266,6 +268,15 @@ def test_projection_subnormal_y_takes_axis_branch(ellipse):
         assert np.all(np.isfinite(q)) and q[1] > 0
         assert np.array_equal(q, q0) and dist == dist0
     assert q0 == pytest.approx([-0.95755103366, 0.14413189960], abs=1e-10)
+
+
+def test_projection_subnormal_x_does_not_warn(ellipse):
+    # the cusp bound's Y / 2X overflows to inf, which fmin discards
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, _ = _project_raw(ellipse, np.array([5e-324, 0.3]))
+    assert np.all(np.isfinite(q))
+    assert (q[0] / ellipse.a) ** 2 + (q[1] / ellipse.b) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("ab", [(1.0, 0.5), (1.0, 0.99), (3.0, 0.2), (1.0, 0.01), (1.0, 1.0)])
