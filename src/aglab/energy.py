@@ -56,6 +56,17 @@ class MinimizeOptions:
         return self.eta_min if self.eta_min is not None else 1e-4 / h
 
 
+@dataclass(frozen=True)
+class LevelRecord:
+    """How the solver ran on one eta level."""
+
+    eta: float
+    iterations: int
+    backtracks: int  # step halvings over all line searches of the level
+    grad_norm: float  # of the state the level returned
+    converged: bool
+
+
 @dataclass
 class MinimizeResult:
     u: ScalarField
@@ -69,29 +80,23 @@ class MinimizeResult:
     # monotone-descent guarantee holds within each level (the smoothed
     # objective changes across levels)
     level_starts: list[int] = field(default_factory=list)
-
-
-def _derivatives(u_flat: np.ndarray, grid: Grid):
-    ops = diff_ops(grid)
-    return (
-        ops.d1 @ u_flat,
-        ops.d2 @ u_flat,
-        ops.d11 @ u_flat,
-        ops.d22 @ u_flat,
-        ops.d12 @ u_flat,
-    )
+    levels: list[LevelRecord] = field(default_factory=list)
 
 
 def energy(u: ScalarField, eps: float, eta: float, hessian_power: int = 1,
            region: np.ndarray | None = None) -> EnergySplit:
-    """Split energy over all non-exterior nodes (or a node subset)."""
+    """Split energy over all non-exterior nodes, or the active nodes of ``region``.
+
+    One product with the stacked operator of :func:`~aglab.fields.diff_ops`
+    gives the five derivatives at every active node.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     grid = u.grid
-    active = (grid.active() if region is None else region).ravel()
-    g1, g2, a, c, b = _derivatives(u.values.ravel(), grid)
+    ops = diff_ops(grid)
+    g1, g2, a, c, b = (ops.stacked @ u.values.ravel()).reshape(5, -1)
     q = a * a + 2.0 * b * b + c * c
     if hessian_power == 1:
         hess = np.sqrt(q + eta * eta) - eta
@@ -100,9 +105,12 @@ def energy(u: ScalarField, eps: float, eta: float, hessian_power: int = 1,
     else:
         raise ValueError("hessian_power must be 1 or 2")
     pot = (1.0 - g1 * g1 - g2 * g2) ** 2
+    if region is not None:
+        keep = region.ravel()[ops.active_idx]
+        hess, pot = hess[keep], pot[keep]
     h2 = grid.h**2
-    hess_term = eps * h2 * float(np.sum(hess[active]))
-    pot_term = h2 / eps * float(np.sum(pot[active]))
+    hess_term = eps * h2 * float(np.sum(hess))
+    pot_term = h2 / eps * float(np.sum(pot))
     if not (np.isfinite(hess_term) and np.isfinite(pot_term)):
         raise NonFiniteEnergy("non-finite nodal energy term")
     return EnergySplit(hess_term, pot_term)
@@ -111,26 +119,23 @@ def energy(u: ScalarField, eps: float, eta: float, hessian_power: int = 1,
 def energy_gradient(u: ScalarField, eps: float, eta: float, hessian_power: int = 1) -> np.ndarray:
     """Exact gradient of the discrete energy w.r.t. interior node values.
 
-    Entries at collar and exterior slots are zero.
+    One product with the stacked operator gives the derivatives, and one
+    with its interior-restricted transpose maps the nodal weights back to
+    interior slots.  Entries at collar and exterior slots are zero.
     """
     if hessian_power == 1 and eta <= 0:
         raise ValueError("hessian_power=1 requires eta > 0 for a smooth gradient")
     grid = u.grid
     ops = diff_ops(grid)
-    flat = u.values.ravel()
-    g1, g2, a, c, b = _derivatives(flat, grid)
-    h2 = grid.h**2
-
-    w = 1.0 - g1 * g1 - g2 * g2
-    grad = (-4.0 / eps) * (ops.d1.T @ (w * g1) + ops.d2.T @ (w * g2))
+    g1, g2, a, c, b = (ops.stacked @ u.values.ravel()).reshape(5, -1)
+    w = (-4.0 / eps) * (1.0 - g1 * g1 - g2 * g2)
     if hessian_power == 1:
-        r = 1.0 / np.sqrt(a * a + 2 * b * b + c * c + eta * eta)
-        grad += eps * (ops.d11.T @ (r * a) + ops.d22.T @ (r * c) + 2.0 * (ops.d12.T @ (r * b)))
+        r = eps / np.sqrt(a * a + 2 * b * b + c * c + eta * eta)
+        weights = (w * g1, w * g2, r * a, r * c, 2.0 * r * b)
     else:
-        grad += eps * (2.0 * (ops.d11.T @ a) + 2.0 * (ops.d22.T @ c) + 4.0 * (ops.d12.T @ b))
-    grad *= h2
-    grad = grad.reshape(grid.shape)
-    grad[~grid.interior()] = 0.0
+        weights = (w * g1, w * g2, 2.0 * eps * a, 2.0 * eps * c, 4.0 * eps * b)
+    grad = np.zeros(grid.shape)
+    grad.ravel()[ops.interior_idx] = grid.h**2 * (ops.stacked_t @ np.concatenate(weights))
     return grad
 
 
@@ -152,25 +157,28 @@ def _hessian_metric(grid: Grid, eps: float, eta: float, power: int):
 
     Q is the quadratic form of the hessian term, the stiff part of the
     energy; solving in this metric removes the h^-4 conditioning that
-    makes plain gradient steps crawl.
+    makes plain gradient steps crawl.  M is SPD, so SuperLU factors it in
+    symmetric mode under a minimum-degree ordering of M^T + M, with
+    pivots kept on the diagonal: less fill, and a faster factor and
+    solve, than the default column ordering for nonsymmetric matrices.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     ops = diff_ops(grid)
-    idx = np.flatnonzero(grid.interior().ravel())
+    idx = ops.interior_idx
     h2 = grid.h**2
     Q = (ops.d11.T @ ops.d11 + 2.0 * (ops.d12.T @ ops.d12) + ops.d22.T @ ops.d22).tocsr()
     Q = Q[idx][:, idx]
     c = 2.0 * eps * h2 if power == 2 else eps * h2 / max(eta, grid.h)
     gamma = 8.0 * h2 / eps
     M = (gamma * sp.identity(idx.size, format="csr") + c * Q).tocsc()
-    lu = splu(M)
+    lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     return idx, lu, M
 
 
 def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
-                 budget: int, history: list, gn_history: list) -> tuple[ScalarField, int, bool]:
+                 budget: int, history: list, gn_history: list) -> tuple[ScalarField, LevelRecord]:
     """Preconditioned Barzilai-Borwein with windowed backtracking.
 
     Steps follow the gradient in the metric of the (stiff, quadratic)
@@ -178,7 +186,8 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
     last ``_WINDOW`` accepted energies (Grippo, Lampariello & Lucidi
     1986), since forcing per-step monotonicity degrades BB to tiny-step
     steepest descent.  The recorded history follows the best accepted
-    state, which is also what gets returned.
+    state, which is also what gets returned.  A ``budget`` of 0 records
+    the start state and takes no step.
 
     If ``_MAX_BACKTRACKS`` halvings find no acceptable step, the level
     ends there: the best state is recorded and returned with the
@@ -188,7 +197,6 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
     from collections import deque
 
     grid = u0.grid
-    interior = grid.interior()
     u = u0.values.copy()
     power = opts.hessian_power
     idx, lu, M = _hessian_metric(grid, eps, eta, power)
@@ -197,6 +205,7 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
         return energy(ScalarField(grid, vals), eps, eta, power)
 
     def direction(gvals):
+        # zero off the interior, so a step leaves the collar exactly pinned
         d = np.zeros(grid.shape[0] * grid.shape[1])
         d[idx] = lu.solve(gvals.ravel()[idx])
         return d.reshape(grid.shape)
@@ -207,31 +216,33 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
     alpha = 1.0
     window = deque([split.total], maxlen=_WINDOW)
     best_u, best_split, best_gn = u.copy(), split, gn
-    it = 0
+    it = backtracks = 0
 
     def record():
         history.append(best_split)
         gn_history.append(best_gn)
 
+    def finish(converged: bool) -> tuple[ScalarField, LevelRecord]:
+        record()
+        return ScalarField(grid, best_u), LevelRecord(eta, it, backtracks, best_gn, converged)
+
     while it < budget:
         if gn <= opts.tol and split.total <= best_split.total + 1e-9:
             best_u, best_split, best_gn = u, split, gn
-            record()
-            return ScalarField(grid, best_u), it, True
+            return finish(True)
         d = direction(g)
         slope = float(np.sum(g * d))  # positive: d is the metric gradient
         step = alpha
         ref = max(window)
         for _ in range(_MAX_BACKTRACKS):
             trial = u - step * d
-            trial[~interior] = u0.values[~interior]
             trial_split = E(trial)
             if trial_split.total <= ref - _ARMIJO * step * slope + 1e-12:
                 break
             step *= 0.5
+            backtracks += 1
         else:
-            record()
-            return ScalarField(grid, best_u), it, best_gn <= opts.tol
+            return finish(best_gn <= opts.tol)
         prev_u, prev_g = u, g
         u, split = trial, trial_split
         window.append(split.total)
@@ -249,8 +260,7 @@ def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
         else:
             alpha = step * 2.0
         alpha = min(max(alpha, 1e-10), 1e10)
-    record()
-    return ScalarField(grid, best_u), it, gn <= opts.tol and split.total <= best_split.total + 1e-9
+    return finish(gn <= opts.tol and split.total <= best_split.total + 1e-9)
 
 
 def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> MinimizeResult:
@@ -286,22 +296,24 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
     history: list[EnergySplit] = [energy(u, eps, etas[0], opts.hessian_power)]
     gn_history: list[float] = []
     level_starts: list[int] = []
-    total_it = 0
-    converged = False
+    levels: list[LevelRecord] = []
     for k, eta in enumerate(etas):
         level_starts.append(len(history))
-        budget = max(1, (opts.max_iter - total_it) // max(1, len(etas) - k))
-        u, it, converged = _bb_minimize(u, eps, eta, opts, budget, history, gn_history)
-        total_it += it
+        # the remaining iterations, shared among the remaining levels; a
+        # level whose share rounds to 0 takes no step, so max_iter holds
+        budget = (opts.max_iter - sum(lv.iterations for lv in levels)) // (len(etas) - k)
+        u, level = _bb_minimize(u, eps, eta, opts, budget, history, gn_history)
+        levels.append(level)
     return MinimizeResult(
         u=u,
         energy_history=history,
         grad_norm_history=gn_history,
         eps=eps,
         eta_final=etas[-1],
-        iterations=total_it,
-        converged=converged,
+        iterations=sum(lv.iterations for lv in levels),
+        converged=levels[-1].converged,
         level_starts=level_starts,
+        levels=levels,
     )
 
 

@@ -149,27 +149,55 @@ def _second_derivative(active: np.ndarray, h: float, axis: int) -> sp.csr_matrix
 
 @dataclass(frozen=True)
 class DiffOps:
+    """The five derivative operators of a grid, separately and stacked.
+
+    ``stacked`` holds the active rows of ``d1, d2, d11, d22, d12`` one
+    block after the other (5 * n_active x N), so one product gives every
+    derivative the energy needs; its rows follow ``active_idx`` within each
+    block.  ``stacked_t`` is its transpose restricted to the interior
+    nodes ``interior_idx`` (n_interior x 5 * n_active), which maps weights
+    on those rows back to interior slots in one product.
+    """
+
     d1: sp.csr_matrix
     d2: sp.csr_matrix
     d11: sp.csr_matrix
     d22: sp.csr_matrix
     d12: sp.csr_matrix
+    active_idx: np.ndarray
+    interior_idx: np.ndarray
+    stacked: sp.csr_matrix
+    stacked_t: sp.csr_matrix
 
 
 def diff_ops(grid: Grid) -> DiffOps:
-    """Sparse derivative operators for the grid (cached on the grid object)."""
+    """Sparse derivative operators for the grid (cached on the grid object).
+
+    Besides the five operators this builds their stacked form and its
+    interior-restricted transpose (see :class:`DiffOps`) once per grid.
+    """
     cached = grid.__dict__.get("_diff_ops")
     if cached is not None:
         return cached
     active = grid.active()
     d1 = _first_derivative(active, grid.h, axis=0)
     d2 = _first_derivative(active, grid.h, axis=1)
+    d11 = _second_derivative(active, grid.h, axis=0)
+    d22 = _second_derivative(active, grid.h, axis=1)
+    d12 = (d1 @ d2).tocsr()
+    active_idx = np.flatnonzero(active.ravel())
+    interior_idx = np.flatnonzero(grid.interior().ravel())
+    stacked = sp.vstack([op[active_idx] for op in (d1, d2, d11, d22, d12)], format="csr")
     ops = DiffOps(
         d1=d1,
         d2=d2,
-        d11=_second_derivative(active, grid.h, axis=0),
-        d22=_second_derivative(active, grid.h, axis=1),
-        d12=(d1 @ d2).tocsr(),
+        d11=d11,
+        d22=d22,
+        d12=d12,
+        active_idx=active_idx,
+        interior_idx=interior_idx,
+        stacked=stacked,
+        stacked_t=stacked[:, interior_idx].T.tocsr(),
     )
     grid.__dict__["_diff_ops"] = ops
     return ops
