@@ -225,7 +225,7 @@ def run_minimize(cfg: ExperimentConfig) -> int:
     res = energy_mod.minimize(domain, grid, eps, opts)
     out = cfg.output_dir()
     dump_field(out / f"u_eps{eps:g}.txt", res.u)
-    split = res.energy_history[-1]
+    split = res.levels[-1].split
     _write_json(out / "minimize_summary.json", {
         **_stamp(cfg),
         "eps": eps,
@@ -235,7 +235,7 @@ def run_minimize(cfg: ExperimentConfig) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
         "eta_final": res.eta_final,
-        "grad_norm_final": res.grad_norm_history[-1] if res.grad_norm_history else None,
+        "grad_norm_final": res.levels[-1].grad_norm,
     })
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 

@@ -11,14 +11,16 @@ Frobenius norm (``hessian_power=1``, the default) or |hess u|_F^2
 distance, which encodes both the boundary value and the unit inward
 slope; minimization acts on interior nodes only.
 
-The one solver is preconditioned Barzilai-Borwein steps with a
-nonmonotone Armijo backtracking window, run under a continuation
-schedule on the smoothing parameter eta.
+The one solver is damped Newton with a plain Armijo backtrack, run
+under a continuation schedule on the smoothing parameter eta.  Its
+matrix is h^2 B^T W B + gamma I on the interior unknowns: B stacks the
+five derivative operators, W is the per-node curvature of the energy
+density made positive semidefinite, and gamma = 8 h^2 / eps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -30,7 +32,6 @@ from .geometry import Domain, Grid, ridge_set
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
 _MAX_BACKTRACKS = 60  # step halvings before a line search gives up
-_WINDOW = 10  # accepted energies the nonmonotone test compares against
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,21 @@ class LevelRecord:
     eta: float
     iterations: int
     backtracks: int  # step halvings over all line searches of the level
-    grad_norm: float  # of the state the level returned
-    converged: bool
+    split: EnergySplit  # of the state the level returned
+    grad_norm: float  # of the same state
+    converged: bool  # grad_norm <= tol
 
 
 @dataclass
 class MinimizeResult:
     u: ScalarField
-    energy_history: list[EnergySplit]
-    grad_norm_history: list[float]
     eps: float
     eta_final: float
-    iterations: int
-    converged: bool
-    # indices into energy_history where a new eta level starts; the
-    # monotone-descent guarantee holds within each level (the smoothed
-    # objective changes across levels)
-    level_starts: list[int] = field(default_factory=list)
-    levels: list[LevelRecord] = field(default_factory=list)
+    iterations: int  # Newton steps over all levels
+    converged: bool  # of the last level
+    # one record per eta level in schedule order; the last one holds the
+    # energy split and gradient norm of ``u``
+    levels: list[LevelRecord]
 
 
 def energy(u: ScalarField, eps: float, eta: float, hessian_power: int = 1,
@@ -152,115 +150,116 @@ def mollified_limit_field(domain: Domain, grid: Grid, radius_cells: float = 2.0)
     return ScalarField(grid, vals)
 
 
-def _hessian_metric(grid: Grid, eps: float, eta: float, power: int):
-    """Factorized SPD metric gamma*I + c*Q on interior unknowns.
+_BLOCKS = [(i, j) for block in ((0, 1), (2, 3, 4)) for i in block for j in block]  # nonzero blocks of W
 
-    Q is the quadratic form of the hessian term, the stiff part of the
-    energy; solving in this metric removes the h^-4 conditioning that
-    makes plain gradient steps crawl.  M is SPD, so SuperLU factors it in
-    symmetric mode under a minimum-degree ordering of M^T + M, with
-    pivots kept on the diagonal: less fill, and a faster factor and
-    solve, than the default column ordering for nonsymmetric matrices.
+
+def _nodal_hessian(z: np.ndarray, eps: float, eta: float, power: int) -> np.ndarray:
+    """PSD 5x5 curvature W of the nodal energy density, shape (5, 5, n).
+
+    ``z`` holds the stacked derivatives (g1, g2, a, c, b) of n nodes.  The
+    potential block is the Hessian of (1 - |g|^2)^2 / eps,
+    (4/eps)(2 g g^T + (|g|^2 - 1) I), with its negative part dropped where
+    |g| < 1.  The hessian-term block is the exact Hessian of the convex
+    eps*sqrt(y^T S y + eta^2), eps (S/r - (S y)(S y)^T / r^3), with
+    S = diag(1, 1, 2) over y = (a, c, b) and r the square root; for
+    ``power=2`` it is 2 eps S.  Every entry of both blocks is set, so the
+    off-diagonal ones appear exactly once on each side.
+    """
+    g, y = z[:2], z[2:]
+    W = np.zeros((5, 5, z.shape[1]))
+    W[:2, :2] = (8.0 / eps) * (g[:, None] * g[None, :])
+    excess = (4.0 / eps) * np.maximum(0.0, g[0] * g[0] + g[1] * g[1] - 1.0)
+    W[0, 0] += excess
+    W[1, 1] += excess
+    S = np.array([1.0, 1.0, 2.0])
+    if power == 1:
+        r = np.sqrt(y[0] * y[0] + y[1] * y[1] + 2.0 * y[2] * y[2] + eta * eta)
+        sy = S[:, None] * y / r**1.5
+        W[2:, 2:] = eps * (np.diag(S)[:, :, None] / r - sy[:, None] * sy[None, :])
+    else:
+        W[2:, 2:] = 2.0 * eps * np.diag(S)[:, :, None]
+    return W
+
+
+def _newton_matrix(u: ScalarField, eps: float, eta: float, power: int):
+    """Newton matrix H = h^2 B^T W B + gamma I on the interior unknowns.
+
+    B is the stacked operator restricted to interior columns (its
+    transpose is ``stacked_t``), W the per-node curvature of
+    :func:`_nodal_hessian`, and gamma = 8 h^2 / eps.  H is SPD.
     """
     import scipy.sparse as sp
+
+    grid = u.grid
+    ops = diff_ops(grid)
+    z = (ops.stacked @ u.values.ravel()).reshape(5, -1)
+    W = _nodal_hessian(z, eps, eta, power)
+    n = z.shape[1]
+    node = np.arange(n)
+    rows = np.concatenate([i * n + node for i, _ in _BLOCKS])
+    cols = np.concatenate([j * n + node for _, j in _BLOCKS])
+    vals = np.concatenate([W[i, j] for i, j in _BLOCKS])
+    W_sp = sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 5 * n))
+    h2 = grid.h**2
+    BtWB = ops.stacked_t @ (W_sp @ ops.stacked_t.T)
+    return h2 * BtWB + (8.0 * h2 / eps) * sp.identity(ops.interior_idx.size, format="csr")
+
+
+def _factor(H):
+    """SuperLU factor of the SPD matrix H.
+
+    Symmetric mode, a minimum-degree ordering of H^T + H and pivots kept
+    on the diagonal give less fill, and a faster factor and solve, than
+    the default column ordering for nonsymmetric matrices.
+    """
     from scipy.sparse.linalg import splu
 
-    ops = diff_ops(grid)
-    idx = ops.interior_idx
-    h2 = grid.h**2
-    Q = (ops.d11.T @ ops.d11 + 2.0 * (ops.d12.T @ ops.d12) + ops.d22.T @ ops.d22).tocsr()
-    Q = Q[idx][:, idx]
-    c = 2.0 * eps * h2 if power == 2 else eps * h2 / max(eta, grid.h)
-    gamma = 8.0 * h2 / eps
-    M = (gamma * sp.identity(idx.size, format="csr") + c * Q).tocsc()
-    lu = splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    return idx, lu, M
+    return splu(H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
-def _bb_minimize(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
-                 budget: int, history: list, gn_history: list) -> tuple[ScalarField, LevelRecord]:
-    """Preconditioned Barzilai-Borwein with windowed backtracking.
+def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
+                  budget: int) -> tuple[ScalarField, LevelRecord]:
+    """Damped Newton steps on one eta level, with a plain Armijo backtrack.
 
-    Steps follow the gradient in the metric of the (stiff, quadratic)
-    hessian-term operator; acceptance compares against the worst of the
-    last ``_WINDOW`` accepted energies (Grippo, Lampariello & Lucidi
-    1986), since forcing per-step monotonicity degrades BB to tiny-step
-    steepest descent.  The recorded history follows the best accepted
-    state, which is also what gets returned.  A ``budget`` of 0 records
-    the start state and takes no step.
-
-    If ``_MAX_BACKTRACKS`` halvings find no acceptable step, the level
-    ends there: the best state is recorded and returned with the
-    iterations actually taken, and counts as converged only if its
-    gradient norm meets ``tol``.
+    Each step factors H (:func:`_newton_matrix`) at the current state,
+    solves H d = g on the interior unknowns, and halves t from 1 until
+    E(u - t d) <= E(u) - _ARMIJO t g.d.  Accepted steps only lower the
+    energy, so the current state is always the best one.  The level ends
+    when the gradient norm meets ``tol``, after ``budget`` steps, or on a
+    line search that runs out of its ``_MAX_BACKTRACKS`` halvings; it
+    counts as converged only in the first case.
     """
-    from collections import deque
-
     grid = u0.grid
-    u = u0.values.copy()
     power = opts.hessian_power
-    idx, lu, M = _hessian_metric(grid, eps, eta, power)
-
-    def E(vals):
-        return energy(ScalarField(grid, vals), eps, eta, power)
-
-    def direction(gvals):
-        # zero off the interior, so a step leaves the collar exactly pinned
-        d = np.zeros(grid.shape[0] * grid.shape[1])
-        d[idx] = lu.solve(gvals.ravel()[idx])
-        return d.reshape(grid.shape)
-
-    split = E(u)
-    g = energy_gradient(ScalarField(grid, u), eps, eta, power)
+    idx = diff_ops(grid).interior_idx
+    u = u0.values
+    split = energy(u0, eps, eta, power)
+    g = energy_gradient(u0, eps, eta, power)
     gn = grad_norm(grid, g)
-    alpha = 1.0
-    window = deque([split.total], maxlen=_WINDOW)
-    best_u, best_split, best_gn = u.copy(), split, gn
     it = backtracks = 0
-
-    def record():
-        history.append(best_split)
-        gn_history.append(best_gn)
-
-    def finish(converged: bool) -> tuple[ScalarField, LevelRecord]:
-        record()
-        return ScalarField(grid, best_u), LevelRecord(eta, it, backtracks, best_gn, converged)
-
-    while it < budget:
-        if gn <= opts.tol and split.total <= best_split.total + 1e-9:
-            best_u, best_split, best_gn = u, split, gn
-            return finish(True)
-        d = direction(g)
-        slope = float(np.sum(g * d))  # positive: d is the metric gradient
-        step = alpha
-        ref = max(window)
+    while it < budget and gn > opts.tol:
+        # zero off the interior, so a step leaves the collar exactly pinned;
+        # H and its factor are freed at once, so no two are alive together
+        d = np.zeros(u.size)
+        d[idx] = _factor(_newton_matrix(ScalarField(grid, u), eps, eta, power)).solve(g.ravel()[idx])
+        d = d.reshape(grid.shape)
+        slope = float(np.sum(g * d))  # positive: H is SPD
+        t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            trial = u - step * d
-            trial_split = E(trial)
-            if trial_split.total <= ref - _ARMIJO * step * slope + 1e-12:
+            trial = u - t * d
+            trial_split = energy(ScalarField(grid, trial), eps, eta, power)
+            if trial_split.total <= split.total - _ARMIJO * t * slope:
                 break
-            step *= 0.5
+            t *= 0.5
             backtracks += 1
         else:
-            return finish(best_gn <= opts.tol)
-        prev_u, prev_g = u, g
+            break
         u, split = trial, trial_split
-        window.append(split.total)
         g = energy_gradient(ScalarField(grid, u), eps, eta, power)
         gn = grad_norm(grid, g)
         it += 1
-        if split.total < best_split.total:
-            best_u, best_split, best_gn = u.copy(), split, gn
-            record()
-        s = (u - prev_u).ravel()[idx]
-        y = (g - prev_g).ravel()[idx]
-        sy = float(s @ y)
-        if sy > 1e-30:
-            alpha = float(s @ (M @ s)) / sy
-        else:
-            alpha = step * 2.0
-        alpha = min(max(alpha, 1e-10), 1e10)
-    return finish(gn <= opts.tol and split.total <= best_split.total + 1e-9)
+    return ScalarField(grid, u), LevelRecord(eta, it, backtracks, split, gn, gn <= opts.tol)
 
 
 def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> MinimizeResult:
@@ -293,26 +292,19 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
     else:
         etas = [0.0]
 
-    history: list[EnergySplit] = [energy(u, eps, etas[0], opts.hessian_power)]
-    gn_history: list[float] = []
-    level_starts: list[int] = []
     levels: list[LevelRecord] = []
     for k, eta in enumerate(etas):
-        level_starts.append(len(history))
         # the remaining iterations, shared among the remaining levels; a
         # level whose share rounds to 0 takes no step, so max_iter holds
         budget = (opts.max_iter - sum(lv.iterations for lv in levels)) // (len(etas) - k)
-        u, level = _bb_minimize(u, eps, eta, opts, budget, history, gn_history)
+        u, level = _newton_level(u, eps, eta, opts, budget)
         levels.append(level)
     return MinimizeResult(
         u=u,
-        energy_history=history,
-        grad_norm_history=gn_history,
         eps=eps,
         eta_final=etas[-1],
         iterations=sum(lv.iterations for lv in levels),
         converged=levels[-1].converged,
-        level_starts=level_starts,
         levels=levels,
     )
 
@@ -340,16 +332,6 @@ class LimitTable:
     w11_monotone: bool
     gap_monotone: bool
 
-    def gaps(self) -> list[float]:
-        """Relative defect-energy gaps of the core-domain energies.
-
-        The minimized functional lives on the extended domain; its value
-        exceeds the core-domain energy by the pinned collar cost, a fixed
-        offset shared by every competitor.  The limit the gap tracks is a
-        statement about the core energy, so that is what enters here.
-        """
-        return [abs(r.core_total - self.f0_reference) / self.f0_reference for r in self.rows]
-
 
 def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
                        opts: MinimizeOptions | None = None, slack: float = 0.05) -> LimitTable:
@@ -369,9 +351,8 @@ def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
     for eps in eps_list:
         run_opts = replace(opts, warm_start=warm)
         res = minimize(domain, grid, eps, run_opts)
-        split = res.energy_history[-1]
-        eta_last = res.eta_final
-        core = energy(res.u, eps, eta_last, opts.hessian_power, region=grid.interior())
+        split = res.levels[-1].split
+        core = energy(res.u, eps, res.eta_final, opts.hessian_power, region=grid.interior())
         rows.append(LimitRow(
             eps=eps,
             total=split.total,
@@ -386,6 +367,8 @@ def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
     w11_ok = all(r2.w11 <= r1.w11 * (1 + slack) for r1, r2 in zip(rows[:-1], rows[1:]))
     gap_ok = True
     if f0_ref > 0:
+        # core energies: the minimized functional exceeds them by the
+        # pinned collar cost, an offset shared by every competitor
         gaps = [abs(r.core_total - f0_ref) / f0_ref for r in rows]
         gap_ok = all(g2 <= g1 * (1 + slack) for g1, g2 in zip(gaps[:-1], gaps[1:]))
     return LimitTable(rows, f0_ref, w11_ok, gap_ok)

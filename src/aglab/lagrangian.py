@@ -178,8 +178,8 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
     passes.
 
     Raises ValueError when a start lies outside the flow's domain.
-    Returns elapsed times, final positions and angles, stuck flags, a flat
-    jump table, and flat anchor arrays (anchor = start or angle change).
+    Returns elapsed times, final positions, stuck flags, a flat jump
+    table, and flat anchor arrays (anchor = start or angle change).
     """
     pos = np.array(pos0, dtype=float)
     ang = np.array(ang0, dtype=float)
@@ -272,7 +272,7 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
         "pos": np.concatenate(a_pos),
         "ang": np.concatenate(a_ang),
     }
-    return elapsed, pos, ang, stuck, jumps, anchors
+    return elapsed, pos, stuck, jumps, anchors
 
 
 def trace_characteristic(domain: Domain, start: tuple[tuple[float, float], float],
@@ -285,7 +285,7 @@ def trace_characteristic(domain: Domain, start: tuple[tuple[float, float], float
     if inset is None:
         inset = 0.25 * domain.delta
     flow = DomainFlow(domain, inset)
-    elapsed, pos_end, _, stuck, jumps, anchors = _trace_batch(
+    elapsed, pos_end, stuck, jumps, anchors = _trace_batch(
         flow, np.array([[x0, y0]]), np.array([s0]), np.array([T]), direction=+1
     )
     order = np.argsort(anchors["t"], kind="stable")
@@ -421,9 +421,9 @@ def ensemble_representation_check(
     pts, angs = _sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
 
-    fwd_elapsed, _, _, fwd_stuck, fwd_jumps, fwd_anchors = _trace_batch(
+    fwd_elapsed, _, fwd_stuck, fwd_jumps, fwd_anchors = _trace_batch(
         flow, pts, angs, T - t0, direction=+1)
-    bwd_elapsed, bwd_end_pos, bwd_end_ang, bwd_stuck, bwd_jumps, bwd_anchors = _trace_batch(
+    bwd_elapsed, bwd_end_pos, bwd_stuck, bwd_jumps, bwd_anchors = _trace_batch(
         flow, pts, angs, t0, direction=-1)
 
     t_plus = t0 + fwd_elapsed
@@ -437,8 +437,9 @@ def ensemble_representation_check(
     # sorted-by-time list the forward-segment angle starting at a backward
     # anchor is the *next* anchor's stored angle.  The backward entry point
     # is appended as an extra anchor so the earliest segment is covered;
-    # the backward pass's tau = 0 start block duplicates the forward start
-    # anchors and is dropped.
+    # its own angle is never read (the next anchor's replaces it), so it is
+    # NaN.  The backward pass's tau = 0 start block duplicates the forward
+    # start anchors and is dropped.
     n = n_curves
     bjc = bwd_anchors["curve"][n:]
     bjt = bwd_anchors["t"][n:]
@@ -451,7 +452,7 @@ def ensemble_representation_check(
         t_minus - 1e-12,  # keep entry anchors strictly earliest per curve
     ])
     anc_pos = np.vstack([fwd_anchors["pos"], bjp, bwd_end_pos])
-    anc_ang = np.concatenate([fwd_anchors["ang"], bja, bwd_end_ang])
+    anc_ang = np.concatenate([fwd_anchors["ang"], bja, np.full(n, np.nan)])
     is_bwd = np.concatenate([
         np.zeros(fwd_anchors["curve"].size, dtype=bool),
         np.ones(bjc.size + n, dtype=bool),

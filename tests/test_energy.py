@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from aglab import energy as energy_mod
@@ -143,10 +145,44 @@ def test_stacked_operator_matches_five_operators(ellipse, angle, power):
 @pytest.mark.parametrize("power", [1, 2])
 def test_symmetric_metric_factor_solves(ellipse, power):
     grid = Grid.cover(ellipse, resolution=40)
-    idx, lu, M = energy_mod._hessian_metric(grid, 0.2, 0.05, power)
-    rhs = RNG.standard_normal(idx.size)
+    u = mollified_limit_field(ellipse, grid)
+    H = energy_mod._newton_matrix(u, 0.2, 0.05, power)
+    assert abs(H - H.T).max() <= 1e-14 * abs(H).max()
+    lu = energy_mod._factor(H)
+    rhs = RNG.standard_normal(H.shape[0])
     x = lu.solve(rhs)
-    assert np.linalg.norm(M @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert np.linalg.norm(H @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_newton_matrix_matches_gradient_difference(ellipse, power):
+    # |grad u| > 1 at every active node, where W is the exact Hessian
+    grid = Grid.cover(ellipse, resolution=24)
+    x, y = grid.nodes[..., 0], grid.nodes[..., 1]
+    u = ScalarField(grid, 1.5 * x + 0.2 * y + 0.05 * np.sin(3 * x) * np.cos(2 * y))
+    z = (diff_ops(grid).stacked @ u.values.ravel()).reshape(5, -1)
+    assert np.min(z[0] ** 2 + z[1] ** 2) > 1.2
+    eps, eta = 0.3, 0.2
+    idx = diff_ops(grid).interior_idx
+    v = np.zeros(grid.shape)
+    v.ravel()[idx] = RNG.standard_normal(idx.size)
+    t = 1e-8  # the difference error falls as t^2 down to about here
+    gp = energy_gradient(ScalarField(grid, u.values + t * v), eps, eta, power)
+    gm = energy_gradient(ScalarField(grid, u.values - t * v), eps, eta, power)
+    fd = ((gp - gm) / (2 * t)).ravel()[idx]
+    H = energy_mod._newton_matrix(u, eps, eta, power)
+    Hv = H @ v.ravel()[idx] - 8.0 * grid.h**2 / eps * v.ravel()[idx]
+    assert np.max(np.abs(Hv - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+_DERIV = st.floats(-50.0, 50.0)
+
+
+@given(z=st.lists(_DERIV, min_size=5, max_size=5), eta=st.floats(1e-4, 2.0), power=st.sampled_from([1, 2]))
+def test_nodal_hessian_is_psd(z, eta, power):
+    W = energy_mod._nodal_hessian(np.array(z)[:, None], 0.3, eta, power)[:, :, 0]
+    assert np.array_equal(W, W.T)
+    assert np.min(np.linalg.eigvalsh(W)) >= -1e-12 * np.max(np.abs(W))
 
 
 def test_gradient_zero_off_interior(grid64, limit64):
@@ -176,14 +212,18 @@ def test_minimize_beats_mollified_start(ellipse):
     assert np.array_equal(res.u.values[collar], u_exact.values[collar])
 
 
-def test_minimize_history_monotone_within_levels(ellipse):
+def test_minimize_energy_nonincreasing_in_max_iter(ellipse):
+    # power 2 runs one level, so the runs capped at k steps follow one trajectory
     grid = Grid.cover(ellipse, resolution=40)
-    opts = MinimizeOptions(max_iter=300, tol=1e-3, hessian_power=2)
-    res = minimize(ellipse, grid, 0.5, opts)
-    energies = [s.total for s in res.energy_history]
-    for start, stop in zip(res.level_starts, res.level_starts[1:] + [len(energies)]):
-        seg = energies[max(start - 1, 0):stop]
-        assert all(b <= a + 1e-12 for a, b in zip(seg[:-1], seg[1:]))
+    totals = []
+    for k in range(8):
+        res = minimize(ellipse, grid, 0.5, MinimizeOptions(max_iter=k, tol=1e-3, hessian_power=2))
+        assert len(res.levels) == 1 and res.iterations == k
+        # k = 6 stops at a gradient norm of about 4 tol
+        assert res.converged == (res.levels[-1].grad_norm <= 1e-3)
+        totals.append(res.levels[-1].split.total)
+    assert all(b <= a for a, b in zip(totals[:-1], totals[1:]))
+    assert totals[-1] < totals[0]
 
 
 def test_minimize_warm_start_fewer_iterations(ellipse):
@@ -205,13 +245,14 @@ def test_minimize_rotation_covariance_disk():
         opts = MinimizeOptions(max_iter=4000, tol=1e-3, hessian_power=2)
         res = minimize(disk, grid, 0.3, opts)
         assert res.converged
-        totals.append(res.energy_history[-1].total)
+        totals.append(res.levels[-1].split.total)
     assert abs(totals[1] - totals[0]) / totals[0] < 1e-3
 
 
 def test_failed_line_search_keeps_its_iterations(ellipse, monkeypatch):
-    # one halving per line search: most levels end on a failed search
-    monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", 1)
+    # two trials per line search: the first level accepts steps, then ends on
+    # a failed search, and so does every later one
+    monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", 2)
     calls = []
 
     def counted_gradient(*args, **kwargs):
@@ -220,27 +261,27 @@ def test_failed_line_search_keeps_its_iterations(ellipse, monkeypatch):
 
     monkeypatch.setattr(energy_mod, "energy_gradient", counted_gradient)
     grid = Grid.cover(ellipse, resolution=32)
-    res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=400, hessian_power=1))
+    res = minimize(ellipse, grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
+    # every level's budget is at least 400 // 11 = 36 steps
+    assert any(0 < lv.iterations < 36 and not lv.converged for lv in res.levels)
     # one gradient per level start, one per accepted step
-    assert res.iterations == len(calls) - len(res.level_starts)
+    assert res.iterations == len(calls) - len(res.levels)
     assert not res.converged
     start = mollified_limit_field(ellipse, grid)
-    assert energy(res.u, 0.3, res.eta_final).total <= energy(start, 0.3, res.eta_final).total
+    assert energy(res.u, 0.2, res.eta_final).total <= energy(start, 0.2, res.eta_final).total
 
 
 def test_max_iter_caps_every_level(ellipse):
     # 11 eta levels and 5 iterations: levels whose share rounds to 0 take no step
     grid = Grid.cover(ellipse, resolution=32)
     res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=5, hessian_power=1))
-    assert len(res.level_starts) == 11
+    assert len(res.levels) == 11
     assert res.iterations <= 5
 
 
 def test_minimize_calls_the_traced_entry_points(ellipse, monkeypatch):
     # the benchmark's traced run counts these three names; a fused path
     # that bypassed them would hide the energy layer from it
-    counts = {"energy": 0, "gradient": 0, "splu": 0}
-
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             counts[key] += 1
@@ -250,24 +291,45 @@ def test_minimize_calls_the_traced_entry_points(ellipse, monkeypatch):
     monkeypatch.setattr(energy_mod, "energy", counted("energy", energy))
     monkeypatch.setattr(energy_mod, "energy_gradient", counted("gradient", energy_gradient))
     monkeypatch.setattr(sla, "splu", counted("splu", sla.splu))
-    grid = Grid.cover(ellipse, resolution=24)
-    res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=200, hessian_power=1))
-    levels = len(res.level_starts)
-    assert counts["energy"] > res.iterations > 0
-    assert counts["gradient"] == res.iterations + levels
-    assert counts["splu"] == levels
+    grid = Grid.cover(ellipse, resolution=32)
+    # with two trials per line search every level ends on a failed one
+    for max_backtracks, failed in ((60, 0), (2, 11)):
+        monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", max_backtracks)
+        counts = {"energy": 0, "gradient": 0, "splu": 0}
+        res = minimize(ellipse, grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
+        # no level uses up its budget of at least 36 steps, so a level that
+        # did not converge ended on a failed line search
+        assert all(lv.iterations < 36 for lv in res.levels)
+        assert sum(not lv.converged for lv in res.levels) == failed
+        assert counts["energy"] > res.iterations > 0
+        assert counts["gradient"] == res.iterations + len(res.levels)
+        # one factor per line search, failed ones included
+        assert counts["splu"] == res.iterations + failed
 
 
 def test_level_records(ellipse):
     grid = Grid.cover(ellipse, resolution=24)
     opts = MinimizeOptions(max_iter=400, hessian_power=1)
     res = minimize(ellipse, grid, 0.3, opts)
-    assert len(res.levels) == len(res.level_starts)
+    assert len(res.levels) == 11
     assert sum(lv.iterations for lv in res.levels) == res.iterations
     assert res.levels[-1].converged == res.converged
     assert res.levels[-1].eta == res.eta_final
-    assert res.levels[-1].grad_norm == res.grad_norm_history[-1]
+    assert res.levels[-1].split == energy(res.u, 0.3, res.eta_final)
+    g = energy_gradient(res.u, 0.3, res.eta_final)
+    assert res.levels[-1].grad_norm == grad_norm(grid, g)
     assert sum(lv.backtracks for lv in res.levels) > 0
+
+
+# Energies the Barzilai-Borwein minimizer that preceded Newton reached on
+# the ellipse 1 x 0.5 at h = 1/40 and eps = 0.2 with default options.
+@pytest.mark.parametrize("power, reference", [(1, 1.1262599591019906), (2, 4.492102977132873)])
+def test_newton_matches_previous_minimizer(ellipse, power, reference):
+    grid = Grid.cover(ellipse, h=1 / 40)
+    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=power))
+    assert all(lv.grad_norm <= 1e-3 for lv in res.levels)
+    assert res.iterations <= 60
+    assert abs(res.levels[-1].split.total - reference) <= 1e-9 * reference
 
 
 def test_limit_table_single_row(ellipse):

@@ -65,7 +65,7 @@ def test_trace_downward_reflects(ellipse):
 
 def test_trace_constant_field_square():
     flow = ConstantFlow(1.0, 1.0, direction=0.0)
-    elapsed, pos, ang, stuck, jumps, anchors = _trace_batch(
+    elapsed, pos, stuck, jumps, anchors = _trace_batch(
         flow, np.array([[0.0, 0.0]]), np.array([0.3]), np.array([5.0]), +1)
     assert jumps["t"].size == 0
     assert not stuck[0]
@@ -209,7 +209,7 @@ def test_trace_properties_hard_inputs(flow, data):
     start = np.array([start])
     assume(flow.inside(start)[0])
     budget = data.draw(st.one_of(st.just(10.0), st.floats(0.0, 0.3)))
-    elapsed, pos, ang, stuck, jumps, anchors = _trace_batch(
+    elapsed, pos, stuck, jumps, anchors = _trace_batch(
         flow, start, np.array([s]), np.array([budget]), direction)
     assert elapsed[0] <= budget
     # at most one ridge event, and events sit on the ridge segment
