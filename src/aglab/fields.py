@@ -32,9 +32,6 @@ class ScalarField:
         if self.values.shape != self.grid.shape:
             raise ValueError("field shape does not match grid")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass
 class VectorField:

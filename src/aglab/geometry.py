@@ -67,10 +67,6 @@ class Ellipse:
         if not (0 < self.delta <= 0.5 * self.b):
             raise ValueError(f"collar width must lie in (0, b/2], got {self.delta}")
 
-    @property
-    def kind(self) -> str:
-        return "ellipse"
-
     def bounding_box(self):
         d = self.delta
         return (-self.a - d, self.a + d), (-self.b - d, self.b + d)
@@ -95,10 +91,6 @@ class Stadium:
             object.__setattr__(self, "delta", 0.1 * self.R)
         if not (0 < self.delta <= 0.5 * self.R):
             raise ValueError(f"collar width must lie in (0, R/2], got {self.delta}")
-
-    @property
-    def kind(self) -> str:
-        return "stadium"
 
     def bounding_box(self):
         d = self.delta
@@ -306,10 +298,6 @@ class RidgeSet:
     def length(self) -> float:
         return self.p_plus[0] - self.p_minus[0]
 
-    def contains(self, x1) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        return (x1 > self.p_minus[0]) & (x1 < self.p_plus[0])
-
     def data(self, x1) -> dict:
         x1 = np.asarray(x1, dtype=float)
         if self.length == 0.0:
@@ -333,9 +321,6 @@ class RidgeSet:
             "sbar": np.full_like(np.asarray(x1, dtype=float), RIDGE_SBAR),
             "dist": dist,
         }
-
-    def beta(self, x1) -> np.ndarray:
-        return self.data(x1)["beta"]
 
 
 def ridge_set(domain: Domain) -> RidgeSet:
@@ -466,24 +451,6 @@ class BoundaryCurve:
             val, _ = quad(integrand, p.t0, p.t1, epsabs=1e-12, epsrel=rtol, limit=200)
             total += val
         return total
-
-    def sample(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """n quadrature nodes (points, normals, dH^1 weights), composite midpoint."""
-        pts, nrm, w = [], [], []
-        lengths = []
-        from scipy.integrate import quad
-
-        for p in self.pieces:
-            ln, _ = quad(lambda t, p=p: float(p.speed(np.asarray(t))), p.t0, p.t1, epsabs=1e-12, limit=200)
-            lengths.append(ln)
-        total_len = sum(lengths)
-        for p, ln in zip(self.pieces, lengths):
-            k = max(4, int(round(n * ln / total_len)))
-            t = p.t0 + (np.arange(k) + 0.5) * (p.t1 - p.t0) / k
-            pts.append(p.point(t))
-            nrm.append(p.normal(t))
-            w.append(p.speed(t) * (p.t1 - p.t0) / k)
-        return np.concatenate(pts), np.concatenate(nrm), np.concatenate(w)
 
 
 def offset_boundary(domain: Domain, d: float) -> BoundaryCurve:

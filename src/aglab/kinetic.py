@@ -479,7 +479,6 @@ def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
 @dataclass
 class KineticResidualReport:
     max_residual: float
-    entries: list[dict]
 
 
 def kinetic_residual(m: VectorField, sigma_field: RidgeSigmaField | dict, bank: TestBank) -> KineticResidualReport:
@@ -488,7 +487,6 @@ def kinetic_residual(m: VectorField, sigma_field: RidgeSigmaField | dict, bank: 
     cells = sigma_field.cells if isinstance(sigma_field, RidgeSigmaField) else sigma_field
     active = grid.active()
     pts = grid.nodes
-    entries = []
     worst = 0.0
     cell_pts = {key: pts[key[0], key[1]] for key in cells}
     for gen in bank.generators:
@@ -500,28 +498,8 @@ def kinetic_residual(m: VectorField, sigma_field: RidgeSigmaField | dict, bank: 
             gz = bump.gradient(pts)
             lhs = grid.h**2 * float(np.sum(np.sum(phi_m * gz, axis=-1)[active]))
             rhs = sum(float(bump.value(cell_pts[key])) * pairings[key] for key in cells)
-            res = abs(lhs - rhs)
-            worst = max(worst, res)
-            entries.append({
-                "bump_center": list(bump.center),
-                "generator": _gen_label(gen),
-                "lhs": lhs,
-                "rhs": rhs,
-                "residual": res,
-            })
-    return KineticResidualReport(worst, entries)
-
-
-def _gen_label(gen: EntropyGenerator) -> str:
-    terms = []
-    for k in range(1, gen.psi.n + 1):
-        c = gen.psi.harmonic(k)
-        if abs(c) > 1e-14:
-            if abs(c.real) > 1e-14:
-                terms.append(f"cos{k}")
-            if abs(c.imag) > 1e-14:
-                terms.append(f"sin{k}")
-    return "+".join(terms) or "0"
+            worst = max(worst, abs(lhs - rhs))
+    return KineticResidualReport(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +540,6 @@ def derivative_min_on_arcs(mu: CircleMeasure, s_shift: float = 0.0) -> float:
 @dataclass
 class SignStructureReport:
     min_margin: float
-    per_cell_margin: dict
     vertical_normal_fraction: float
     n_cells: int
 
@@ -583,12 +560,11 @@ def sign_structure_report(sigma_field: RidgeSigmaField | dict, ridge: RidgeSet |
     axis, the axis-alignment census for the jump set.
     """
     cells = sigma_field.cells if isinstance(sigma_field, RidgeSigmaField) else sigma_field
-    per_cell = {key: derivative_min_on_arcs(mu, s_shift) for key, mu in cells.items()}
-    min_margin = min(per_cell.values()) if per_cell else 0.0
+    min_margin = min((derivative_min_on_arcs(mu, s_shift) for mu in cells.values()), default=0.0)
     vertical = 1.0
     if ridge is not None and ridge.length > 0:
         xs = np.linspace(ridge.p_minus[0], ridge.p_plus[0], 257)[1:-1]
         n = ridge.data(xs)["n"]
         aligned = np.abs(np.abs(n[..., 1]) - 1.0) < 1e-9
         vertical = float(np.mean(aligned))
-    return SignStructureReport(min_margin, per_cell, vertical, len(cells))
+    return SignStructureReport(min_margin, vertical, len(cells))

@@ -13,6 +13,11 @@ The tracer therefore has no time step: it moves each curve from event to
 event.  The ridge y = 0 is met at ``-y / v_y``, and the exit from the
 convex domain {sd > level} is the root of sd - level along the ray,
 which Newton reaches monotonically from the far end of the segment.
+After a free crossing or a reflection a curve sits at y = 0 on a
+straight line that never returns to it, so every curve has at most one
+ridge event.  The tracer therefore returns one event record per curve
+(the reflection's time, point and outgoing angle) in place of a path:
+a curve is its start, that record, and its end.
 
 The ensemble check samples phase points uniformly from {chi = 1} on an
 inset subdomain, attaches a uniform random time in (0, T), traces each
@@ -165,21 +170,22 @@ def sigma_gamma(curve: Characteristic) -> list[dict]:
 
 
 def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, direction: int):
-    """Trace a batch of curves from event to event.
+    """Trace a batch of curves to their exits, through at most one ridge event each.
 
-    Between events a curve moves at unit speed on a straight line.  Each
-    pass takes every live curve to its first event: the ridge hit at
-    ``-y / v_y`` when the crossing lies in the ridge span, else the first
-    of its exit from the flow's domain and the end of its budget
-    (``flow.exit_time``).  At the ridge a curve crosses freely, reflects,
-    or stops (dead, counted as stuck).  A free crossing or a reflection
-    leaves y = 0 on a straight line that never meets it again, so each
-    curve has at most one ridge event and the loop makes at most two
-    passes.
+    A curve moves at unit speed on a straight line.  It meets the ridge
+    at ``-y / v_y`` when that time is within its budget and the crossing
+    lies in the ridge span; there it crosses freely, reflects, or stops
+    (dead, counted as stuck).  A free crossing or a reflection leaves
+    y = 0 on a straight line that never meets it again, so one ridge test
+    and one ``flow.exit_time`` call, which takes every curve that is not
+    dead to the first of its exit from the flow's domain and the end of
+    its budget, trace the whole batch.
 
     Raises ValueError when a start lies outside the flow's domain.
-    Returns elapsed times, final positions, stuck flags, a flat jump
-    table, and flat anchor arrays (anchor = start or angle change).
+    Returns elapsed times, final positions and stuck flags, and per curve
+    the reflection record: its time (inf where the curve does not
+    reflect), its position (NaN where it does not) and the angle after
+    it, which is the curve's final angle.
     """
     pos = np.array(pos0, dtype=float)
     ang = np.array(ang0, dtype=float)
@@ -187,92 +193,44 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
         raise ValueError("a characteristic starts outside the traced domain")
     n = pos.shape[0]
     elapsed = np.zeros(n)
-    alive = budget > 0
     stuck = np.zeros(n, dtype=bool)
+    t_ref = np.full(n, np.inf)
+    x_ref = np.full((n, 2), np.nan)
+    # motion is direction * e^{is}; admissibility always references e^{is}
+    v = direction * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    if flow.ridge is not None:
+        r_lo, r_hi, r_sbar = flow.ridge
+        # a tiny or zero v_y gives an infinite or NaN tau, which fails every test below
+        with np.errstate(all="ignore"):
+            tau = -pos[:, 1] / v[:, 1]
+            xc = pos[:, 0] + tau * v[:, 0]
+            c = np.flatnonzero((tau > 1e-14) & (tau <= budget) & (xc >= r_lo) & (xc <= r_hi))
+        tau, xc, cur_ang = tau[c], xc[c], ang[c]
+        from_above = pos[c, 1] > 0
+        far_y = np.where(from_above, -_SIDE_EPS, _SIDE_EPS)
+        m_far = flow.m(np.stack([xc, far_y], axis=-1))
+        blocked = np.cos(cur_ang) * m_far[:, 0] + np.sin(cur_ang) * m_far[:, 1] <= _CHI_TOL
+        # free crossers keep their angle; blocked ones reflect
+        s_new = np.mod(2.0 * r_sbar - cur_ang + np.pi, TWO_PI)
+        m_near = flow.m(np.stack([xc, -far_y], axis=-1))
+        dead = blocked & (np.cos(s_new) * m_near[:, 0] + np.sin(s_new) * m_near[:, 1] < -_CHI_TOL)
+        bounce = blocked & ~dead
 
-    j_curve, j_t, j_x, j_sm, j_sp = [], [], [], [], []
-    a_curve = [np.arange(n)]
-    a_t = [np.zeros(n)]
-    a_pos = [pos.copy()]
-    a_ang = [ang.copy()]
+        elapsed[c] = tau
+        pos[c] = np.stack([xc, np.zeros(c.size)], axis=-1)
+        stuck[c[dead]] = True
+        b = c[bounce]
+        t_ref[b] = tau[bounce]
+        x_ref[b] = pos[b]
+        ang[b] = s_new[bounce]
+        v[b] = direction * np.stack([np.cos(ang[b]), np.sin(ang[b])], axis=-1)
 
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        remain = budget[idx] - elapsed[idx]
-        # motion is direction * e^{is}; admissibility always references e^{is}
-        v = direction * np.stack([np.cos(ang[idx]), np.sin(ang[idx])], axis=-1)
-        hit = np.zeros(idx.size, dtype=bool)
-        if flow.ridge is not None:
-            r_lo, r_hi, r_sbar = flow.ridge
-            y0 = pos[idx, 1]
-            # a tiny or zero v_y gives an infinite or NaN tau, which fails every test below
-            with np.errstate(all="ignore"):
-                tau = -y0 / v[:, 1]
-                xc = pos[idx, 0] + tau * v[:, 0]
-                hit = (tau > 1e-14) & (tau <= remain) & (xc >= r_lo) & (xc <= r_hi)
-        if np.any(hit):
-            c = np.flatnonzero(hit)
-            gi = idx[c]
-            tau_c = tau[c]
-            xc_c = xc[c]
-            cur_ang = ang[gi]
-            from_above = y0[c] > 0
-            far_y = np.where(from_above, -_SIDE_EPS, _SIDE_EPS)
-            near_y = -far_y
-            m_far = flow.m(np.stack([xc_c, far_y], axis=-1))
-            dots_far = np.cos(cur_ang) * m_far[:, 0] + np.sin(cur_ang) * m_far[:, 1]
-            blocked = dots_far <= _CHI_TOL
-            # free crossers keep their angle; blocked ones reflect
-            s_new = np.mod(2.0 * r_sbar - cur_ang + np.pi, TWO_PI)
-            m_near = flow.m(np.stack([xc_c, near_y], axis=-1))
-            dots_near = np.cos(s_new) * m_near[:, 0] + np.sin(s_new) * m_near[:, 1]
-            dead = blocked & (dots_near < -_CHI_TOL)
-            bounce = blocked & ~dead
-
-            elapsed[gi] += tau_c
-            pos[gi, 0] = xc_c
-            pos[gi, 1] = 0.0
-            stuck[gi[dead]] = True
-            alive[gi[dead]] = False
-            if np.any(bounce):
-                b = gi[bounce]
-                t_event = elapsed[b]
-                x_event = np.stack([xc_c[bounce], np.zeros(b.size)], axis=-1)
-                old = np.mod(cur_ang[bounce], TWO_PI)
-                new = s_new[bounce]
-                j_curve.append(b)
-                j_t.append(t_event)
-                j_x.append(x_event)
-                j_sm.append(old if direction > 0 else new)
-                j_sp.append(new if direction > 0 else old)
-                ang[b] = new
-                a_curve.append(b)
-                a_t.append(t_event)
-                a_pos.append(x_event)
-                a_ang.append(new)
-
-        last = np.flatnonzero(~hit)
-        gi = idx[last]
-        t = flow.exit_time(pos[gi], v[last], remain[last])
-        pos[gi] += t[:, None] * v[last]
-        # after a ridge event, tau + (budget - tau) can round above the budget
-        elapsed[gi] = np.minimum(elapsed[gi] + t, budget[gi])
-        alive[gi] = False
-
-    jumps = {
-        "curve": np.concatenate(j_curve) if j_curve else np.zeros(0, dtype=int),
-        "t": np.concatenate(j_t) if j_t else np.zeros(0),
-        "x": np.concatenate(j_x) if j_x else np.zeros((0, 2)),
-        "s_minus": np.concatenate(j_sm) if j_sm else np.zeros(0),
-        "s_plus": np.concatenate(j_sp) if j_sp else np.zeros(0),
-    }
-    anchors = {
-        "curve": np.concatenate(a_curve),
-        "t": np.concatenate(a_t),
-        "pos": np.concatenate(a_pos),
-        "ang": np.concatenate(a_ang),
-    }
-    return elapsed, pos, stuck, jumps, anchors
+    go = np.flatnonzero((budget > 0) & ~stuck)
+    t = flow.exit_time(pos[go], v[go], budget[go] - elapsed[go])
+    pos[go] += t[:, None] * v[go]
+    # after a ridge event, tau + (budget - tau) can round above the budget
+    elapsed[go] = np.minimum(elapsed[go] + t, budget[go])
+    return elapsed, pos, stuck, t_ref, x_ref, ang
 
 
 def trace_characteristic(domain: Domain, start: tuple[tuple[float, float], float],
@@ -285,30 +243,25 @@ def trace_characteristic(domain: Domain, start: tuple[tuple[float, float], float
     if inset is None:
         inset = 0.25 * domain.delta
     flow = DomainFlow(domain, inset)
-    elapsed, pos_end, stuck, jumps, anchors = _trace_batch(
+    elapsed, pos_end, stuck, t_ref, x_ref, s_ref = _trace_batch(
         flow, np.array([[x0, y0]]), np.array([s0]), np.array([T]), direction=+1
     )
-    order = np.argsort(anchors["t"], kind="stable")
-    times = anchors["t"][order]
-    points = anchors["pos"][order]
-    angles = anchors["ang"][order]
-    times = np.append(times, elapsed[0])
-    points = np.vstack([points, pos_end])
-    jrecs = []
-    ccw_arr, len_arr = _arc_arrays(jumps["s_minus"], jumps["s_plus"])
-    for k in range(jumps["t"].size):
-        jrecs.append(JumpRecord(
-            t=float(jumps["t"][k]),
-            x=(float(jumps["x"][k, 0]), float(jumps["x"][k, 1])),
-            s_minus=float(jumps["s_minus"][k]),
-            s_plus=float(jumps["s_plus"][k]),
-            ccw=bool(ccw_arr[k]),
-            arc_length=float(len_arr[k]),
+    times, points, angles, jumps = [0.0], [np.array([x0, y0])], [s0], []
+    if np.isfinite(t_ref[0]):
+        s_minus = np.mod(np.array([s0]), TWO_PI)
+        ccw, length = _arc_arrays(s_minus, s_ref)
+        jumps.append(JumpRecord(
+            t=float(t_ref[0]), x=(float(x_ref[0, 0]), float(x_ref[0, 1])),
+            s_minus=float(s_minus[0]), s_plus=float(s_ref[0]),
+            ccw=bool(ccw[0]), arc_length=float(length[0]),
         ))
+        times.append(t_ref[0])
+        points.append(x_ref[0])
+        angles.append(s_ref[0])
     return Characteristic(
         t_minus=0.0, t_plus=float(elapsed[0]),
-        times=times, points=points, angles=angles,
-        jumps=jrecs, stuck=bool(stuck[0]),
+        times=np.array(times + [elapsed[0]]), points=np.vstack(points + [pos_end]),
+        angles=np.array(angles, dtype=float), jumps=jumps, stuck=bool(stuck[0]),
     )
 
 
@@ -421,54 +374,20 @@ def ensemble_representation_check(
     pts, angs = _sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
 
-    fwd_elapsed, _, fwd_stuck, fwd_jumps, fwd_anchors = _trace_batch(
-        flow, pts, angs, T - t0, direction=+1)
-    bwd_elapsed, bwd_end_pos, bwd_stuck, bwd_jumps, bwd_anchors = _trace_batch(
-        flow, pts, angs, t0, direction=-1)
+    fwd_elapsed, _, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, pts, angs, T - t0, direction=+1)
+    bwd_elapsed, _, bwd_stuck, bwd_t, bwd_x, bwd_s = _trace_batch(flow, pts, angs, t0, direction=-1)
 
     t_plus = t0 + fwd_elapsed
     t_minus = t0 - bwd_elapsed
     lifetime = np.maximum(t_plus - t_minus, 1e-12)
     weights = T / lifetime
     stuck_curves = int(np.sum(fwd_stuck | bwd_stuck))
-
-    # --- merged anchors (absolute forward time) for pushforward probes ---
-    # backward-pass anchors store the angle valid at earlier times; in the
-    # sorted-by-time list the forward-segment angle starting at a backward
-    # anchor is the *next* anchor's stored angle.  The backward entry point
-    # is appended as an extra anchor so the earliest segment is covered;
-    # its own angle is never read (the next anchor's replaces it), so it is
-    # NaN.  The backward pass's tau = 0 start block duplicates the forward
-    # start anchors and is dropped.
-    n = n_curves
-    bjc = bwd_anchors["curve"][n:]
-    bjt = bwd_anchors["t"][n:]
-    bjp = bwd_anchors["pos"][n:]
-    bja = bwd_anchors["ang"][n:]
-    anc_curve = np.concatenate([fwd_anchors["curve"], bjc, np.arange(n)])
-    anc_t = np.concatenate([
-        t0[fwd_anchors["curve"]] + fwd_anchors["t"],
-        t0[bjc] - bjt,
-        t_minus - 1e-12,  # keep entry anchors strictly earliest per curve
-    ])
-    anc_pos = np.vstack([fwd_anchors["pos"], bjp, bwd_end_pos])
-    anc_ang = np.concatenate([fwd_anchors["ang"], bja, np.full(n, np.nan)])
-    is_bwd = np.concatenate([
-        np.zeros(fwd_anchors["curve"].size, dtype=bool),
-        np.ones(bjc.size + n, dtype=bool),
-    ])
-    order = np.lexsort((anc_t, anc_curve))
-    anc_curve, anc_t, anc_pos, anc_ang = anc_curve[order], anc_t[order], anc_pos[order], anc_ang[order]
-    is_bwd = is_bwd[order]
-    same_curve_next = np.zeros(anc_t.size, dtype=bool)
-    same_curve_next[:-1] = anc_curve[:-1] == anc_curve[1:]
-    fwd_ang = anc_ang.copy()
-    idxs = np.flatnonzero(is_bwd & same_curve_next)
-    if idxs.size:
-        fwd_ang[idxs] = anc_ang[idxs + 1]
-
-    key_span = 2.0 * T + 2.0
-    key = anc_curve.astype(float) * key_span + (anc_t + 0.5 * T + 1.0)
+    # a curve runs through its start on [t0 - bwd_t, t0 + fwd_t) and, outside
+    # it, from the reflection point at the reflection's outgoing angle
+    after_t, before_t = t0 + fwd_t, t0 - bwd_t
+    seg_t = np.stack([t0, after_t, before_t])
+    seg_x = np.stack([pts, fwd_x, bwd_x])
+    seg_s = np.stack([angs, fwd_s, bwd_s])
 
     probes = [f * T for f in probe_fracs]
     probe_stats = []
@@ -502,12 +421,10 @@ def ensemble_representation_check(
     for tp in probes:
         alive = (t_minus < tp) & (tp < t_plus)
         ids = np.flatnonzero(alive)
-        look = np.searchsorted(key, ids.astype(float) * key_span + (tp + 0.5 * T + 1.0), side="right") - 1
-        look = np.clip(look, 0, key.size - 1)
-        base_t = anc_t[look]
-        base_p = anc_pos[look]
-        base_a = fwd_ang[look]
-        dtau = tp - base_t
+        seg = np.where(tp >= after_t[ids], 1, np.where(tp < before_t[ids], 2, 0))
+        base_p = seg_x[seg, ids]
+        base_a = seg_s[seg, ids]
+        dtau = tp - seg_t[seg, ids]
         px = base_p[:, 0] + dtau * np.cos(base_a)
         py = base_p[:, 1] + dtau * np.sin(base_a)
         sa = np.mod(base_a, TWO_PI)
@@ -529,12 +446,14 @@ def ensemble_representation_check(
         probe_stats.append(ProbeStat(tp, chi2, dof, thresh, ok))
 
     # --- aggregate kinetic measure from jump arcs ---
-    jc = np.concatenate([fwd_jumps["curve"], bwd_jumps["curve"]])
-    jt = np.concatenate([t0[fwd_jumps["curve"]] + fwd_jumps["t"],
-                         t0[bwd_jumps["curve"]] - bwd_jumps["t"]])
-    jx = np.vstack([fwd_jumps["x"], bwd_jumps["x"]])
-    jsm = np.concatenate([fwd_jumps["s_minus"], bwd_jumps["s_minus"]])
-    jsp = np.concatenate([fwd_jumps["s_plus"], bwd_jumps["s_plus"]])
+    fc, bc = np.flatnonzero(np.isfinite(fwd_t)), np.flatnonzero(np.isfinite(bwd_t))
+    jc = np.concatenate([fc, bc])
+    jt = np.concatenate([after_t[fc], before_t[bc]])
+    jx = np.vstack([fwd_x[fc], bwd_x[bc]])
+    # a backward reflection runs from its outgoing angle to the start angle in forward time
+    s0 = np.mod(angs, TWO_PI)
+    jsm = np.concatenate([s0[fc], bwd_s[bc]])
+    jsp = np.concatenate([fwd_s[fc], s0[bc]])
     n_jumps = int(jc.size)
     ccw, arc_len = _arc_arrays(jsm, jsp)
     jw = weights[jc]

@@ -65,12 +65,31 @@ def test_trace_downward_reflects(ellipse):
 
 def test_trace_constant_field_square():
     flow = ConstantFlow(1.0, 1.0, direction=0.0)
-    elapsed, pos, stuck, jumps, anchors = _trace_batch(
+    elapsed, pos, stuck, t_ref, x_ref, s_ref = _trace_batch(
         flow, np.array([[0.0, 0.0]]), np.array([0.3]), np.array([5.0]), +1)
-    assert jumps["t"].size == 0
+    assert np.isinf(t_ref[0]) and np.isnan(x_ref[0]).all() and s_ref[0] == 0.3
     assert not stuck[0]
     # exits through the right wall moving at angle 0.3
     assert pos[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_trace_batch_exits_in_one_call(ellipse):
+    """A bounce, a free crossing and a curve that misses the ridge share one exit_time call."""
+    flow = DomainFlow(ellipse, 0.025)
+    calls = []
+
+    def exit_time(p, v, t_end):
+        calls.append(p.shape[0])
+        return DomainFlow.exit_time(flow, p, v, t_end)
+
+    flow.exit_time = exit_time
+    starts = np.array([[0.0, 0.2], [0.5, 0.1], [0.0, 0.2]])
+    angles = np.array([3 * np.pi / 2, 3.665, np.pi / 2])
+    elapsed, pos, stuck, t_ref, x_ref, s_ref = _trace_batch(flow, starts, angles, np.full(3, 10.0), +1)
+    assert np.isfinite(t_ref).tolist() == [True, False, False]
+    assert not stuck.any()
+    assert np.sign(pos[:, 1]).tolist() == [1.0, -1.0, 1.0]  # bounced back, crossed, never met the ridge
+    assert calls == [3]
 
 
 def test_unit_speed_between_events(ellipse):
@@ -209,13 +228,15 @@ def test_trace_properties_hard_inputs(flow, data):
     start = np.array([start])
     assume(flow.inside(start)[0])
     budget = data.draw(st.one_of(st.just(10.0), st.floats(0.0, 0.3)))
-    elapsed, pos, stuck, jumps, anchors = _trace_batch(
+    elapsed, pos, stuck, t_ref, x_ref, s_ref = _trace_batch(
         flow, start, np.array([s]), np.array([budget]), direction)
     assert elapsed[0] <= budget
     # at most one ridge event, and events sit on the ridge segment
-    assert jumps["t"].size + stuck[0] <= 1
-    assert np.all(jumps["x"][:, 1] == 0.0)
-    assert np.all((flow.ridge[0] <= jumps["x"][:, 0]) & (jumps["x"][:, 0] <= flow.ridge[1]))
+    reflected = bool(np.isfinite(t_ref[0]))
+    assert reflected + stuck[0] <= 1
+    if reflected:
+        assert x_ref[0, 1] == 0.0
+        assert flow.ridge[0] <= x_ref[0, 0] <= flow.ridge[1]
     if stuck[0]:
         assert pos[0, 1] == 0.0
     else:
@@ -223,11 +244,12 @@ def test_trace_properties_hard_inputs(flow, data):
         assert gap >= -1e-12
         if budget == 10.0:  # longer than any path, so the curve exits
             assert elapsed[0] < budget and abs(gap) <= 1e-12
-    # anchors in time order, unit speed along the recorded angle between them
-    times = np.append(anchors["t"], elapsed[0])
-    points = np.vstack([anchors["pos"], pos])
+    # start, event and end in time order, unit speed along the recorded angle between them
+    times = [0.0, t_ref[0], elapsed[0]] if reflected else [0.0, elapsed[0]]
+    points = [start[0], x_ref[0], pos[0]] if reflected else [start[0], pos[0]]
+    angles = [s, s_ref[0]] if reflected else [s]
     assert np.all(np.diff(times) >= 0.0)
-    for k, a in enumerate(anchors["ang"]):
+    for k, a in enumerate(angles):
         step = direction * (times[k + 1] - times[k]) * np.array([np.cos(a), np.sin(a)])
         assert np.abs(points[k + 1] - points[k] - step).max() <= 1e-12
 
