@@ -13,6 +13,12 @@ component polynomials, and the generator psi enters via
 
 Closure of Phi around the circle is equivalent to psi having no first
 harmonic, which is checkable on the coefficients.
+
+A polynomial sum_{|k|<=n} c_k e^{iks} is evaluated through the point
+w = e^{is} on the unit circle: one complex exponential per point, then
+Horner's rule for sum_j c_{j-n} w^j, times conj(w)^n = w^{-n}.  A plane
+vector z is taken to w = e^{i arg z}, so both components of a map share
+one w, and the zero vector maps to w = 1.
 """
 
 from __future__ import annotations
@@ -68,9 +74,16 @@ class TrigPoly:
         return np.arange(-self.n, self.n + 1)
 
     def __call__(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(s, self.ks()))
-        return np.real(phase @ self.c)
+        return self.at(np.exp(1j * np.asarray(s, dtype=float)))
+
+    def at(self, w: np.ndarray) -> np.ndarray:
+        """The polynomial at s where w = e^{is}, by Horner's rule in w."""
+        acc = np.full(np.shape(w), self.c[-1])
+        for ck in self.c[-2::-1]:
+            acc *= w
+            acc += ck
+        acc *= np.conj(w) ** self.n
+        return np.real(acc)
 
     def derivative(self) -> "TrigPoly":
         return TrigPoly(1j * self.ks() * self.c)
@@ -150,8 +163,9 @@ def sigma_frame(frame: Frame, z: np.ndarray) -> np.ndarray:
     p = z[..., 0] * a1[0] + z[..., 1] * a1[1]
     q = z[..., 0] * a2[0] + z[..., 1] * a2[1]
     out = np.empty_like(z)
-    out[..., 0] = (4.0 / 3.0) * (q**3 * a1[0] + p**3 * a2[0])
-    out[..., 1] = (4.0 / 3.0) * (q**3 * a1[1] + p**3 * a2[1])
+    p3, q3 = p * p * p, q * q * q
+    out[..., 0] = (4.0 / 3.0) * (q3 * a1[0] + p3 * a2[0])
+    out[..., 1] = (4.0 / 3.0) * (q3 * a1[1] + p3 * a2[1])
     return out
 
 
@@ -196,8 +210,8 @@ class EntropyMap:
     vector_eval: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def eval_circle(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return np.stack([self.phi1(s), self.phi2(s)], axis=-1)
+        w = np.exp(1j * np.asarray(s, dtype=float))
+        return np.stack([self.phi1.at(w), self.phi2.at(w)], axis=-1)
 
     def eval_vectors(self, z: np.ndarray) -> np.ndarray:
         if self.vector_eval is not None:
@@ -205,17 +219,6 @@ class EntropyMap:
         z = np.asarray(z, dtype=float)
         angle = np.arctan2(z[..., 1], z[..., 0])
         return self.eval_circle(angle)
-
-    def defect(self, s) -> np.ndarray:
-        """dPhi/ds(e^{is}) . e^{is}; identically 0 for a genuine entropy."""
-        s = np.asarray(s, dtype=float)
-        d1 = self.phi1.derivative()(s)
-        d2 = self.phi2.derivative()(s)
-        return d1 * np.cos(s) + d2 * np.sin(s)
-
-    def max_defect(self, n_samples: int = 1024) -> float:
-        s = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-        return float(np.max(np.abs(self.defect(s))))
 
 
 def entropy_from_generator(gen: EntropyGenerator, tol: float = 1e-12) -> EntropyMap:
@@ -241,13 +244,10 @@ def frame_entropy_map(frame: Frame) -> EntropyMap:
     return EntropyMap(phi1, phi2, vector_eval=lambda z, f=frame: sigma_frame(f, z))
 
 
-def jump_bracket(phi: EntropyMap, m_plus, m_minus, n) -> float:
-    """Geometric jump bracket n . (Phi(m+) - Phi(m-))."""
-    m_plus = np.asarray(m_plus, dtype=float)
-    m_minus = np.asarray(m_minus, dtype=float)
-    n = np.asarray(n, dtype=float)
+def jump_bracket(phi: EntropyMap, m_plus, m_minus, n) -> np.ndarray:
+    """Geometric jump bracket n . (Phi(m+) - Phi(m-)), one per trailing vector."""
     d = phi.eval_vectors(m_plus) - phi.eval_vectors(m_minus)
-    return float(np.sum(n * d, axis=-1))
+    return np.sum(np.asarray(n, dtype=float) * d, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AmbiguousProjection, NoConvergence
+from .errors import AmbiguousProjection, NoConvergence, QuadratureFailure
 
 INTERIOR = 0
 COLLAR = 1
@@ -439,7 +439,11 @@ class BoundaryCurve:
     pieces: tuple[CurvePiece, ...]
 
     def integrate(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray], rtol: float = 1e-10) -> float:
-        """Integral of f(point, outward_normal) dH^1 over the curve."""
+        """Integral of f(point, outward_normal) dH^1 over the curve.
+
+        Raises QuadratureFailure when a piece's error estimate exceeds ten
+        times its target, max(1e-12, rtol * |value|).
+        """
         from scipy.integrate import quad
 
         total = 0.0
@@ -448,7 +452,9 @@ class BoundaryCurve:
                 val = f(p.point(t), p.normal(t)) * p.speed(t)
                 return np.asarray(val).reshape(-1)[0]
 
-            val, _ = quad(integrand, p.t0, p.t1, epsabs=1e-12, epsrel=rtol, limit=200)
+            val, err = quad(integrand, p.t0, p.t1, epsabs=1e-12, epsrel=rtol, limit=200)
+            if err > 10 * max(1e-12, rtol * abs(val)):
+                raise QuadratureFailure(f"boundary quadrature error {err:.3e} misses its target")
             total += val
         return total
 

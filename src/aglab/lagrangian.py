@@ -301,6 +301,8 @@ class EnsembleReport:
     seed: int
     stuck_curves: int
     n_jumps: int
+    endpoint_error: float
+    endpoint_ok: bool
     probe_stats: list[ProbeStat]
     pushforward_ok: bool
     ridge_mass_fraction: float
@@ -314,7 +316,7 @@ class EnsembleReport:
     def to_json(self) -> dict:
         out = {k: getattr(self, k) for k in (
             "n_curves", "window", "seed", "stuck_curves", "n_jumps",
-            "pushforward_ok", "ridge_mass_fraction", "concentration_ok",
+            "endpoint_error", "endpoint_ok", "pushforward_ok", "ridge_mass_fraction", "concentration_ok",
             "cancellation_ratio", "cancellation_ok", "ks_statistic",
             "ks_p_value", "stationarity_ok")}
         out["probes"] = [
@@ -340,6 +342,20 @@ def _sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return pts[:n], angs[:n]
 
 
+def _end_error(pts, t0, live, t_end, end, t_ref, x_ref, s_end) -> float:
+    """Largest distance, over the curves ``live``, between a traced end and its rebuilt place.
+
+    A curve's end is rebuilt from its record: the start (at t0), or the
+    reflection point where the reflection time t_ref is finite, moved along
+    the final angle s_end to the end time t_end.  A NaN end gives NaN.
+    """
+    hit = np.isfinite(t_ref)
+    dtau = t_end - np.where(hit, t_ref, t0)
+    heading = np.stack([np.cos(s_end), np.sin(s_end)], axis=-1)
+    miss = np.where(hit[:, None], x_ref, pts) + dtau[:, None] * heading - end
+    return float(np.sqrt(np.max(np.sum(miss * miss, axis=1)[live], initial=0.0)))
+
+
 def ensemble_representation_check(
     domain_or_flow,
     n_curves: int,
@@ -356,8 +372,10 @@ def ensemble_representation_check(
     Reports, for the sampled ensemble: a chi-squared comparison of the
     time-t pushforward against the chi density at several probe times;
     the fraction of empirical kinetic mass within 2h of the ridge; the
-    cancellation ratio TV(aggregate)/sum of per-curve TVs; and a
-    two-window Kolmogorov-Smirnov test of angular stationarity.
+    cancellation ratio TV(aggregate)/sum of per-curve TVs; a
+    two-window Kolmogorov-Smirnov test of angular stationarity; and the
+    largest distance, over curves that are not stuck, between a traced
+    end and the end rebuilt from the curve's segment record.
     """
     if n_curves < 1000:
         raise ValueError("ensemble check needs at least 10^3 curves")
@@ -374,8 +392,8 @@ def ensemble_representation_check(
     pts, angs = _sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
 
-    fwd_elapsed, _, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, pts, angs, T - t0, direction=+1)
-    bwd_elapsed, _, bwd_stuck, bwd_t, bwd_x, bwd_s = _trace_batch(flow, pts, angs, t0, direction=-1)
+    fwd_elapsed, fwd_end, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, pts, angs, T - t0, direction=+1)
+    bwd_elapsed, bwd_end, bwd_stuck, bwd_t, bwd_x, bwd_s = _trace_batch(flow, pts, angs, t0, direction=-1)
 
     t_plus = t0 + fwd_elapsed
     t_minus = t0 - bwd_elapsed
@@ -388,6 +406,11 @@ def ensemble_representation_check(
     seg_t = np.stack([t0, after_t, before_t])
     seg_x = np.stack([pts, fwd_x, bwd_x])
     seg_s = np.stack([angs, fwd_s, bwd_s])
+
+    # every end that is not stuck must lie where the curve's record puts it
+    live = ~(fwd_stuck | bwd_stuck)
+    endpoint_error = float(np.maximum(_end_error(pts, t0, live, t_plus, fwd_end, after_t, fwd_x, fwd_s),
+                                      _end_error(pts, t0, live, t_minus, bwd_end, before_t, bwd_x, bwd_s)))
 
     probes = [f * T for f in probe_fracs]
     probe_stats = []
@@ -500,6 +523,8 @@ def ensemble_representation_check(
         seed=seed,
         stuck_curves=stuck_curves,
         n_jumps=n_jumps,
+        endpoint_error=endpoint_error,
+        endpoint_ok=endpoint_error <= 1e-9,
         probe_stats=probe_stats,
         pushforward_ok=bool(pushforward_ok),
         ridge_mass_fraction=ridge_frac,

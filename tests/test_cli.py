@@ -158,6 +158,24 @@ def test_kinetic_check_identity_error(tmp_path):
     assert report["residual_with_sigma"] < report["residual_without_sigma"]
 
 
+def test_kinetic_check_computes_the_residual_once(tmp_path, monkeypatch):
+    from aglab import kinetic
+
+    calls = []
+    residual = kinetic.kinetic_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(kinetic, "kinetic_residual", counted)
+    assert run("kinetic-check", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "out" / "kinetic_check.json").read_text())
+    m, _, bank = calls[0]
+    assert report["residual_without_sigma"] == residual(m, {}, bank).max_residual
+
+
 def test_characteristics_report(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert run("characteristics", p) == EXIT_OK

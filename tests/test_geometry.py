@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aglab import geometry
-from aglab.errors import AmbiguousProjection
+from aglab.errors import AmbiguousProjection, QuadratureFailure
 from aglab.geometry import (
     COLLAR,
     EXTERIOR,
@@ -188,6 +188,19 @@ def test_offset_boundary_stadium_length(stadium):
     curve = offset_boundary(stadium, 0.0)
     length = curve.integrate(lambda p, n: np.ones(p.shape[:-1]))
     assert length == pytest.approx(2 * stadium.L + 2 * np.pi * stadium.R, rel=1e-12)
+
+
+def test_offset_boundary_rough_integrand_fails_explicitly(ellipse):
+    # a sign wave with hundreds of jumps defeats the adaptive rule; with
+    # quad's warning silenced, as outside the test suite, the failure
+    # still surfaces as an exception instead of a wrong value
+    from scipy.integrate import IntegrationWarning
+
+    curve = offset_boundary(ellipse, ellipse.delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        with pytest.raises(QuadratureFailure):
+            curve.integrate(lambda p, n: np.sign(np.sin(300.0 * p[..., 0] + 0.3)))
 
 
 def test_limit_field_one_sided_on_ridge(ellipse):

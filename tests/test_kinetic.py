@@ -1,8 +1,18 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aglab.entropy import EntropyGenerator, Frame, TrigPoly, frame_generator, frame_entropy_map, jump_bracket
+from aglab.entropy import (
+    EntropyGenerator,
+    Frame,
+    TrigPoly,
+    entropy_from_generator,
+    frame_entropy_map,
+    frame_generator,
+    jump_bracket,
+)
 from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
 from aglab.geometry import Ellipse, Grid, ridge_set
@@ -14,8 +24,10 @@ from aglab.kinetic import (
     CircleMeasure,
     Jump,
     NonJump,
+    Piece,
+    RidgeSigmaField,
+    _pairings,
     c_beta,
-    chi_sample,
     default_test_bank,
     derivative_min_on_arcs,
     g_beta,
@@ -25,12 +37,46 @@ from aglab.kinetic import (
     minimal_disintegration,
     minimality_check,
     ridge_sigma_field,
-    sigma_zero_disintegration,
     sign_structure_report,
 )
 
 GENS = [EntropyGenerator(p) for p in (PSI_COS2, PSI_SIN2, PSI_COS4, PSI_SIN4)]
 ALPHAS = [-1.0, -0.1, -0.05, -0.01, 0.01, 0.05, 0.1, 1.0]
+TWO_PI = 2.0 * np.pi
+
+
+def sigma_zero_disintegration(s_bar: float, sign: int = 1) -> CircleMeasure:
+    """Zero-average normalization: +-(1/4)(delta_s + delta_{s+pi} - L1/pi)."""
+    sgn = float(np.sign(sign) or 1.0)
+    atoms = [(s_bar, 0.25 * sgn), (s_bar + np.pi, 0.25 * sgn)]
+    pieces = [Piece(0.0, TWO_PI, 0.0, 0.0, -sgn / (4.0 * np.pi))]
+    return CircleMeasure(atoms, pieces, pi_periodic=True)
+
+
+def circle_measure_from_json(obj: dict) -> CircleMeasure:
+    """Inverse of ``CircleMeasure.to_json``."""
+    atoms = [(s, w) for s, w in obj["atoms"]]
+    pieces = [Piece(p["s0"], p["s1"], *p["params"]) for p in obj["pieces"]]
+    return CircleMeasure(atoms, pieces, pi_periodic=obj.get("pi_periodic", False))
+
+
+@dataclass
+class KineticSample:
+    s_values: np.ndarray
+    chi: np.ndarray  # uint8, shape (nx, ny, N_s)
+
+    def measure_per_node(self) -> np.ndarray:
+        """Angular measure of {chi = 1} per node (bin-counting estimate)."""
+        return self.chi.sum(axis=-1) * (TWO_PI / self.s_values.size)
+
+
+def chi_sample(m: VectorField, n_s: int, tie_tol: float = 1e-14) -> KineticSample:
+    """Exact thresholding chi = 1{e^{is} . m > 0}; ties count as 0."""
+    if n_s % 2 != 0:
+        raise ValueError("n_s must be even so s and s + pi are both sampled")
+    s = np.arange(n_s) * (TWO_PI / n_s)
+    dots = np.multiply.outer(m.values[..., 0], np.cos(s)) + np.multiply.outer(m.values[..., 1], np.sin(s))
+    return KineticSample(s, (dots > tie_tol).astype(np.uint8))
 
 
 def test_g_beta_point_value():
@@ -170,8 +216,6 @@ def test_bracket_matches_g_quadrature():
         n = np.array([0.0, 1.0])
         for gen in GENS:
             phi_map = frame_entropy_map(Frame(0.0)) if gen is None else None
-            from aglab.entropy import entropy_from_generator
-
             phi = entropy_from_generator(gen)
             geom = jump_bracket(phi, m_plus, m_minus, n)
             dpsi = gen.psi.derivative()
@@ -239,7 +283,90 @@ def test_sign_structure_report_on_reference(ellipse, grid64):
 
 def test_circle_measure_serialization_roundtrip():
     mu = minimal_disintegration(Jump(1.1, 0.7))
-    back = CircleMeasure.from_json(mu.to_json())
+    back = circle_measure_from_json(mu.to_json())
     s = np.linspace(0, 2 * np.pi, 128, endpoint=False)
     assert np.allclose(back.density(s), mu.density(s), atol=1e-15)
     assert back.total_variation() == pytest.approx(mu.total_variation(), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the batched kinetic code against the per-measure and per-cell formulas
+
+
+def integrate_against(mu: CircleMeasure, f) -> float:
+    """Integral of f against one measure: atoms, then 32-point Gauss-Legendre per piece."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    total = sum(w * float(np.asarray(f(np.asarray(s)))) for s, w in mu.atoms)
+    for p in mu.pieces:
+        half = 0.5 * (p.s1 - p.s0)
+        mid = 0.5 * (p.s0 + p.s1)
+        s = mid + half * nodes
+        total += half * float(np.sum(weights * np.asarray(f(s)) * p.density(s)))
+    return float(total)
+
+
+def test_pairings_match_per_measure_integrals():
+    measures = [
+        gbar_beta(0.4).shifted(1.3),  # pieces only
+        gbar_beta(1.2),
+        minimal_disintegration(NonJump(0.7, -1)),  # atoms beside zero pieces
+        sigma_zero_disintegration(2.0, 1),  # atoms and a constant piece
+        CircleMeasure(),  # nothing to integrate
+        minimal_disintegration(Jump(2.4, 1.0)).scaled(-0.3),
+    ]
+    for gen in GENS:
+        f = gen.psi.derivative()
+        want = np.array([integrate_against(mu, f) for mu in measures])
+        assert np.max(np.abs(_pairings(measures, f) - want)) <= 1e-14
+    assert _pairings([], GENS[0].psi).shape == (0,)
+
+
+def test_ridge_sigma_field_matches_per_cell_loop(ellipse, grid64):
+    sig = ridge_sigma_field(ellipse, grid64)
+    ridge = ridge_set(ellipse)
+    lo, hi = ridge.p_minus[0], ridge.p_plus[0]
+    j0 = int(np.argmin(np.abs(grid64.nodes[0, :, 1])))
+    xs, h = grid64.nodes[:, j0, 0], grid64.h
+    phi_e = frame_entropy_map(Frame(0.0))
+    dpsi_e = frame_generator(Frame(0.0)).psi.derivative()
+    eps_in = 1e-9 * max(1.0, hi - lo)
+    rho, seg, betas = {}, {}, {}
+    for i in range(grid64.nx):
+        a = max(xs[i] - h / 2, lo)
+        b = min(xs[i] + h / 2, hi)
+        if b - a <= 0:
+            continue
+        data = ridge.data(np.asarray([np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in)]))
+        beta = float(data["beta"][0])
+        base = gbar_beta(beta).shifted(float(data["sbar"][0]))
+        bracket = float(jump_bracket(phi_e, data["m_plus"][0], data["m_minus"][0], data["n"][0]))
+        rho[(i, j0)] = -bracket / integrate_against(base, dpsi_e)
+        seg[(i, j0)] = b - a
+        betas[(i, j0)] = beta
+    assert list(sig.cells) == list(rho)
+    assert sig.beta == betas and sig.seg_length == seg
+    assert max(abs(sig.rho[k] - rho[k]) for k in rho) <= 1e-13
+
+
+def test_kinetic_residual_matches_per_cell_loop(ellipse, grid64, limit64):
+    _, m = limit64
+    sigma = ridge_sigma_field(ellipse, grid64)
+    bank = default_test_bank(ellipse, grid64)
+    active, pts = grid64.active(), grid64.nodes
+    angle = np.arctan2(m.values[..., 1], m.values[..., 0])
+    worst = 0.0
+    for gen in bank.generators:
+        phi = entropy_from_generator(gen)
+        phi_m = np.stack([np.real(np.exp(1j * np.multiply.outer(angle, p.ks())) @ p.c)
+                          for p in (phi.phi1, phi.phi2)], axis=-1)
+        dpsi = gen.psi.derivative()
+        pairings = {key: integrate_against(mu, dpsi) for key, mu in sigma.cells.items()}
+        for bump in bank.bumps:
+            lhs = grid64.h**2 * float(np.sum(np.sum(phi_m * bump.gradient(pts), axis=-1)[active]))
+            rhs = sum(float(bump.value(pts[key])) * pairings[key] for key in sigma.cells)
+            worst = max(worst, abs(lhs - rhs))
+    rep = kinetic_residual(m, sigma, bank)
+    assert abs(rep.max_residual - worst) <= 1e-13
+    assert rep.without_sigma == kinetic_residual(m, {}, bank).max_residual
+    empty = kinetic_residual(m, RidgeSigmaField(grid64, {}, {}, {}, {}), bank)
+    assert empty.max_residual == empty.without_sigma == rep.without_sigma

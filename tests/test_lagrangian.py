@@ -157,6 +157,27 @@ def test_ensemble_seed_reproducible(ellipse):
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
 
 
+def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
+    ref = ensemble_representation_check(ellipse, 2000, 0.6, seed=17, h=1 / 64)
+    assert ref.n_jumps > 0 and ref.endpoint_ok and ref.endpoint_error <= 1e-12
+    trace = lagrangian._trace_batch
+
+    def old_heading(flow, pos0, ang0, budget, direction):
+        # reflected curves keep moving along the heading they arrived with
+        elapsed, pos, stuck, t_ref, x_ref, ang = trace(flow, pos0, ang0, budget, direction)
+        b = np.isfinite(t_ref)
+        heading = direction * np.stack([np.cos(ang0[b]), np.sin(ang0[b])], axis=-1)
+        pos[b] = x_ref[b] + (elapsed[b] - t_ref[b])[:, None] * heading
+        return elapsed, pos, stuck, t_ref, x_ref, ang
+
+    monkeypatch.setattr(lagrangian, "_trace_batch", old_heading)
+    bad = ensemble_representation_check(ellipse, 2000, 0.6, seed=17, h=1 / 64)
+    assert not bad.endpoint_ok
+    # no other verdict or statistic sees the mutation
+    others = lambda rep: {k: v for k, v in rep.to_json().items() if not k.startswith("endpoint")}
+    assert others(bad) == others(ref)
+
+
 def test_domain_flow_inset_guard(ellipse):
     with pytest.raises(ValueError):
         DomainFlow(ellipse, ellipse.delta * 2)
