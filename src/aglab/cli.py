@@ -267,10 +267,17 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
     ridge = ridge_set(domain)
     n_frames = cfg.diag("n_frames", 8)
     near = np.abs(grid.nodes[..., 1]) <= 3 * grid.h
+
+    def production(theta):
+        return entropy_mod.entropy_production(m, entropy_mod.frame_entropy_map(entropy_mod.Frame(theta)))
+
+    # the productions of f0_tilde_two_frames; the frame loop reuses them at
+    # angles it hits exactly (both of them for n_frames = 8)
+    two = {t: production(t) for t in entropy_mod.TWO_FRAMES}
     frames = []
     for k in range(n_frames):
         theta = k * np.pi / (2 * n_frames)
-        prod = entropy_mod.entropy_production(m, entropy_mod.frame_entropy_map(entropy_mod.Frame(theta)))
+        prod = two[theta] if theta in two else production(theta)
         frames.append({
             "frame_theta": theta,
             "tv_interior": prod.total_variation(grid.interior()),
@@ -281,7 +288,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
     _write_json(out / "entropy_frames.json", {
         **_stamp(cfg),
         "f0_jump": entropy_mod.f0_jump(ridge),
-        "f0_two_frames": entropy_mod.f0_tilde_two_frames(m),
+        "f0_two_frames": entropy_mod.two_frame_norm(*two.values()),
         "frames": frames,
     })
     rows = []

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from . import entropy as entropy_mod
 from .errors import NonFiniteEnergy
@@ -143,11 +144,37 @@ def grad_norm(grid: Grid, g: np.ndarray) -> float:
 
 
 def mollified_limit_field(domain: Domain, grid: Grid, radius_cells: float = 2.0) -> ScalarField:
-    """Gaussian-blurred extended distance with the collar re-pinned."""
+    """Gaussian-blurred extended distance with the collar re-pinned.
+
+    The blur reproduces ``scipy.ndimage.gaussian_filter(v, radius_cells,
+    mode="nearest")`` bit for bit (see :func:`_gaussian_blur_nearest`).
+    """
     u_exact, _ = exact_limit_field(domain, grid)
-    blurred = gaussian_filter(u_exact.values, sigma=radius_cells, mode="nearest")
+    blurred = _gaussian_blur_nearest(u_exact.values, radius_cells)
     vals = np.where(grid.interior(), blurred, u_exact.values)
     return ScalarField(grid, vals)
+
+
+def _gaussian_blur_nearest(v: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian correlation of a 2-D array, edges extended.
+
+    Follows ndimage's symmetric-kernel path operation for operation: the
+    kernel exp(-0.5 x^2 / sigma^2) on |x| <= int(4 sigma + 0.5), divided
+    by its sum; each output starts at x_0 w_0 and adds (x_-j + x_j) w_j
+    for j from the radius down to 1; axis 0 is filtered before axis 1.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    for _ in range(2):  # filter axis 0, transpose, filter the other axis, transpose back
+        n = v.shape[0]
+        p = np.pad(v, ((r, r), (0, 0)), mode="edge")
+        out = p[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[r - j]
+        v = out.T
+    return v
 
 
 _BLOCKS = [(i, j) for block in ((0, 1), (2, 3, 4)) for i in block for j in block]  # nonzero blocks of W
@@ -188,8 +215,6 @@ def _newton_matrix(u: ScalarField, eps: float, eta: float, power: int):
     transpose is ``stacked_t``), W the per-node curvature of
     :func:`_nodal_hessian`, and gamma = 8 h^2 / eps.  H is SPD.
     """
-    import scipy.sparse as sp
-
     grid = u.grid
     ops = diff_ops(grid)
     z = (ops.stacked @ u.values.ravel()).reshape(5, -1)
@@ -210,12 +235,11 @@ def _factor(H):
 
     Symmetric mode, a minimum-degree ordering of H^T + H and pivots kept
     on the diagonal give less fill, and a faster factor and solve, than
-    the default column ordering for nonsymmetric matrices.
+    the default column ordering for nonsymmetric matrices.  ``splu`` is
+    looked up on its module at each call, where a tracer can wrap it.
     """
-    from scipy.sparse.linalg import splu
-
-    return splu(H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    return sla.splu(H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
 
 
 def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,

@@ -259,12 +259,18 @@ def entropy_production(m: VectorField, phi: EntropyMap) -> CellMeasure:
     return weak_divergence(VectorField(m.grid, phi.eval_vectors(m.values)))
 
 
+TWO_FRAMES = (0.0, np.pi / 4)  # the axis and diagonal frame angles of f0_tilde_two_frames
+
+
 def f0_tilde_two_frames(m: VectorField) -> float:
     """sqrt(TV_e^2 + TV_eps^2) over active cells for the axis and diagonal frames."""
-    active = m.grid.active()
-    tv_e = entropy_production(m, frame_entropy_map(Frame(0.0))).total_variation(active)
-    tv_eps = entropy_production(m, frame_entropy_map(Frame(np.pi / 4))).total_variation(active)
-    return float(np.hypot(tv_e, tv_eps))
+    return two_frame_norm(*(entropy_production(m, frame_entropy_map(Frame(t))) for t in TWO_FRAMES))
+
+
+def two_frame_norm(prod_e: CellMeasure, prod_eps: CellMeasure) -> float:
+    """f0_tilde_two_frames from the productions of the two frames TWO_FRAMES."""
+    active = prod_e.grid.active()
+    return float(np.hypot(prod_e.total_variation(active), prod_eps.total_variation(active)))
 
 
 def f0_tilde_sup(m: VectorField, n_frames: int) -> float:

@@ -212,22 +212,6 @@ def fd_gradient(u: ScalarField) -> VectorField:
     return VectorField(u.grid, np.stack([g1, g2], axis=-1))
 
 
-def fd_perp_gradient(u: ScalarField) -> VectorField:
-    g = fd_gradient(u).values
-    return VectorField(u.grid, np.stack([-g[..., 1], g[..., 0]], axis=-1))
-
-
-def fd_hessian_norm(u: ScalarField, eta: float) -> ScalarField:
-    """Smoothed Frobenius norm sqrt(|H|^2 + eta^2) - eta of the FD Hessian."""
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    ops = diff_ops(u.grid)
-    flat = u.values.ravel()
-    q = (ops.d11 @ flat) ** 2 + 2.0 * (ops.d12 @ flat) ** 2 + (ops.d22 @ flat) ** 2
-    vals = np.sqrt(q + eta * eta) - eta
-    return ScalarField(u.grid, vals.reshape(u.grid.shape))
-
-
 def w11_distance(u: ScalarField, v: ScalarField, region: np.ndarray) -> float:
     """h^2-weighted L1 distance of values plus gradients over the region."""
     if u.grid is not v.grid:

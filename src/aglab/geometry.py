@@ -27,6 +27,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 
 from .errors import AmbiguousProjection, NoConvergence, QuadratureFailure
 
@@ -444,8 +445,6 @@ class BoundaryCurve:
         Raises QuadratureFailure when a piece's error estimate exceeds ten
         times its target, max(1e-12, rtol * |value|).
         """
-        from scipy.integrate import quad
-
         total = 0.0
         for p in self.pieces:
             def integrand(t, p=p):

@@ -34,7 +34,7 @@ from .entropy import (
 )
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import Domain, Grid, RidgeSet, ridge_set
+from .geometry import Domain, Grid, RidgeSet, ridge_set, signed_distance
 
 TWO_PI = 2.0 * np.pi
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -421,8 +421,6 @@ def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
     the extended domain; otherwise the weak identity picks up boundary
     flux that has nothing to do with the kinetic measure.
     """
-    from .geometry import signed_distance
-
     ridge = ridge_set(domain)
     lo, hi = ridge.p_minus[0], ridge.p_plus[0]
     span = max(hi - lo, 4 * grid.h)

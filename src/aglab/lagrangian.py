@@ -26,7 +26,9 @@ T / lifetime, which makes the time-t pushforward an unbiased estimate
 of the chi density at every probe time.  Jump arcs aggregate (with the
 sign convention that clockwise arcs contribute positively) into an
 empirical kinetic measure used for concentration, cancellation, and
-stationarity statistics.
+stationarity statistics.  The stationarity p-value is the asymptotic
+Kolmogorov tail ``scipy.special.kolmogorov`` of the scaled two-sample
+statistic.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import distributions as _dists
+from scipy.special import kolmogorov
 
 from . import geometry
 from .errors import NoConvergence
@@ -138,31 +140,6 @@ class Characteristic:
         k = int(np.searchsorted(self.times, t, side="right")) - 1
         k = min(max(k, 0), len(self.angles) - 1)
         return float(self.angles[k])
-
-    @property
-    def tot_var_s(self) -> float:
-        return float(sum(j.arc_length for j in self.jumps))
-
-
-def sigma_gamma(curve: Characteristic) -> list[dict]:
-    """Signed angular arcs carried by the curve, one per jump.
-
-    The angular derivative vanishes between jumps (the angle is
-    piecewise constant), so the curve's kinetic measure reduces to the
-    jump arcs; counter-clockwise arcs carry sign +1, clockwise -1, and
-    the ensemble aggregation flips the overall sign.
-    """
-    arcs = []
-    for j in curve.jumps:
-        arcs.append({
-            "t": j.t,
-            "x": list(j.x),
-            "s_from": j.s_minus,
-            "s_to": j.s_plus,
-            "sign": 1.0 if j.ccw else -1.0,
-            "length": j.arc_length,
-        })
-    return arcs
 
 
 # ---------------------------------------------------------------------------
@@ -559,5 +536,5 @@ def _weighted_ks(values: np.ndarray, weights: np.ndarray, m1: np.ndarray, m2: np
     n2 = float(np.sum(w2) ** 2 / np.sum(w2**2))
     en = math.sqrt(n1 * n2 / (n1 + n2))
     arg = (en + 0.12 + 0.11 / en) * d
-    p = float(_dists.kstwobign.sf(arg))
+    p = float(kolmogorov(arg))
     return d, p

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aglab
 from aglab.cli import EXIT_CONFIG, EXIT_OK, main, parse_config, run
 from aglab.errors import ConfigError
 
@@ -122,6 +126,27 @@ def test_entropy_report_deterministic(tmp_path):
     assert (out / "ridge_report.dat").exists()
 
 
+@pytest.mark.parametrize("n_frames", [2, 3])
+def test_entropy_report_computes_each_production_once(tmp_path, monkeypatch, n_frames):
+    # with 2 frames the loop covers both frames of f0_tilde_two_frames; with 3 it misses pi/4
+    from aglab import entropy
+
+    fields = []
+    production = entropy.entropy_production
+
+    def counted(m, phi):
+        fields.append(m)
+        return production(m, phi)
+
+    monkeypatch.setattr(entropy, "entropy_production", counted)
+    p = write_cfg(tmp_path, ELLIPSE_CFG.replace("n_frames = 2", f"n_frames = {n_frames}"))
+    assert run("entropy-report", p) == EXIT_OK
+    assert len(fields) == {2: 2, 3: 4}[n_frames]
+    report = json.loads((tmp_path / "out" / "entropy_frames.json").read_text())
+    assert len(report["frames"]) == n_frames
+    assert report["f0_two_frames"] == entropy.f0_tilde_two_frames(fields[0])
+
+
 def test_limit_table_outputs(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     status = run("limit-table", p)
@@ -216,3 +241,27 @@ def test_missing_output_dir_created(tmp_path):
     p = write_cfg(tmp_path, cfg_text)
     run("entropy-report", p)
     assert (tmp_path / "deep" / "nested" / "dir" / "entropy_frames.json").exists()
+
+
+IMPORT_PROBE = """
+import json, sys
+import aglab
+from aglab import cli
+loaded = set(sys.modules)
+status = cli.run("all", sys.argv[1])
+added = sorted(n for n in set(sys.modules) - loaded if n.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps({"status": status, "unused": sorted({"scipy.stats", "scipy.ndimage"} & loaded),
+                  "added": added}))
+"""
+
+
+def test_runs_import_only_what_they_compute_with(tmp_path):
+    """Importing aglab loads neither scipy.stats nor scipy.ndimage, and a run of
+    every subcommand then imports no further numpy or scipy module, so no import
+    cost hides in a run's wall time.  Checked in a fresh process."""
+    src = str(Path(aglab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(write_cfg(tmp_path, ELLIPSE_CFG))],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"status": EXIT_OK, "unused": [], "added": []}

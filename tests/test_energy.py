@@ -4,6 +4,7 @@ import scipy.sparse.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.ndimage import gaussian_filter
 
 from aglab import energy as energy_mod
 from aglab.energy import (
@@ -16,8 +17,8 @@ from aglab.energy import (
     mollified_limit_field,
 )
 from aglab.errors import NonFiniteEnergy
-from aglab.fields import ScalarField, diff_ops, exact_limit_field, fd_gradient, fd_hessian_norm
-from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, ridge_set
+from aglab.fields import ScalarField, diff_ops, exact_limit_field, fd_gradient
+from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
 
 RNG = np.random.default_rng(23)
 
@@ -196,6 +197,33 @@ def test_gradient_requires_smoothing():
     u = ScalarField(g, np.zeros(g.shape))
     with pytest.raises(ValueError):
         energy_gradient(u, 1.0, 0.0, hessian_power=1)
+
+
+@pytest.mark.parametrize("domain, h", [
+    (Ellipse(1.0, 0.5), 1 / 40),  # the benchmark's minimize-ellipse grid
+    (Ellipse(1.0, 0.5), 1 / 64),  # characteristics-ellipse
+    (Ellipse(1.0, 0.5), 1 / 160),  # diagnostics-ellipse
+    (Stadium(2.0, 1.0), 1 / 64),  # characteristics-stadium
+    (Stadium(1.0, 0.5), 1 / 32),
+    (Ellipse(3.0, 0.2), 1 / 32),
+])
+def test_blur_is_ndimage_nearest_gaussian(domain, h):
+    grid = Grid.cover(domain, h=h)
+    u, _ = exact_limit_field(domain, grid)
+    for sigma in (0.5, 1.5, 2.0, 3.0):
+        want = gaussian_filter(u.values, sigma, mode="nearest")
+        assert np.array_equal(energy_mod._gaussian_blur_nearest(u.values, sigma), want)
+    start = mollified_limit_field(domain, grid)
+    want = gaussian_filter(u.values, 2.0, mode="nearest")
+    assert np.array_equal(start.values, np.where(grid.interior(), want, u.values))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 1), (2, 40), (89, 49)])
+def test_blur_is_ndimage_nearest_gaussian_on_small_arrays(shape):
+    # the sigma = 3 kernel has radius 12: edge extension reaches past both ends of a 5 x 7 array
+    v = RNG.standard_normal(shape)
+    for sigma in (0.5, 1.5, 3.0):
+        assert np.array_equal(energy_mod._gaussian_blur_nearest(v, sigma), gaussian_filter(v, sigma, mode="nearest"))
 
 
 def test_minimize_beats_mollified_start(ellipse):

@@ -8,11 +8,10 @@ from aglab.fields import (
     CellMeasure,
     ScalarField,
     VectorField,
+    diff_ops,
     dump_field,
     exact_limit_field,
     fd_gradient,
-    fd_hessian_norm,
-    fd_perp_gradient,
     load_field,
     w11_distance,
     weak_divergence,
@@ -20,6 +19,22 @@ from aglab.fields import (
 from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, grad_signed_distance
 
 RNG = np.random.default_rng(7)
+
+
+def fd_perp_gradient(u: ScalarField) -> VectorField:
+    g = fd_gradient(u).values
+    return VectorField(u.grid, np.stack([-g[..., 1], g[..., 0]], axis=-1))
+
+
+def fd_hessian_norm(u: ScalarField, eta: float) -> ScalarField:
+    """Smoothed Frobenius norm sqrt(|H|^2 + eta^2) - eta of the FD Hessian."""
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    ops = diff_ops(u.grid)
+    flat = u.values.ravel()
+    q = (ops.d11 @ flat) ** 2 + 2.0 * (ops.d12 @ flat) ** 2 + (ops.d22 @ flat) ** 2
+    vals = np.sqrt(q + eta * eta) - eta
+    return ScalarField(u.grid, vals.reshape(u.grid.shape))
 
 
 def square_grid(n=48, h=1 / 32, pad=3):

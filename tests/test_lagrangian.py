@@ -4,16 +4,41 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.stats import kstwobign
 
 from aglab import geometry, lagrangian
 from aglab.geometry import Ellipse, Stadium, offset_boundary
 from aglab.lagrangian import (
+    Characteristic,
     DomainFlow,
     _trace_batch,
+    _weighted_ks,
     ensemble_representation_check,
-    sigma_gamma,
     trace_characteristic,
 )
+
+
+def sigma_gamma(curve: Characteristic) -> list[dict]:
+    """Signed angular arcs carried by the curve, one per jump.
+
+    The angular derivative vanishes between jumps (the angle is
+    piecewise constant), so the curve's kinetic measure reduces to the
+    jump arcs; counter-clockwise arcs carry sign +1, clockwise -1, and
+    the ensemble aggregation flips the overall sign.
+    """
+    return [{
+        "t": j.t,
+        "x": list(j.x),
+        "s_from": j.s_minus,
+        "s_to": j.s_plus,
+        "sign": 1.0 if j.ccw else -1.0,
+        "length": j.arc_length,
+    } for j in curve.jumps]
+
+
+def tot_var_s(curve: Characteristic) -> float:
+    """Total variation of the curve's angle: the summed jump arc lengths."""
+    return float(sum(j.arc_length for j in curve.jumps))
 
 
 class ConstantFlow:
@@ -114,12 +139,12 @@ def test_jumps_only_on_ridge(ellipse):
 def test_sigma_gamma_bookkeeping(ellipse):
     c0 = trace_characteristic(ellipse, ((0.0, 0.2), np.pi / 2), 1.0)
     assert sigma_gamma(c0) == []
-    assert c0.tot_var_s == 0.0
+    assert tot_var_s(c0) == 0.0
     c1 = trace_characteristic(ellipse, ((-0.3, 0.1), -0.2), 2.0)
     arcs = sigma_gamma(c1)
     assert len(arcs) == len(c1.jumps) == 1
     assert arcs[0]["length"] == pytest.approx(0.4, abs=1e-12)
-    assert c1.tot_var_s == pytest.approx(sum(a["length"] for a in arcs))
+    assert tot_var_s(c1) == pytest.approx(sum(a["length"] for a in arcs))
 
 
 def test_stadium_bounce(stadium):
@@ -128,6 +153,39 @@ def test_stadium_bounce(stadium):
     j = c.jumps[0]
     assert j.s_minus == pytest.approx(-np.pi / 4 + 2 * np.pi)
     assert np.mod(j.s_plus, 2 * np.pi) == pytest.approx(np.pi / 4)
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("arg", [-1.0, 0.0, 1e-300, 1e-8, 0.5, 1.36, 3.0, 20.0, 1e3, np.nan])
+def test_ks_tail_is_kstwobign_sf(arg):
+    assert same_float(float(lagrangian.kolmogorov(arg)), float(kstwobign.sf(arg)))
+
+
+def test_weighted_ks_p_value_is_kstwobign_sf(monkeypatch):
+    # record the scaled statistic each call hands to the Kolmogorov tail
+    args = []
+    tail = lagrangian.kolmogorov
+    monkeypatch.setattr(lagrangian, "kolmogorov", lambda a: args.append(a) or tail(a))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=50)
+    cases = [
+        (x, np.ones(50), x, np.ones(50)),  # arg 0
+        (np.array([0.0, 1.0]), np.ones(2), np.array([0.0, 0.5, 1.0]), np.array([1.0, 1e-15, 1.0])),  # ~4e-16
+        (rng.uniform(size=60), rng.uniform(0.5, 2, 60), rng.uniform(size=80), rng.uniform(0.5, 2, 80)),  # ~0.9
+        (rng.uniform(size=60), rng.uniform(0.5, 2, 60), rng.uniform(size=80) + 0.4, rng.uniform(0.5, 2, 80)),
+        (rng.uniform(size=500), np.ones(500), rng.uniform(size=500) + 2, np.ones(500)),  # ~16
+        (x, np.full(50, 1e200), x + 0.1, np.ones(50)),  # the effective size overflows: NaN
+    ]
+    for v1, w1, v2, w2 in cases:
+        first = np.arange(v1.size + v2.size) < v1.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, p = _weighted_ks(np.concatenate([v1, v2]), np.concatenate([w1, w2]), first, ~first)
+        assert same_float(p, float(kstwobign.sf(args[-1])))
+    assert len(args) == len(cases)
+    assert args[0] == 0.0 and 0 < args[1] < 1e-15 and 2 < args[3] < 4 and args[4] > 10 and np.isnan(args[5])
 
 
 def test_ensemble_requires_thousand_curves(ellipse):
