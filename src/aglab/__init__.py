@@ -8,7 +8,7 @@ entropy production, explicit minimal kinetic densities, and the
 characteristic (Lagrangian) representation of the limit field.
 """
 
-from . import cli, energy, entropy, errors, fields, geometry, kinetic, lagrangian
+from . import energy, entropy, errors, fields, geometry, kinetic, lagrangian
 
-__all__ = ["cli", "energy", "entropy", "errors", "fields", "geometry", "kinetic", "lagrangian"]
+__all__ = ["energy", "entropy", "errors", "fields", "geometry", "kinetic", "lagrangian"]
 __version__ = "0.1.0"

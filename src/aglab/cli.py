@@ -45,7 +45,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "eta_min": float, "hessian_power": int, "warm_start": str,
     },
     "diagnostics": {
-        "n_frames": int, "n_s": int, "ensemble_n": int, "ensemble_T": float, "beta_grid": int,
+        "n_frames": int, "ensemble_n": int, "ensemble_T": float, "beta_grid": int,
         "ensemble_dt": float,  # accepted so that older configs parse; read by nothing
     },
     "output": {"directory": str, "seed": int},

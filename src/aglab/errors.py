@@ -18,7 +18,7 @@ class NonClosed(AglabError):
 
 
 class QuadratureFailure(AglabError):
-    """1D adaptive quadrature missed its error target."""
+    """Panel doubling of the 1D Gauss-Legendre rule did not settle within 64 panels."""
 
 
 class BetaOutOfRange(AglabError):

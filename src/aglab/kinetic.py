@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .entropy import (
     EntropyGenerator,
@@ -34,10 +33,9 @@ from .entropy import (
 )
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import Domain, Grid, RidgeSet, ridge_set, signed_distance
+from .geometry import GL_NODES, GL_WEIGHTS, Domain, Grid, RidgeSet, integrate, ridge_set, signed_distance
 
 TWO_PI = 2.0 * np.pi
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _wrap(s):
@@ -164,9 +162,10 @@ class CircleMeasure:
 def _pairings(measures: list[CircleMeasure], f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Integral of f against each measure, with one call of f for the whole list.
 
-    Atoms are weighted point values; each piece is integrated by the
-    32-point Gauss-Legendre rule on its arc.  Per measure, atoms come
-    first and pieces follow in order, as a loop over the measure would add them.
+    Atoms are weighted point values; each piece is integrated by one panel of
+    the 32-point Gauss-Legendre rule, exact to rounding for the trig
+    polynomials f paired here.  Per measure, atoms come first and pieces
+    follow in order, as a loop over the measure would add them.
     """
     out = np.zeros(len(measures))
     atoms = [(i, s, w) for i, mu in enumerate(measures) for s, w in mu.atoms]
@@ -177,9 +176,9 @@ def _pairings(measures: list[CircleMeasure], f: Callable[[np.ndarray], np.ndarra
     if pieces:
         idx, s0, s1, amp, phase, offset = (np.array(col) for col in zip(*pieces))
         half = 0.5 * (s1 - s0)
-        s = (0.5 * (s0 + s1))[:, None] + half[:, None] * _GL_NODES
+        s = (0.5 * (s0 + s1))[:, None] + half[:, None] * GL_NODES
         density = amp[:, None] * np.sin(s - phase[:, None]) + offset[:, None]
-        np.add.at(out, idx, half * np.sum(_GL_WEIGHTS * f(s) * density, axis=1))
+        np.add.at(out, idx, half * np.sum(GL_WEIGHTS * f(s) * density, axis=1))
     return out
 
 
@@ -296,8 +295,8 @@ def jump_identity_check(beta: float, gen: EntropyGenerator) -> tuple[float, floa
     """Both sides of e1.(Phi(e^{ib}) - Phi(e^{-ib})) = -int g_b psi' ds.
 
     The left side comes from the integrated entropy map, the right side
-    from adaptive quadrature of the closed-form density against psi';
-    the two paths share no code.
+    from ``integrate`` of the closed-form density against psi', split at
+    its breaks pi/2 +- b and 3pi/2 +- b; the two paths share no code.
     """
     if not (0.0 <= beta <= np.pi / 2):
         raise BetaOutOfRange(f"identity requires beta in [0, pi/2], got {beta}")
@@ -306,10 +305,8 @@ def jump_identity_check(beta: float, gen: EntropyGenerator) -> tuple[float, floa
     phi = entropy_from_generator(gen)
     lhs = float(phi.eval_circle(np.asarray(beta))[0] - phi.eval_circle(np.asarray(-beta))[0])
     dpsi = gen.psi.derivative()
-    breaks = sorted({np.pi / 2 - beta, np.pi / 2 + beta, 3 * np.pi / 2 - beta, 3 * np.pi / 2 + beta})
-    val, _ = quad(lambda s: g_beta(beta, s) * float(dpsi(np.asarray(s))), 0.0, TWO_PI,
-                  points=breaks, limit=200, epsabs=1e-12, epsrel=1e-12)
-    return lhs, -val
+    edges = sorted({0.0, np.pi / 2 - beta, np.pi / 2 + beta, 3 * np.pi / 2 - beta, 3 * np.pi / 2 + beta, TWO_PI})
+    return lhs, -integrate(lambda s: g_beta(beta, s) * dpsi(s), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +465,14 @@ def kinetic_residual(m: VectorField, sigma_field: RidgeSigmaField | dict, bank: 
 # sign structure
 
 
-def derivative_min_on_arcs(mu: CircleMeasure, s_shift: float = 0.0) -> float:
-    """Min of the density derivative over (0, pi/2) u (pi, 3pi/2), shifted.
+def derivative_min_on_arcs(mu: CircleMeasure) -> float:
+    """Min of the density derivative over (0, pi/2) u (pi, 3pi/2).
 
     Atoms are ignored; only the piecewise-smooth density is examined.
     Candidate minimizers are arc/piece endpoints and interior extrema of
     the shifted sine, so the minimum is exact.
     """
-    arcs = []
-    for a0, a1 in ((0.0, np.pi / 2), (np.pi, 3 * np.pi / 2)):
-        a0, a1 = a0 + s_shift, a1 + s_shift
-        a0w = _wrap(a0)
-        arcs.append((a0w, a0w + (a1 - a0)))
+    arcs = ((0.0, np.pi / 2), (np.pi, 3 * np.pi / 2))
     best = np.inf
     for p in mu.pieces:
         for copy in (0.0, TWO_PI):
@@ -513,16 +506,14 @@ class SignStructureReport:
         }
 
 
-def sign_structure_report(sigma_field: RidgeSigmaField | dict, ridge: RidgeSet | None = None,
-                          s_shift: float = 0.0) -> SignStructureReport:
+def sign_structure_report(sigma_field: RidgeSigmaField | dict, ridge: RidgeSet | None = None) -> SignStructureReport:
     """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs.
 
-    Arcs are taken in absolute angular coordinates (optionally shifted).
     Also reports the fraction of ridge normals aligned with the vertical
     axis, the axis-alignment census for the jump set.
     """
     cells = sigma_field.cells if isinstance(sigma_field, RidgeSigmaField) else sigma_field
-    min_margin = min((derivative_min_on_arcs(mu, s_shift) for mu in cells.values()), default=0.0)
+    min_margin = min((derivative_min_on_arcs(mu) for mu in cells.values()), default=0.0)
     vertical = 1.0
     if ridge is not None and ridge.length > 0:
         xs = np.linspace(ridge.p_minus[0], ridge.p_plus[0], 257)[1:-1]

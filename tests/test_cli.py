@@ -104,9 +104,12 @@ def test_run_bad_config_exit_code(tmp_path):
     assert run("fly-to-the-moon", p) == EXIT_CONFIG
 
 
-def test_removed_optimizer_key_is_a_config_error(tmp_path):
-    # there is one minimizer; a config asking for another must not run it
-    p = write_cfg(tmp_path, ELLIPSE_CFG + "\n[minimize]\noptimizer = lbfgs\n")
+@pytest.mark.parametrize("extra", ["[minimize]\noptimizer = lbfgs", "[diagnostics]\nn_s = 64"],
+                         ids=["optimizer", "n_s"])
+def test_removed_key_is_a_config_error(tmp_path, extra):
+    # there is one minimizer, and nothing samples the circle on n_s points;
+    # a config asking for either must not run
+    p = write_cfg(tmp_path, ELLIPSE_CFG + "\n" + extra + "\n")
     assert run("minimize", p) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
 
@@ -250,18 +253,31 @@ from aglab import cli
 loaded = set(sys.modules)
 status = cli.run("all", sys.argv[1])
 added = sorted(n for n in set(sys.modules) - loaded if n.split(".")[0] in ("numpy", "scipy"))
-print(json.dumps({"status": status, "unused": sorted({"scipy.stats", "scipy.ndimage"} & loaded),
-                  "added": added}))
+unused = {"scipy.stats", "scipy.ndimage", "scipy.integrate", "scipy.optimize"} & loaded
+print(json.dumps({"status": status, "unused": sorted(unused), "added": added}))
 """
 
 
-def test_runs_import_only_what_they_compute_with(tmp_path):
-    """Importing aglab loads neither scipy.stats nor scipy.ndimage, and a run of
-    every subcommand then imports no further numpy or scipy module, so no import
-    cost hides in a run's wall time.  Checked in a fresh process."""
+def run_python(tmp_path, *args):
+    """A fresh interpreter on this checkout's aglab, run in tmp_path."""
     src = str(Path(aglab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(write_cfg(tmp_path, ELLIPSE_CFG))],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_runs_import_only_what_they_compute_with(tmp_path):
+    """Importing aglab loads none of scipy.stats, scipy.ndimage, scipy.integrate
+    and scipy.optimize, and a run of every subcommand then imports no further
+    numpy or scipy module, so no import cost hides in a run's wall time.
+    Checked in a fresh process."""
+    done = run_python(tmp_path, "-c", IMPORT_PROBE, str(write_cfg(tmp_path, ELLIPSE_CFG)))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {"status": EXIT_OK, "unused": [], "added": []}
+
+
+def test_module_entry_runs_without_warnings(tmp_path):
+    # the package does not import cli, so runpy executes cli.py once, as __main__
+    done = run_python(tmp_path, "-m", "aglab.cli", "entropy-report", str(write_cfg(tmp_path, ELLIPSE_CFG)))
+    assert done.returncode == EXIT_OK
+    assert done.stderr == ""
+    assert (tmp_path / "out" / "entropy_frames.json").exists()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from aglab import entropy
 from aglab.entropy import (
     EntropyGenerator,
     Frame,
@@ -20,7 +22,7 @@ from aglab.entropy import (
 )
 from aglab.errors import NonClosed
 from aglab.fields import VectorField, exact_limit_field
-from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
+from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, offset_boundary, ridge_set
 
 RNG = np.random.default_rng(11)
 
@@ -192,6 +194,45 @@ def test_two_frames_vs_jump_and_flux(ellipse, grid64, limit64):
     flux = boundary_flux(ellipse, Frame(0.0))
     assert flux == pytest.approx(F0_ELLIPSE, rel=1e-8)
     assert abs(boundary_flux(ellipse, Frame(np.pi / 4))) < 1e-10
+
+
+@pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Ellipse(1.0, 0.05), Stadium(2.0, 1.0)],
+                         ids=["ellipse", "eccentric-ellipse", "stadium"])
+def test_jump_energy_and_flux_match_adaptive_quadrature(domain):
+    # scalar-callback adaptive quadrature as the reference; the eccentric
+    # ellipse is the case that needs 8-16 panels per interval
+    ridge = ridge_set(domain)
+
+    def density(x):
+        return (2.0 * np.sin(ridge.data(np.array([x]))["beta"][0])) ** 3 / 3.0
+
+    ref, _ = quad(density, ridge.p_minus[0], ridge.p_plus[0], epsabs=1e-13, epsrel=1e-12, limit=400)
+    assert f0_jump(ridge) == pytest.approx(ref, rel=1e-9)
+    for theta in (0.0, np.pi / 8):
+        frame = Frame(theta)
+
+        def flux_density(t, p):
+            n = p.normal(np.array([t]))[0]
+            return float(sigma_frame(frame, np.array([n[1], -n[0]])) @ n) * p.speed(np.array([t]))[0]
+
+        ref = sum(quad(flux_density, p.t0, p.t1, args=(p,), epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+                  for p in offset_boundary(domain, domain.delta).pieces)
+        assert boundary_flux(domain, frame) == pytest.approx(ref, rel=1e-9)
+
+
+def test_boundary_flux_evaluates_the_entropy_once_per_round(ellipse, monkeypatch):
+    # one array call per panel-doubling round, not one call per abscissa
+    points = []
+    sigma = entropy.sigma_frame
+
+    def counted(frame, z):
+        points.append(np.asarray(z).size // 2)
+        return sigma(frame, z)
+
+    monkeypatch.setattr(entropy, "sigma_frame", counted)
+    boundary_flux(ellipse, Frame(0.0))
+    assert 1 <= len(points) <= 3
+    assert min(points) > 1
 
 
 def test_two_frames_constant_zero(grid64):

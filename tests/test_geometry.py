@@ -191,16 +191,11 @@ def test_offset_boundary_stadium_length(stadium):
 
 
 def test_offset_boundary_rough_integrand_fails_explicitly(ellipse):
-    # a sign wave with hundreds of jumps defeats the adaptive rule; with
-    # quad's warning silenced, as outside the test suite, the failure
-    # still surfaces as an exception instead of a wrong value
-    from scipy.integrate import IntegrationWarning
-
+    # a sign wave with hundreds of jumps defeats panel doubling; the failure
+    # surfaces as an exception instead of a wrong value
     curve = offset_boundary(ellipse, ellipse.delta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        with pytest.raises(QuadratureFailure):
-            curve.integrate(lambda p, n: np.sign(np.sin(300.0 * p[..., 0] + 0.3)))
+    with pytest.raises(QuadratureFailure):
+        curve.integrate(lambda p, n: np.sign(np.sin(300.0 * p[..., 0] + 0.3)))
 
 
 def test_limit_field_one_sided_on_ridge(ellipse):
