@@ -15,7 +15,11 @@ The one solver is damped Newton with a plain Armijo backtrack, run
 under a continuation schedule on the smoothing parameter eta.  Its
 matrix is h^2 B^T W B + gamma I on the interior unknowns: B stacks the
 five derivative operators, W is the per-node curvature of the energy
-density made positive semidefinite, and gamma = 8 h^2 / eps.
+density made positive semidefinite, and gamma = 8 h^2 / eps.  H's
+sparsity pattern depends on the grid alone, so each grid builds it once,
+with a map from the nodal W to H's data; a step only fills in values.
+The first SuperLU factor on a grid picks a fill-reducing column order
+from that pattern, and every later one reuses it.
 """
 
 from __future__ import annotations
@@ -208,38 +212,136 @@ def _nodal_hessian(z: np.ndarray, eps: float, eta: float, power: int) -> np.ndar
     return W
 
 
-def _newton_matrix(u: ScalarField, eps: float, eta: float, power: int):
-    """Newton matrix H = h^2 B^T W B + gamma I on the interior unknowns.
+@dataclass
+class _NewtonPattern:
+    """The fixed structure of the Newton matrix of one grid.
+
+    H is linear in the 13 nodal arrays W[i, j] of :data:`_BLOCKS`, so its
+    CSC pattern and a map from those arrays to its data are built once
+    per grid (:func:`_newton_pattern`).  The first factor on the grid adds
+    SuperLU's column order and the pattern of H in that order.
+    """
+
+    indptr: np.ndarray  # CSC pattern of H in natural interior order
+    indices: np.ndarray
+    map: sp.csc_matrix  # H.data - gamma on the diagonal = map @ concat(W[i, j] for _BLOCKS)
+    diag: np.ndarray  # positions of the diagonal in H.data
+    order: np.ndarray | None = None  # column order of the first factor
+    permuted: sp.csc_matrix | None = None  # pattern of H[order][:, order]; data index H.data
+
+
+def _newton_pattern(grid: Grid) -> _NewtonPattern:
+    """Pattern and assembly map of the Newton matrix (cached on the grid object).
+
+    With B_k the block of rows of operator k in B (node p, interior
+    column a), H[a, b] = h^2 sum over (i, j) in _BLOCKS and nodes p of
+    W[i, j, p] B_i[p, a] B_j[p, b] + gamma [a == b].  The pattern holds
+    every pair (a, b) that one node couples in one block, exact zeros
+    included, plus the diagonal; the map holds h^2 B_i[p, a] B_j[p, b] in
+    row (a, b) and column (block, p).  Two sparse products give the
+    pattern; one pass per block fills the map's preallocated arrays.
+    """
+    cached = grid.__dict__.get("_newton_pattern")
+    if cached is not None:
+        return cached
+    ops = diff_ops(grid)
+    B = ops.stacked[:, ops.interior_idx]
+    n, n_int = ops.active_idx.size, ops.interior_idx.size
+    blocks = [B[k * n:(k + 1) * n] for k in range(5)]
+    # the unknowns each node couples within a group of _BLOCKS; absolute
+    # values keep the products below from cancelling to a dropped zero
+    reach = [sum(abs(blocks[k]) for k in group) for group in ((0, 1), (2, 3, 4))]
+    S = (sum(G.T @ G for G in reach) + sp.identity(n_int)).tocsc()
+    S.sort_indices()
+    keys = np.repeat(np.arange(n_int, dtype=np.int64), np.diff(S.indptr)) * n_int + S.indices  # column-major
+    counts = [np.diff(Bk.indptr) for Bk in blocks]
+    per_node = np.concatenate([counts[i] * counts[j] for i, j in _BLOCKS])  # map entries per column
+    rows = np.empty(per_node.sum(), dtype=np.int32)
+    vals = np.empty(rows.size)
+    start = 0
+    for i, j in _BLOCKS:
+        Bi, Bj = blocks[i], blocks[j]
+        node_i = np.repeat(np.arange(n), counts[i])  # node of each entry of B_i
+        reps = counts[j][node_i]
+        ei = np.repeat(np.arange(Bi.nnz), reps)
+        # entries of B_j in the row of each B_i entry, in turn
+        first = np.cumsum(reps) - reps
+        ej = np.repeat(Bj.indptr[node_i] - first, reps) + np.arange(ei.size)
+        stop = start + ei.size
+        rows[start:stop] = np.searchsorted(keys, Bj.indices[ej].astype(np.int64) * n_int + Bi.indices[ei])
+        vals[start:stop] = Bi.data[ei] * Bj.data[ej]
+        start = stop
+    vals *= grid.h**2
+    pattern = _NewtonPattern(
+        indptr=S.indptr,
+        indices=S.indices,
+        map=sp.csc_matrix((vals, rows, np.concatenate([[0], np.cumsum(per_node)])),
+                          shape=(keys.size, len(_BLOCKS) * n)),
+        diag=np.searchsorted(keys, np.arange(n_int) * (n_int + 1)),
+    )
+    grid.__dict__["_newton_pattern"] = pattern
+    return pattern
+
+
+def _newton_matrix(u: ScalarField, eps: float, eta: float, power: int) -> sp.csc_matrix:
+    """Newton matrix H = h^2 B^T W B + gamma I on the interior unknowns, in CSC.
 
     B is the stacked operator restricted to interior columns (its
     transpose is ``stacked_t``), W the per-node curvature of
-    :func:`_nodal_hessian`, and gamma = 8 h^2 / eps.  H is SPD.
+    :func:`_nodal_hessian`, and gamma = 8 h^2 / eps.  H is SPD, in natural
+    interior order, on the grid's fixed pattern: one product of the
+    map of :func:`_newton_pattern` with the nodal W gives its data.
     """
     grid = u.grid
-    ops = diff_ops(grid)
-    z = (ops.stacked @ u.values.ravel()).reshape(5, -1)
+    pattern = _newton_pattern(grid)
+    z = (diff_ops(grid).stacked @ u.values.ravel()).reshape(5, -1)
     W = _nodal_hessian(z, eps, eta, power)
-    n = z.shape[1]
-    node = np.arange(n)
-    rows = np.concatenate([i * n + node for i, _ in _BLOCKS])
-    cols = np.concatenate([j * n + node for _, j in _BLOCKS])
-    vals = np.concatenate([W[i, j] for i, j in _BLOCKS])
-    W_sp = sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 5 * n))
-    h2 = grid.h**2
-    BtWB = ops.stacked_t @ (W_sp @ ops.stacked_t.T)
-    return h2 * BtWB + (8.0 * h2 / eps) * sp.identity(ops.interior_idx.size, format="csr")
+    data = pattern.map @ np.concatenate([W[i, j] for i, j in _BLOCKS])
+    data[pattern.diag] += 8.0 * grid.h**2 / eps
+    n = pattern.indptr.size - 1
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
-def _factor(H):
-    """SuperLU factor of the SPD matrix H.
+@dataclass(frozen=True)
+class _ReorderedFactor:
+    """Factor of H[order][:, order] that solves systems in H's own order."""
+
+    lu: sla.SuperLU
+    order: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+
+def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
+    """SuperLU factor of the SPD matrix H on ``pattern``; it has ``solve``.
 
     Symmetric mode, a minimum-degree ordering of H^T + H and pivots kept
     on the diagonal give less fill, and a faster factor and solve, than
-    the default column ordering for nonsymmetric matrices.  ``splu`` is
-    looked up on its module at each call, where a tracer can wrap it.
+    the default column ordering for nonsymmetric matrices.  The ordering
+    reads only the structure, which is fixed on a grid, so the first
+    factor stores its column order on the pattern, and every later one
+    factors H in that order with no ordering step.  ``splu`` is looked up
+    on its module at each call, where a tracer can wrap it.
     """
-    return sla.splu(H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+    options = {"SymmetricMode": True}
+    if pattern.order is None:
+        lu = sla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=options)
+        # pivots stay on the diagonal, so the row order equals the column order
+        perm = np.asarray(lu.perm_c)
+        n = perm.size
+        rows, cols = perm[pattern.indices], perm[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+        gather = np.lexsort((rows, cols))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+        pattern.permuted = sp.csc_matrix((gather, rows[gather], indptr), shape=(n, n))
+        pattern.order = np.argsort(perm)
+        return lu
+    p = pattern.permuted
+    lu = sla.splu(sp.csc_matrix((H.data[p.data], p.indices, p.indptr), shape=H.shape),
+                  permc_spec="NATURAL", diag_pivot_thresh=0.0, options=options)
+    return _ReorderedFactor(lu, pattern.order)
 
 
 def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
@@ -257,6 +359,7 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     grid = u0.grid
     power = opts.hessian_power
     idx = diff_ops(grid).interior_idx
+    pattern = _newton_pattern(grid)
     u = u0.values
     split = energy(u0, eps, eta, power)
     g = energy_gradient(u0, eps, eta, power)
@@ -266,7 +369,7 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
         # zero off the interior, so a step leaves the collar exactly pinned;
         # H and its factor are freed at once, so no two are alive together
         d = np.zeros(u.size)
-        d[idx] = _factor(_newton_matrix(ScalarField(grid, u), eps, eta, power)).solve(g.ravel()[idx])
+        d[idx] = _factor(_newton_matrix(ScalarField(grid, u), eps, eta, power), pattern).solve(g.ravel()[idx])
         d = d.reshape(grid.shape)
         slope = float(np.sum(g * d))  # positive: H is SPD
         t = 1.0

@@ -299,6 +299,13 @@ class RidgeSet:
         return self.p_plus[0] - self.p_minus[0]
 
     def data(self, x1) -> dict:
+        """One-sided traces at the ridge points (x1, 0).
+
+        Returns the ridge normal ``n``, the traces ``m_plus`` and
+        ``m_minus``, their angle ``beta`` from ``sbar``, and ``sbar``
+        itself, as in the module docstring.  Scalars have x1's shape;
+        vectors add a trailing axis of 2.
+        """
         x1 = np.asarray(x1, dtype=float)
         if self.length == 0.0:
             raise ValueError("degenerate ridge has no interior points")
@@ -316,7 +323,6 @@ class RidgeSet:
             "m_plus": m_plus,
             "m_minus": m_minus,
             "beta": beta,
-            "half_angle": np.minimum(beta, np.pi - beta),
             "sbar": np.full_like(x1, RIDGE_SBAR),
         }
 

@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 from hypothesis import given
 from hypothesis import strategies as st
@@ -149,10 +152,12 @@ def test_symmetric_metric_factor_solves(ellipse, power):
     u = mollified_limit_field(ellipse, grid)
     H = energy_mod._newton_matrix(u, 0.2, 0.05, power)
     assert abs(H - H.T).max() <= 1e-14 * abs(H).max()
-    lu = energy_mod._factor(H)
     rhs = RNG.standard_normal(H.shape[0])
-    x = lu.solve(rhs)
-    assert np.linalg.norm(H @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    pattern = energy_mod._newton_pattern(grid)
+    for _ in range(2):  # the first factor on the grid picks the column order, the second reuses it
+        lu = energy_mod._factor(H, pattern)
+        x = lu.solve(rhs)
+        assert np.linalg.norm(H @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -174,6 +179,79 @@ def test_newton_matrix_matches_gradient_difference(ellipse, power):
     H = energy_mod._newton_matrix(u, eps, eta, power)
     Hv = H @ v.ravel()[idx] - 8.0 * grid.h**2 / eps * v.ravel()[idx]
     assert np.max(np.abs(Hv - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+def _product_newton_matrix(u, eps, eta, power):
+    """H = h^2 B^T W B + gamma I through two sparse products, W assembled from its 13 blocks."""
+    ops = diff_ops(u.grid)
+    z = (ops.stacked @ u.values.ravel()).reshape(5, -1)
+    W = energy_mod._nodal_hessian(z, eps, eta, power)
+    n = z.shape[1]
+    node = np.arange(n)
+    rows = np.concatenate([i * n + node for i, _ in energy_mod._BLOCKS])
+    cols = np.concatenate([j * n + node for _, j in energy_mod._BLOCKS])
+    vals = np.concatenate([W[i, j] for i, j in energy_mod._BLOCKS])
+    W_sp = sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 5 * n))
+    h2 = u.grid.h**2
+    return h2 * (ops.stacked_t @ W_sp @ ops.stacked_t.T) + 8.0 * h2 / eps * sp.identity(ops.interior_idx.size)
+
+
+@functools.cache
+def _small_grid(shape):
+    return Grid.cover(Ellipse(1.0, 0.5) if shape == "ellipse" else Stadium(2.0, 1.0), resolution=16)
+
+
+# slope 0.5 puts |grad u| below 1 at most nodes and 1.5 above it, so that the
+# potential block takes both of its branches; 1.0 mixes them
+@given(shape=st.sampled_from(["ellipse", "stadium"]), slope=st.sampled_from([0.5, 1.0, 1.5]),
+       turn=st.floats(0.0, 2 * np.pi), noise=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
+       eps=st.floats(0.05, 2.0), eta=st.floats(1e-3, 1.0), power=st.sampled_from([1, 2]))
+def test_newton_matrix_matches_the_product_formula(shape, slope, turn, noise, seed, eps, eta, power):
+    grid = _small_grid(shape)
+    x, y = grid.nodes[..., 0], grid.nodes[..., 1]
+    rough = noise * grid.h * np.random.default_rng(seed).standard_normal(grid.shape)
+    vals = slope * (np.cos(turn) * x + np.sin(turn) * y) + rough
+    u = ScalarField(grid, vals)
+    H = energy_mod._newton_matrix(u, eps, eta, power)
+    ref = _product_newton_matrix(u, eps, eta, power)
+    assert H.format == "csc" and H.shape == ref.shape
+    assert abs(H - ref).max() <= 1e-14 * abs(H).max()
+    # the product drops exact zeros, the fixed pattern keeps them
+    pattern = energy_mod._newton_pattern(grid)
+    n = H.shape[0]
+    pattern_keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+    ref = ref.tocoo()
+    assert np.isin(ref.col * n + ref.row, pattern_keys).all()
+
+
+def test_newton_pattern_is_cached_per_grid(ellipse):
+    grid = Grid.cover(ellipse, resolution=16)
+    pattern = energy_mod._newton_pattern(grid)
+    assert energy_mod._newton_pattern(grid) is pattern
+    assert energy_mod._newton_pattern(Grid.cover(ellipse, resolution=16)) is not pattern
+
+
+def test_second_minimize_on_a_grid_reuses_the_column_order(ellipse, monkeypatch):
+    orderings = []
+
+    def recording_splu(*args, **kwargs):
+        orderings.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    splu = sla.splu
+    monkeypatch.setattr(sla, "splu", recording_splu)
+    grid = Grid.cover(ellipse, resolution=24)
+    opts = MinimizeOptions(max_iter=400, hessian_power=1)
+    fresh = minimize(ellipse, grid, 0.3, opts)
+    # only the first factor on the grid orders its columns
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (fresh.iterations - 1)
+    orderings.clear()
+    again = minimize(ellipse, grid, 0.3, opts)
+    assert orderings == ["NATURAL"] * again.iterations
+    assert [lv.iterations for lv in again.levels] == [lv.iterations for lv in fresh.levels]
+    assert [lv.backtracks for lv in again.levels] == [lv.backtracks for lv in fresh.levels]
+    for a, b in zip(again.levels, fresh.levels):
+        assert abs(a.split.total - b.split.total) <= 1e-12 * b.split.total
 
 
 _DERIV = st.floats(-50.0, 50.0)
@@ -358,6 +436,17 @@ def test_newton_matches_previous_minimizer(ellipse, power, reference):
     assert all(lv.grad_norm <= 1e-3 for lv in res.levels)
     assert res.iterations <= 60
     assert abs(res.levels[-1].split.total - reference) <= 1e-9 * reference
+
+
+def test_benchmark_minimize_trajectory(ellipse):
+    # the benchmark's minimize-ellipse job: a solver change that moves any of
+    # these numbers says so
+    grid = Grid.cover(ellipse, h=1 / 40)
+    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
+    assert [lv.iterations for lv in res.levels] == [13, 5, 4, 3, 3, 2, 2, 2, 2]
+    assert [lv.backtracks for lv in res.levels] == [14, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert res.converged
+    assert abs(res.levels[-1].split.total - 1.1262599590928513) <= 1e-12 * 1.1262599590928513
 
 
 def test_limit_table_single_row(ellipse):

@@ -103,10 +103,11 @@ def test_ridge_traces(ellipse):
     assert np.allclose(d["m_plus"][:, 1], d["m_minus"][:, 1], atol=1e-14)
     assert np.allclose(d["n"], [0.0, 1.0])
     assert np.all((d["beta"] > 0) & (d["beta"] < np.pi))
-    assert np.all((d["half_angle"] > 0) & (d["half_angle"] <= np.pi / 2 + 1e-14))
+    half_angle = np.minimum(d["beta"], np.pi - d["beta"])
+    assert np.all((half_angle > 0) & (half_angle <= np.pi / 2 + 1e-14))
     # jump strength is set by the half-angle
     assert np.allclose(np.linalg.norm(d["m_plus"] - d["m_minus"], axis=-1),
-                       2 * np.sin(d["half_angle"]), atol=1e-12)
+                       2 * np.sin(half_angle), atol=1e-12)
     # exact trace parametrization from bisector and beta
     sbar = d["sbar"]
     expect_plus = np.stack([np.cos(sbar + d["beta"]), np.sin(sbar + d["beta"])], axis=-1)
