@@ -68,18 +68,24 @@ class ExperimentConfig:
             return Stadium(L=float(sec["L"]), R=float(sec["R"]), delta=delta)
         raise ConfigError(f"unknown domain kind {kind!r}")
 
-    def grid(self) -> Grid:
+    def grid_args(self) -> dict:
         sec = self.raw.get("grid", {})
-        ghost = int(sec.get("ghost", 2))
-        if "h" in sec:
-            return Grid.cover(self.domain(), h=float(sec["h"]), ghost=ghost)
-        resolution = int(sec.get("resolution", 128))
-        return Grid.cover(self.domain(), resolution=resolution, ghost=ghost)
+        h = float(sec["h"]) if "h" in sec else None
+        resolution = None if "h" in sec else int(sec.get("resolution", 128))
+        return {"h": h, "resolution": resolution, "ghost": int(sec.get("ghost", 2))}
+
+    def grid(self) -> Grid:
+        return Grid.cover(self.domain(), **self.grid_args())
 
     def eps_list(self) -> list[float]:
-        sec = self.raw.get("minimize", {})
-        text = sec.get("eps_list", "0.4, 0.2, 0.1")
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        text = self.raw.get("minimize", {}).get("eps_list", "0.4, 0.2, 0.1")
+        try:
+            eps = [float(tok) for tok in text.replace(",", " ").split()]
+        except ValueError:
+            eps = []
+        if not eps or not all(e > 0 for e in eps):
+            raise ConfigError(f"eps_list must list positive numbers, got {text!r}")
+        return eps
 
     def minimize_options(self) -> energy_mod.MinimizeOptions:
         sec = self.raw.get("minimize", {})
@@ -345,22 +351,20 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     domain, grid = cfg.domain(), cfg.grid()
     n = cfg.diag("ensemble_n", 20000)
     T = cfg.diag("ensemble_T", 1.0)
-    report = lagrangian_mod.ensemble_representation_check(domain, n, T, cfg.seed(), grid.h)
+    flow = lagrangian_mod.ensemble_flow(domain, grid.h)
+    report = lagrangian_mod.ensemble_representation_check(flow, n, T, cfg.seed(), grid.h)
     out = cfg.output_dir()
     _write_json(out / "ensemble_report.json", {**_stamp(cfg), **report.to_json()})
-    # a handful of individual curves for inspection
-    rng = np.random.default_rng(cfg.seed())
-    inset = min(2 * grid.h, 0.5 * domain.delta)
-    flow = lagrangian_mod.DomainFlow(domain, inset)
-    pts, angs = lagrangian_mod._sample_chi_points(flow, 6, rng)
-    rows, jrows = [], []
-    for k in range(pts.shape[0]):
-        curve = lagrangian_mod.trace_characteristic(domain, ((pts[k, 0], pts[k, 1]), angs[k]), T, inset=inset)
-        for tt in np.linspace(curve.t_minus, curve.t_plus, 33):
-            p = curve.position(min(tt, curve.t_plus))
-            rows.append([k, tt, p[0], p[1], curve.angle(min(tt, curve.t_plus))])
-        for j in curve.jumps:
-            jrows.append([k, j.t, j.x[0], j.x[1], j.s_minus, j.s_plus, j.ccw, j.arc_length])
+    # a handful of individual curves for inspection, traced forward over [0, T]
+    pts, angs = lagrangian_mod._sample_chi_points(flow, 6, np.random.default_rng(cfg.seed()))
+    t_end, _, _, t_ref, x_ref, s_ref = lagrangian_mod._trace_batch(flow, pts, angs, np.full(6, T), +1)
+    times = np.linspace(0.0, t_end, 33)  # one column per curve
+    x, s = lagrangian_mod.curve_at(times, pts, 0.0, angs, (t_ref, x_ref, s_ref), (-np.inf, np.nan, np.nan))
+    rows = [[k, times[j, k], x[j, k, 0], x[j, k, 1], s[j, k]] for k in range(6) for j in range(33)]
+    s_minus = np.mod(angs, lagrangian_mod.TWO_PI)
+    ccw, arc = lagrangian_mod._arc_arrays(s_minus, s_ref)
+    jrows = [[k, t_ref[k], x_ref[k, 0], x_ref[k, 1], s_minus[k], s_ref[k], ccw[k], arc[k]]
+             for k in np.flatnonzero(np.isfinite(t_ref))]
     _write_table(out / "curves.csv", ["curve", "t", "x1", "x2", "s"], rows, _stamp(cfg))
     _write_table(out / "jumps.csv", ["curve", "t", "x1", "x2", "s_minus", "s_plus", "ccw", "arc"], jrows, _stamp(cfg))
     return EXIT_OK
@@ -373,7 +377,7 @@ def run(subcommand: str, config_path: str | Path) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(config_path)
-        cfg.domain()  # validate early
+        cfg.domain(), cfg.eps_list(), Grid.check_cover(**cfg.grid_args())  # validate early; builds no grid
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

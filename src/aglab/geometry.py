@@ -15,9 +15,8 @@ Conventions used throughout the package:
   x-axis with normal n = (0, 1); its upper/lower traces satisfy
   ``m+ = exp(i(sbar + beta))`` and ``m- = exp(i(sbar - beta))`` with
   ``sbar = 3*pi/2`` and ``beta`` in (0, pi).  The angle between the
-  traces is ``2 * half_angle`` with ``half_angle = min(beta, pi - beta)``
-  in (0, pi/2]; beta itself exceeds pi/2 where the field crosses the
-  ridge upward (the left half of the ellipse ridge).
+  traces is ``2 * min(beta, pi - beta)``; beta exceeds pi/2 where the
+  field crosses the ridge upward (the left half of the ellipse ridge).
 """
 
 from __future__ import annotations
@@ -285,9 +284,9 @@ class RidgeSet:
     """Horizontal jump segment with per-point one-sided trace data.
 
     ``data(x1)`` evaluates, for ridge abscissas x1 strictly inside the
-    segment, the upper/lower traces m+ / m-, the normal n = (0, 1), the
-    half-angle beta in (0, pi/2], the bisector angle sbar = 3*pi/2, and
-    the distance to the boundary.
+    segment, the normal ``n`` = (0, 1), the upper/lower traces ``m_plus``
+    and ``m_minus``, their angle ``beta`` in (0, pi) from the bisector, and
+    the bisector angle ``sbar`` = 3*pi/2.
     """
 
     domain: Domain
@@ -388,10 +387,9 @@ class Grid:
         """Grid covering the delta-extended domain with >= `ghost` exterior layers.
 
         Exactly one of ``h`` (cell size) or ``resolution`` (cells across the
-        longer bounding-box side) must be given.
+        longer bounding-box side) must be given; see ``check_cover``.
         """
-        if (h is None) == (resolution is None):
-            raise ValueError("specify exactly one of h or resolution")
+        Grid.check_cover(h, resolution, ghost)
         (x0, x1), (y0, y1) = domain.bounding_box()
         wx, wy = x1 - x0, y1 - y0
         if h is None:
@@ -413,6 +411,15 @@ class Grid:
         grid = Grid(origin=(origin[0], origin[1]), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle)
         grid.classify(domain)
         return grid
+
+    @staticmethod
+    def check_cover(h: float | None, resolution: int | None, ghost: int) -> None:
+        """Raise ValueError unless exactly one of h > 0 and resolution >= 1 is given and ghost >= 0."""
+        if (h is None) == (resolution is None):
+            raise ValueError("specify exactly one of h or resolution")
+        if not ((h is None or h > 0) and (resolution is None or resolution >= 1) and ghost >= 0):
+            raise ValueError(f"a grid needs h > 0, resolution >= 1 and ghost >= 0; got h={h}, "
+                             f"resolution={resolution}, ghost={ghost}")
 
     def classify(self, domain: Domain) -> None:
         sd = signed_distance(domain, self.nodes)

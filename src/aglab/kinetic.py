@@ -59,11 +59,13 @@ class Piece:
     def density(self, s):
         return self.amp * np.sin(s - self.phase) + self.offset
 
+    def antiderivative(self, s):
+        return -self.amp * np.cos(s - self.phase) + self.offset * s
+
     def abs_integral(self) -> float:
         a, b = self.s0, self.s1
         if self.amp == 0.0:
             return abs(self.offset) * (b - a)
-        F = lambda s: -self.amp * np.cos(s - self.phase) + self.offset * s
         cuts = [a, b]
         r = -self.offset / self.amp
         if abs(r) <= 1.0:
@@ -75,12 +77,11 @@ class Piece:
                     z = self.phase + u + k * TWO_PI
                     if a < z < b:
                         cuts.append(z)
-        cuts = sorted(cuts)
+        F, cuts = self.antiderivative, sorted(cuts)
         return float(sum(abs(F(q) - F(p)) for p, q in zip(cuts[:-1], cuts[1:])))
 
     def signed_integral(self) -> float:
-        F = lambda s: -self.amp * np.cos(s - self.phase) + self.offset * s
-        return float(F(self.s1) - F(self.s0))
+        return float(self.antiderivative(self.s1) - self.antiderivative(self.s0))
 
 
 @dataclass
@@ -136,7 +137,7 @@ class CircleMeasure:
         atoms = [(_wrap(s + s_bar), w) for s, w in self.atoms]
         pieces = []
         for p in self.pieces:
-            a, b = _wrap(p.s0 + s_bar), p.s1 + s_bar
+            a = _wrap(p.s0 + s_bar)
             b = a + (p.s1 - p.s0)
             if b <= TWO_PI + 1e-15:
                 pieces.append(Piece(a, min(b, TWO_PI), p.amp, _wrap(p.phase + s_bar), p.offset))

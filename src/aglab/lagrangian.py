@@ -15,9 +15,11 @@ convex domain {sd > level} is the root of sd - level along the ray,
 which Newton reaches monotonically from the far end of the segment.
 After a free crossing or a reflection a curve sits at y = 0 on a
 straight line that never returns to it, so every curve has at most one
-ridge event.  The tracer therefore returns one event record per curve
-(the reflection's time, point and outgoing angle) in place of a path:
-a curve is its start, that record, and its end.
+ridge event in each direction of time.  The tracer therefore returns
+one record per curve and direction (the reflection's time, point and
+outgoing angle) in place of a path: a curve is its start, its two
+records and its ends, and ``curve_at`` reads its position and angle at
+any time from them.
 
 The ensemble check samples phase points uniformly from {chi = 1} on an
 inset subdomain, attaches a uniform random time in (0, T), traces each
@@ -34,7 +36,7 @@ statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -100,46 +102,6 @@ class DomainFlow:
                 return t
             t[live] -= g[out] / np.sum(grad[out] * v[live], axis=-1)
         raise NoConvergence("exit-time iteration did not converge")
-
-
-# ---------------------------------------------------------------------------
-# curve records
-
-
-@dataclass(frozen=True)
-class JumpRecord:
-    t: float
-    x: tuple[float, float]
-    s_minus: float
-    s_plus: float
-    ccw: bool
-    arc_length: float
-
-
-@dataclass
-class Characteristic:
-    """Polyline spatial path with a right-continuous piecewise-constant angle."""
-
-    t_minus: float
-    t_plus: float
-    times: np.ndarray          # anchor times, increasing, len k+1
-    points: np.ndarray         # anchor positions, (k+1, 2)
-    angles: np.ndarray         # angle on [times[i], times[i+1]), len k
-    jumps: list[JumpRecord] = field(default_factory=list)
-    stuck: bool = False
-
-    def position(self, t: float) -> np.ndarray:
-        if not (self.t_minus <= t <= self.t_plus):
-            raise ValueError("time outside the curve's interval")
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), len(self.angles) - 1)
-        dt = t - self.times[k]
-        return self.points[k] + dt * np.array([np.cos(self.angles[k]), np.sin(self.angles[k])])
-
-    def angle(self, t: float) -> float:
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), len(self.angles) - 1)
-        return float(self.angles[k])
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +172,25 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
     return elapsed, pos, stuck, t_ref, x_ref, ang
 
 
-def trace_characteristic(domain: Domain, start: tuple[tuple[float, float], float],
-                         T: float, inset: float | None = None) -> Characteristic:
-    """Trace a single forward characteristic from (x, s) over [0, T].
+def curve_at(t, start, t0, s0, fwd, bwd) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and angles at times ``t`` of curves given by their records.
 
-    Raises ValueError when x lies outside the inset domain.
+    A curve passes ``start`` at time ``t0`` with angle ``s0``.  ``fwd`` and
+    ``bwd`` are its forward and backward reflection records, each a
+    (time, point, outgoing angle) triple whose time is +inf (forward) or
+    -inf (backward) where the curve does not reflect.  The angle is
+    right-continuous in forward time: from the forward reflection time on
+    the curve runs on the forward record's line, strictly before the
+    backward reflection time on the backward record's, and in between on
+    the start's.  Times and angles broadcast against each other; points
+    carry a trailing axis of 2.
     """
-    (x0, y0), s0 = start
-    if inset is None:
-        inset = 0.25 * domain.delta
-    flow = DomainFlow(domain, inset)
-    elapsed, pos_end, stuck, t_ref, x_ref, s_ref = _trace_batch(
-        flow, np.array([[x0, y0]]), np.array([s0]), np.array([T]), direction=+1
-    )
-    times, points, angles, jumps = [0.0], [np.array([x0, y0])], [s0], []
-    if np.isfinite(t_ref[0]):
-        s_minus = np.mod(np.array([s0]), TWO_PI)
-        ccw, length = _arc_arrays(s_minus, s_ref)
-        jumps.append(JumpRecord(
-            t=float(t_ref[0]), x=(float(x_ref[0, 0]), float(x_ref[0, 1])),
-            s_minus=float(s_minus[0]), s_plus=float(s_ref[0]),
-            ccw=bool(ccw[0]), arc_length=float(length[0]),
-        ))
-        times.append(t_ref[0])
-        points.append(x_ref[0])
-        angles.append(s_ref[0])
-    return Characteristic(
-        t_minus=0.0, t_plus=float(elapsed[0]),
-        times=np.array(times + [elapsed[0]]), points=np.vstack(points + [pos_end]),
-        angles=np.array(angles, dtype=float), jumps=jumps, stuck=bool(stuck[0]),
-    )
+    (t_f, x_f, s_f), (t_b, x_b, s_b) = fwd, bwd
+    after, before = t >= t_f, t < t_b
+    base_t = np.where(after, t_f, np.where(before, t_b, t0))
+    base_x = np.where(after[..., None], x_f, np.where(before[..., None], x_b, start))
+    s = np.where(after, s_f, np.where(before, s_b, s0))
+    return base_x + (t - base_t)[..., None] * np.stack([np.cos(s), np.sin(s)], axis=-1), s
 
 
 def _arc_arrays(s_minus: np.ndarray, s_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,22 +270,16 @@ def _sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return pts[:n], angs[:n]
 
 
-def _end_error(pts, t0, live, t_end, end, t_ref, x_ref, s_end) -> float:
-    """Largest distance, over the curves ``live``, between a traced end and its rebuilt place.
+def ensemble_flow(domain: Domain, h: float) -> DomainFlow:
+    """The flow the ensemble check traces on a grid of cell size h.
 
-    A curve's end is rebuilt from its record: the start (at t0), or the
-    reflection point where the reflection time t_ref is finite, moved along
-    the final angle s_end to the end time t_end.  A NaN end gives NaN.
+    Its inset is 2h, capped so that coarse grids still leave a collar margin.
     """
-    hit = np.isfinite(t_ref)
-    dtau = t_end - np.where(hit, t_ref, t0)
-    heading = np.stack([np.cos(s_end), np.sin(s_end)], axis=-1)
-    miss = np.where(hit[:, None], x_ref, pts) + dtau[:, None] * heading - end
-    return float(np.sqrt(np.max(np.sum(miss * miss, axis=1)[live], initial=0.0)))
+    return DomainFlow(domain, min(2.0 * h, 0.5 * domain.delta))
 
 
 def ensemble_representation_check(
-    domain_or_flow,
+    flow,
     n_curves: int,
     T: float,
     seed: int,
@@ -352,7 +297,7 @@ def ensemble_representation_check(
     cancellation ratio TV(aggregate)/sum of per-curve TVs; a
     two-window Kolmogorov-Smirnov test of angular stationarity; and the
     largest distance, over curves that are not stuck, between a traced
-    end and the end rebuilt from the curve's segment record.
+    end and the place ``curve_at`` gives it from the curve's records.
     """
     if n_curves < 1000:
         raise ValueError("ensemble check needs at least 10^3 curves")
@@ -360,11 +305,6 @@ def ensemble_representation_check(
         spatial_bins = (10, 6) if n_curves >= 50000 else (6, 4)
     if angular_bins is None:
         angular_bins = 8 if n_curves >= 50000 else 6
-    if isinstance(domain_or_flow, (geometry.Ellipse, geometry.Stadium)):
-        # inset 2h, capped so coarse grids still leave a collar margin
-        flow = DomainFlow(domain_or_flow, min(2.0 * h, 0.5 * domain_or_flow.delta))
-    else:
-        flow = domain_or_flow
     rng = np.random.default_rng(seed)
     pts, angs = _sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
@@ -377,17 +317,14 @@ def ensemble_representation_check(
     lifetime = np.maximum(t_plus - t_minus, 1e-12)
     weights = T / lifetime
     stuck_curves = int(np.sum(fwd_stuck | bwd_stuck))
-    # a curve runs through its start on [t0 - bwd_t, t0 + fwd_t) and, outside
-    # it, from the reflection point at the reflection's outgoing angle
     after_t, before_t = t0 + fwd_t, t0 - bwd_t
-    seg_t = np.stack([t0, after_t, before_t])
-    seg_x = np.stack([pts, fwd_x, bwd_x])
-    seg_s = np.stack([angs, fwd_s, bwd_s])
+    fwd, bwd = (after_t, fwd_x, fwd_s), (before_t, bwd_x, bwd_s)
 
-    # every end that is not stuck must lie where the curve's record puts it
+    # every end that is not stuck must lie where the curve's records put it
     live = ~(fwd_stuck | bwd_stuck)
-    endpoint_error = float(np.maximum(_end_error(pts, t0, live, t_plus, fwd_end, after_t, fwd_x, fwd_s),
-                                      _end_error(pts, t0, live, t_minus, bwd_end, before_t, bwd_x, bwd_s)))
+    miss = np.stack([curve_at(t_plus, pts, t0, angs, fwd, bwd)[0] - fwd_end,
+                     curve_at(t_minus, pts, t0, angs, fwd, bwd)[0] - bwd_end])
+    endpoint_error = float(np.sqrt(np.max(np.sum(miss * miss, axis=-1)[:, live], initial=0.0)))
 
     probes = [f * T for f in probe_fracs]
     probe_stats = []
@@ -419,20 +356,10 @@ def ensemble_representation_check(
     w2_ratio = float(np.sum(weights**2) / np.sum(weights))
     pushforward_ok = True
     for tp in probes:
-        alive = (t_minus < tp) & (tp < t_plus)
-        ids = np.flatnonzero(alive)
-        seg = np.where(tp >= after_t[ids], 1, np.where(tp < before_t[ids], 2, 0))
-        base_p = seg_x[seg, ids]
-        base_a = seg_s[seg, ids]
-        dtau = tp - seg_t[seg, ids]
-        px = base_p[:, 0] + dtau * np.cos(base_a)
-        py = base_p[:, 1] + dtau * np.sin(base_a)
-        sa = np.mod(base_a, TWO_PI)
-        H, _ = np.histogramdd(
-            np.stack([px, py, sa], axis=-1),
-            bins=(xe, ye, se),
-            weights=weights[ids],
-        )
+        ids = np.flatnonzero((t_minus < tp) & (tp < t_plus))
+        x, s = curve_at(tp, pts, t0, angs, fwd, bwd)
+        H, _ = np.histogramdd(np.column_stack([x[ids], np.mod(s[ids], TWO_PI)]),
+                              bins=(xe, ye, se), weights=weights[ids])
         expected = np.sum(weights[ids]) * p_bin
         sel = expected >= min_expected * w2_ratio
         dof = int(np.sum(sel)) - 1

@@ -114,6 +114,41 @@ def test_removed_key_is_a_config_error(tmp_path, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    ("resolution = 48", "resolution = 0"), ("resolution = 48", "h = 0"), ("resolution = 48", "h = -0.1"),
+    ("resolution = 48", "resolution = 48\nghost = -5"), ("eps_list = 0.5, 0.4", "eps_list = 0.2, x"),
+    ("eps_list = 0.5, 0.4", "eps_list = -0.1"), ("eps_list = 0.5, 0.4", "eps_list = 0.5, 0"),
+], ids=["resolution-0", "h-0", "h-negative", "ghost-negative", "eps-not-a-number", "eps-negative", "eps-0"])
+@pytest.mark.parametrize("subcommand", ["minimize", "limit-table", "characteristics"])
+def test_out_of_range_value_is_a_config_error(tmp_path, capsys, bad, subcommand):
+    p = write_cfg(tmp_path, ELLIPSE_CFG.replace(*bad))
+    assert run(subcommand, p) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_check_builds_no_grid(tmp_path, monkeypatch):
+    from aglab import geometry
+
+    covers = []
+    cover = geometry.Grid.cover
+    monkeypatch.setattr(geometry.Grid, "cover", staticmethod(lambda *a, **k: covers.append(a) or cover(*a, **k)))
+    assert run("characteristics", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
+    assert len(covers) == 1
+
+
+def test_characteristics_traces_three_batches(tmp_path, monkeypatch):
+    # forward and backward ensemble batches, and one batch for the six sample curves
+    from aglab import lagrangian
+
+    calls = []
+    trace = lagrangian._trace_batch
+    monkeypatch.setattr(lagrangian, "_trace_batch", lambda *a, **k: calls.append(a) or trace(*a, **k))
+    assert run("characteristics", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
+    assert len(calls) == 3
+
+
 def test_entropy_report_deterministic(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert run("entropy-report", p) == EXIT_OK

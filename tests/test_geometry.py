@@ -157,6 +157,14 @@ def test_grid_ridge_near(ellipse, grid64):
     assert np.all(near[inside])
 
 
+@pytest.mark.parametrize("size", [{"h": 0.0}, {"h": -0.1}, {"h": np.nan}, {"resolution": 0},
+                                  {"resolution": -3}, {"resolution": 16, "ghost": -5}, {"h": 0.1, "ghost": -1},
+                                  {}, {"h": 0.1, "resolution": 16}])
+def test_grid_cover_rejects_bad_sizes(ellipse, size):
+    with pytest.raises(ValueError):
+        Grid.cover(ellipse, **size)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         Ellipse(0.5, 1.0)

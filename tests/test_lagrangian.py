@@ -9,16 +9,31 @@ from scipy.stats import kstwobign
 from aglab import geometry, lagrangian
 from aglab.geometry import Ellipse, Stadium, offset_boundary
 from aglab.lagrangian import (
-    Characteristic,
     DomainFlow,
+    _arc_arrays,
     _trace_batch,
     _weighted_ks,
+    curve_at,
+    ensemble_flow,
     ensemble_representation_check,
-    trace_characteristic,
 )
 
+NO_REFLECTION = (-np.inf, np.nan, np.nan)
 
-def sigma_gamma(curve: Characteristic) -> list[dict]:
+
+def trace(domain, start, s, T):
+    """One forward curve from `start` at angle `s` over [0, T], on the inset delta/4."""
+    flow = DomainFlow(domain, 0.25 * domain.delta)
+    elapsed, end, stuck, t_ref, x_ref, s_ref = _trace_batch(flow, np.array([start]), np.array([s]), np.array([T]), +1)
+    return {"start": np.array(start), "s0": s, "t_plus": elapsed[0], "end": end[0], "stuck": stuck[0],
+            "fwd": (t_ref[0], x_ref[0], s_ref[0])}
+
+
+def position(c, t):
+    return curve_at(t, c["start"], 0.0, c["s0"], c["fwd"], NO_REFLECTION)[0]
+
+
+def sigma_gamma(c) -> list[dict]:
     """Signed angular arcs carried by the curve, one per jump.
 
     The angular derivative vanishes between jumps (the angle is
@@ -26,19 +41,18 @@ def sigma_gamma(curve: Characteristic) -> list[dict]:
     jump arcs; counter-clockwise arcs carry sign +1, clockwise -1, and
     the ensemble aggregation flips the overall sign.
     """
-    return [{
-        "t": j.t,
-        "x": list(j.x),
-        "s_from": j.s_minus,
-        "s_to": j.s_plus,
-        "sign": 1.0 if j.ccw else -1.0,
-        "length": j.arc_length,
-    } for j in curve.jumps]
+    t, x, s_plus = c["fwd"]
+    if not np.isfinite(t):
+        return []
+    s_minus = np.mod(c["s0"], 2 * np.pi)
+    ccw, length = _arc_arrays(np.array([s_minus]), np.array([s_plus]))
+    return [{"t": t, "x": list(x), "s_from": s_minus, "s_to": s_plus,
+             "sign": 1.0 if ccw[0] else -1.0, "length": float(length[0])}]
 
 
-def tot_var_s(curve: Characteristic) -> float:
+def tot_var_s(c) -> float:
     """Total variation of the curve's angle: the summed jump arc lengths."""
-    return float(sum(j.arc_length for j in curve.jumps))
+    return float(sum(a["length"] for a in sigma_gamma(c)))
 
 
 class ConstantFlow:
@@ -70,22 +84,23 @@ class ConstantFlow:
 
 
 def test_trace_straight_up_no_jumps(ellipse):
-    c = trace_characteristic(ellipse, ((0.0, 0.2), np.pi / 2), 2.0)
-    assert not c.jumps and not c.stuck
+    c = trace(ellipse, (0.0, 0.2), np.pi / 2, 2.0)
+    assert not sigma_gamma(c) and not c["stuck"]
     # exits through the top of the inset subdomain
-    assert c.points[-1][1] > 0.45
-    assert abs(c.points[-1][0]) < 1e-12
+    assert c["end"][1] > 0.45
+    assert abs(c["end"][0]) < 1e-12
 
 
 def test_trace_downward_reflects(ellipse):
-    c = trace_characteristic(ellipse, ((0.0, 0.2), 3 * np.pi / 2), 2.0)
-    assert len(c.jumps) == 1
-    j = c.jumps[0]
-    assert j.t == pytest.approx(0.2, abs=1e-12)
-    assert j.x[1] == 0.0
-    assert j.arc_length <= np.pi + 1e-12
-    assert j.s_plus == pytest.approx(np.pi / 2)
-    assert not c.stuck
+    c = trace(ellipse, (0.0, 0.2), 3 * np.pi / 2, 2.0)
+    arcs = sigma_gamma(c)
+    assert len(arcs) == 1
+    j = arcs[0]
+    assert j["t"] == pytest.approx(0.2, abs=1e-12)
+    assert j["x"][1] == 0.0
+    assert j["length"] <= np.pi + 1e-12
+    assert j["s_to"] == pytest.approx(np.pi / 2)
+    assert not c["stuck"]
 
 
 def test_trace_constant_field_square():
@@ -118,9 +133,9 @@ def test_trace_batch_exits_in_one_call(ellipse):
 
 
 def test_unit_speed_between_events(ellipse):
-    c = trace_characteristic(ellipse, ((0.1, 0.2), 3 * np.pi / 2 + 0.3), 1.5)
+    c = trace(ellipse, (0.1, 0.2), 3 * np.pi / 2 + 0.3, 1.5)
     for t0, t1 in ((0.02, 0.09), (0.03, 0.05)):
-        p0, p1 = c.position(t0), c.position(t1)
+        p0, p1 = position(c, np.array([t0, t1]))
         assert np.hypot(*(p1 - p0)) == pytest.approx(t1 - t0, abs=1e-12)
 
 
@@ -130,29 +145,29 @@ def test_jumps_only_on_ridge(ellipse):
         x = rng.uniform(-0.6, 0.6)
         y = rng.uniform(0.05, 0.3)
         s = rng.uniform(np.pi, 2 * np.pi)
-        c = trace_characteristic(ellipse, ((x, y), s), 1.0)
-        for j in c.jumps:
-            assert j.x[1] == 0.0
-            assert j.arc_length < np.pi + 1e-12
+        for j in sigma_gamma(trace(ellipse, (x, y), s, 1.0)):
+            assert j["x"][1] == 0.0
+            assert j["length"] < np.pi + 1e-12
 
 
 def test_sigma_gamma_bookkeeping(ellipse):
-    c0 = trace_characteristic(ellipse, ((0.0, 0.2), np.pi / 2), 1.0)
+    c0 = trace(ellipse, (0.0, 0.2), np.pi / 2, 1.0)
     assert sigma_gamma(c0) == []
     assert tot_var_s(c0) == 0.0
-    c1 = trace_characteristic(ellipse, ((-0.3, 0.1), -0.2), 2.0)
+    c1 = trace(ellipse, (-0.3, 0.1), -0.2, 2.0)
     arcs = sigma_gamma(c1)
-    assert len(arcs) == len(c1.jumps) == 1
+    assert len(arcs) == np.isfinite(c1["fwd"][0]) == 1
     assert arcs[0]["length"] == pytest.approx(0.4, abs=1e-12)
     assert tot_var_s(c1) == pytest.approx(sum(a["length"] for a in arcs))
 
 
 def test_stadium_bounce(stadium):
-    c = trace_characteristic(stadium, ((1.0, 0.5), -np.pi / 4), 3.0)
-    assert len(c.jumps) >= 1
-    j = c.jumps[0]
-    assert j.s_minus == pytest.approx(-np.pi / 4 + 2 * np.pi)
-    assert np.mod(j.s_plus, 2 * np.pi) == pytest.approx(np.pi / 4)
+    c = trace(stadium, (1.0, 0.5), -np.pi / 4, 3.0)
+    arcs = sigma_gamma(c)
+    assert len(arcs) >= 1
+    j = arcs[0]
+    assert j["s_from"] == pytest.approx(-np.pi / 4 + 2 * np.pi)
+    assert np.mod(j["s_to"], 2 * np.pi) == pytest.approx(np.pi / 4)
 
 
 def same_float(a: float, b: float) -> bool:
@@ -190,7 +205,7 @@ def test_weighted_ks_p_value_is_kstwobign_sf(monkeypatch):
 
 def test_ensemble_requires_thousand_curves(ellipse):
     with pytest.raises(ValueError):
-        ensemble_representation_check(ellipse, 10, 1.0, 0, 1 / 64)
+        ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 10, 1.0, 0, 1 / 64)
 
 
 def test_ensemble_uniform_reference():
@@ -201,7 +216,7 @@ def test_ensemble_uniform_reference():
 
 
 def test_ensemble_ellipse_statistics(ellipse):
-    rep = ensemble_representation_check(ellipse, 20000, 1.0, seed=9, h=1 / 64)
+    rep = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 20000, 1.0, seed=9, h=1 / 64)
     assert rep.pushforward_ok
     assert rep.ridge_mass_fraction >= 0.95
     assert 0.95 <= rep.cancellation_ratio <= 1.05
@@ -210,13 +225,14 @@ def test_ensemble_ellipse_statistics(ellipse):
 
 
 def test_ensemble_seed_reproducible(ellipse):
-    r1 = ensemble_representation_check(ellipse, 2000, 0.6, seed=17, h=1 / 64)
-    r2 = ensemble_representation_check(ellipse, 2000, 0.6, seed=17, h=1 / 64)
+    r1 = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 2000, 0.6, seed=17, h=1 / 64)
+    r2 = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 2000, 0.6, seed=17, h=1 / 64)
     assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
 
 
 def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
-    ref = ensemble_representation_check(ellipse, 2000, 0.6, seed=17, h=1 / 64)
+    flow = ensemble_flow(ellipse, 1 / 64)
+    ref = ensemble_representation_check(flow, 2000, 0.6, seed=17, h=1 / 64)
     assert ref.n_jumps > 0 and ref.endpoint_ok and ref.endpoint_error <= 1e-12
     trace = lagrangian._trace_batch
 
@@ -229,7 +245,7 @@ def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
         return elapsed, pos, stuck, t_ref, x_ref, ang
 
     monkeypatch.setattr(lagrangian, "_trace_batch", old_heading)
-    bad = ensemble_representation_check(ellipse, 2000, 0.6, seed=17, h=1 / 64)
+    bad = ensemble_representation_check(flow, 2000, 0.6, seed=17, h=1 / 64)
     assert not bad.endpoint_ok
     # no other verdict or statistic sees the mutation
     others = lambda rep: {k: v for k, v in rep.to_json().items() if not k.startswith("endpoint")}
@@ -333,9 +349,31 @@ def test_trace_properties_hard_inputs(flow, data):
         assert np.abs(points[k + 1] - points[k] - step).max() <= 1e-12
 
 
+@pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
+@given(data=st.data())
+def test_curve_at_reflection_tie(flow, data):
+    """At its reflection time a curve is on the outgoing line forward and on the start line backward."""
+    lo, hi, _ = flow.ridge
+    direction = data.draw(st.sampled_from([1, -1]))
+    s = data.draw(st.floats(0.0, 2 * np.pi))
+    # the start's line meets the ridge at (xc, 0) after time d
+    xc, d = data.draw(st.floats(lo, hi)), data.draw(st.floats(1e-6, 0.5))
+    start = np.array([[xc - direction * d * np.cos(s), -direction * d * np.sin(s)]])
+    assume(flow.inside(start)[0])
+    _, _, _, t_ref, x_ref, s_ref = _trace_batch(flow, start, np.array([s]), np.array([10.0]), direction)
+    assume(np.isfinite(t_ref[0]))
+    t0 = data.draw(st.floats(0.0, 1.0))
+    t_r = t0 + direction * t_ref[0]
+    record = (t_r, x_ref[0], s_ref[0])
+    fwd, bwd = (record, NO_REFLECTION) if direction == 1 else ((np.inf, np.nan, np.nan), record)
+    x, a = curve_at(np.array([np.nextafter(t_r, -np.inf), t_r]), start[0], t0, s, fwd, bwd)
+    assert a.tolist() == ([s, s_ref[0]] if direction == 1 else [s_ref[0], s])
+    assert np.abs(x[1] - x[0]).max() <= 1e-12
+
+
 def test_start_outside_domain_raises(ellipse):
     with pytest.raises(ValueError):
-        trace_characteristic(ellipse, ((1.5, 0.1), np.pi), 1.0)
+        trace(ellipse, (1.5, 0.1), np.pi, 1.0)
 
 
 @pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
