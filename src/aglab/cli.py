@@ -1,16 +1,20 @@
 """Experiment runner: plain-text configs in, deterministic reports out.
 
-Config files are key = value pairs grouped into [section] headers; every
-key is validated against a fixed schema and unknown keys are rejected
-with a line diagnostic.  All relative paths resolve against the config
-file's directory.  Every emitted table and JSON report carries the
-config hash and the seed, and a fixed (config, seed) pair reproduces
-the outputs byte for byte.
+Config files are key = value pairs grouped into [section] headers.  One
+table, ``_SCHEMA``, gives every key its parser, default and valid range.
+``parse_config`` rejects unknown sections and keys, types, defaults and
+range-checks every key in one pass, then builds the domain and the
+minimizer options (loading any warm start).  Rules that span several
+keys stay with the objects that enforce them, the domain constructors
+and ``energy.check_eps_schedule``, and their faults are config errors
+too.  So every check runs before any pipeline.  Relative paths resolve
+against the config file's directory.  Every report carries the config
+hash and the seed, and a fixed (config, seed) pair reproduces the
+outputs byte for byte.
 
-``[diagnostics] ensemble_dt`` is still accepted, so configs written for
-the former time-stepping tracer keep parsing, but nothing reads it: the
-tracer moves from event to event and has no time step.  It still enters
-the config hash.
+``[diagnostics] ensemble_dt`` is accepted, because the benchmark's
+configs set it, but nothing reads it: the tracer moves from event to
+event and has no time step.  It still enters the config hash.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,94 +42,68 @@ EXIT_CONFIG = 3
 
 SUBCOMMANDS = ("minimize", "limit-table", "entropy-report", "kinetic-check", "characteristics", "all")
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "domain": {"kind": str, "a": float, "b": float, "L": float, "R": float, "delta": float},
-    "grid": {"resolution": int, "h": float, "ghost": int},
+_POSITIVE = "a finite number > 0", lambda v: 0 < v < np.inf
+_PATH = "a path", lambda v: True
+
+
+def _number(default: str | None = None):
+    return float, default, _POSITIVE
+
+
+def _count(low: int, default: str | None = None):
+    return int, default, (f"an integer >= {low}", lambda v: v >= low)
+
+
+_DOMAINS = {"ellipse": (Ellipse, ("a", "b")), "stadium": (Stadium, ("L", "R"))}
+
+# section -> key -> (parser, default as text or None for unset, (valid range in words, check)).
+# The [minimize] keys that MinimizeOptions holds are unset here, so their defaults live there alone.
+_SCHEMA = {
+    "domain": {"kind": (str, "ellipse", ("ellipse or stadium", _DOMAINS.__contains__)),
+               "a": _number(), "b": _number(), "L": _number(), "R": _number(), "delta": _number()},
+    "grid": {"resolution": _count(1, "128"), "h": _number(), "ghost": _count(0, "2")},
     "minimize": {
-        "eps_list": str, "max_iter": int, "tol": float, "eta0": float,
-        "eta_min": float, "hessian_power": int, "warm_start": str,
+        "eps_list": (lambda text: [float(tok) for tok in text.replace(",", " ").split()], "0.4, 0.2, 0.1",
+                     ("a list of finite numbers > 0", lambda v: bool(v) and all(map(_POSITIVE[1], v)))),
+        "max_iter": _count(0), "tol": _number(), "eta0": _number(), "eta_min": _number(),
+        "hessian_power": (int, None, ("1 or 2", (1, 2).__contains__)),
+        "warm_start": (Path, None, _PATH),
     },
     "diagnostics": {
-        "n_frames": int, "ensemble_n": int, "ensemble_T": float, "beta_grid": int,
-        "ensemble_dt": float,  # accepted so that older configs parse; read by nothing
+        "n_frames": _count(1, "8"), "ensemble_n": _count(lagrangian_mod.MIN_CURVES, "20000"),
+        "ensemble_T": _number("1.0"), "beta_grid": _count(1, "100"),
+        "ensemble_dt": (float, None, ("a number", lambda v: True)),  # read by nothing; see the module docstring
     },
-    "output": {"directory": str, "seed": int},
+    "output": {"directory": (Path, "out", _PATH), "seed": _count(0, "1234")},
 }
+_OPTIONS = [key for key in _SCHEMA["minimize"] if key != "eps_list"]  # the MinimizeOptions fields
+
+
+def _typed(entry: tuple, text: str):
+    """The value of one key's text; ValueError unless it parses and lies in range."""
+    parse, _, (_, ok) = entry
+    value = parse(text)
+    if not ok(value):
+        raise ValueError(text)
+    return value
 
 
 @dataclass
 class ExperimentConfig:
-    raw: dict[str, dict[str, str]]
-    path: Path
+    """A checked config: the text of every key it sets, the typed values, and what they build."""
 
-    # parsed views -----------------------------------------------------------
-    def domain(self) -> Domain:
-        sec = self.raw.get("domain", {})
-        kind = sec.get("kind", "ellipse")
-        delta = float(sec["delta"]) if "delta" in sec else None
-        if kind == "ellipse":
-            return Ellipse(a=float(sec["a"]), b=float(sec["b"]), delta=delta)
-        if kind == "stadium":
-            return Stadium(L=float(sec["L"]), R=float(sec["R"]), delta=delta)
-        raise ConfigError(f"unknown domain kind {kind!r}")
+    raw: dict[str, dict[str, str]]  # the text of every key set; serialize and config_hash read only this
+    values: dict[str, object]  # every schema key, typed and checked; None where unset
+    domain: Domain
+    opts: energy_mod.MinimizeOptions  # warm start loaded
 
-    def grid_args(self) -> dict:
-        sec = self.raw.get("grid", {})
-        h = float(sec["h"]) if "h" in sec else None
-        resolution = None if "h" in sec else int(sec.get("resolution", 128))
-        return {"h": h, "resolution": resolution, "ghost": int(sec.get("ghost", 2))}
-
+    @cached_property
     def grid(self) -> Grid:
-        return Grid.cover(self.domain(), **self.grid_args())
+        """The one grid of a run; h, when set, wins over resolution."""
+        h = self.values["h"]
+        return Grid.cover(self.domain, h=h, resolution=None if h else self.values["resolution"],
+                          ghost=self.values["ghost"])
 
-    def eps_list(self) -> list[float]:
-        text = self.raw.get("minimize", {}).get("eps_list", "0.4, 0.2, 0.1")
-        try:
-            eps = [float(tok) for tok in text.replace(",", " ").split()]
-        except ValueError:
-            eps = []
-        if not eps or not all(e > 0 for e in eps):
-            raise ConfigError(f"eps_list must list positive numbers, got {text!r}")
-        return eps
-
-    def minimize_options(self) -> energy_mod.MinimizeOptions:
-        sec = self.raw.get("minimize", {})
-        opts = energy_mod.MinimizeOptions()
-        if "max_iter" in sec:
-            opts.max_iter = int(sec["max_iter"])
-        if "tol" in sec:
-            opts.tol = float(sec["tol"])
-        if "eta0" in sec:
-            opts.eta0 = float(sec["eta0"])
-        if "eta_min" in sec:
-            opts.eta_min = float(sec["eta_min"])
-        if "hessian_power" in sec:
-            opts.hessian_power = int(sec["hessian_power"])
-            if opts.hessian_power not in (1, 2):
-                raise ConfigError("hessian_power must be 1 or 2")
-        if "warm_start" in sec:
-            opts.warm_start = load_field(self.resolve(sec["warm_start"]))
-        return opts
-
-    def diag(self, key: str, default):
-        sec = self.raw.get("diagnostics", {})
-        if key not in sec:
-            return default
-        caster = type(default)
-        return caster(sec[key])
-
-    def output_dir(self) -> Path:
-        sec = self.raw.get("output", {})
-        return self.resolve(sec.get("directory", "out"))
-
-    def seed(self) -> int:
-        return int(self.raw.get("output", {}).get("seed", "1234"))
-
-    def resolve(self, rel: str) -> Path:
-        p = Path(rel)
-        return p if p.is_absolute() else (self.path.parent / p)
-
-    # canonical text ----------------------------------------------------------
     def serialize(self) -> str:
         lines = []
         for section in sorted(self.raw):
@@ -139,12 +118,14 @@ class ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
+    """Read and check a config; any fault raises ConfigError with the file and, for one key, its line."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw: dict[str, dict[str, str]] = {}
+    lines: dict[str, int] = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -164,14 +145,33 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-        caster = _SCHEMA[section][key]
-        if caster in (int, float) and key != "eps_list":
-            try:
-                caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: invalid value for {key}: {value!r}") from exc
         raw[section][key] = value
-    return ExperimentConfig(raw=raw, path=path)
+        lines[key] = lineno
+
+    values: dict[str, object] = {}
+    for section, entries in _SCHEMA.items():
+        for key, entry in entries.items():
+            text = raw.get(section, {}).get(key, entry[1])
+            try:
+                values[key] = None if text is None else _typed(entry, text)
+            except ValueError:
+                raise ConfigError(f"{path}:{lines[key]}: {key} must be {entry[2][0]}, got {text!r}") from None
+    if values["warm_start"] is not None:
+        try:
+            values["warm_start"] = load_field(path.parent / values["warm_start"])
+        except (OSError, ValueError, KeyError, IndexError) as exc:
+            raise ConfigError(f"{path}:{lines['warm_start']}: cannot load warm_start: {exc}") from None
+    values["directory"] = path.parent / values["directory"]
+    cls, sizes = _DOMAINS[values["kind"]]
+    try:
+        if any(values[key] is None for key in sizes):
+            raise ValueError(f"a domain of kind {values['kind']} needs {' and '.join(sizes)}")
+        domain = cls(*(values[key] for key in sizes), delta=values["delta"])
+        energy_mod.check_eps_schedule(values["eps_list"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    opts = energy_mod.MinimizeOptions(**{key: values[key] for key in _OPTIONS if values[key] is not None})
+    return ExperimentConfig(raw, values, domain, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def _stamp(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.config_hash(), "seed": cfg.seed()}
+    return {"config_hash": cfg.config_hash(), "seed": cfg.values["seed"]}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -225,11 +225,9 @@ def _fmt(v) -> str:
 
 
 def run_minimize(cfg: ExperimentConfig) -> int:
-    domain, grid = cfg.domain(), cfg.grid()
-    opts = cfg.minimize_options()
-    eps = cfg.eps_list()[0]
-    res = energy_mod.minimize(domain, grid, eps, opts)
-    out = cfg.output_dir()
+    eps = cfg.values["eps_list"][0]
+    res = energy_mod.minimize(cfg.domain, cfg.grid, eps, cfg.opts)
+    out = cfg.values["directory"]
     dump_field(out / f"u_eps{eps:g}.txt", res.u)
     split = res.levels[-1].split
     _write_json(out / "minimize_summary.json", {
@@ -247,9 +245,8 @@ def run_minimize(cfg: ExperimentConfig) -> int:
 
 
 def run_limit_table(cfg: ExperimentConfig) -> int:
-    domain, grid = cfg.domain(), cfg.grid()
-    table = energy_mod.energy_limit_table(domain, grid, cfg.eps_list(), cfg.minimize_options())
-    out = cfg.output_dir()
+    table = energy_mod.energy_limit_table(cfg.domain, cfg.grid, cfg.values["eps_list"], cfg.opts)
+    out = cfg.values["directory"]
     rows = [[r.eps, r.total, r.hessian_term, r.potential_term, r.core_total, r.w11, r.converged, r.iterations]
             for r in table.rows]
     _write_table(out / "limit_table.csv",
@@ -268,10 +265,10 @@ def run_limit_table(cfg: ExperimentConfig) -> int:
 
 
 def run_entropy_report(cfg: ExperimentConfig) -> int:
-    domain, grid = cfg.domain(), cfg.grid()
+    domain, grid = cfg.domain, cfg.grid
     _, m = exact_limit_field(domain, grid)
     ridge = ridge_set(domain)
-    n_frames = cfg.diag("n_frames", 8)
+    n_frames = cfg.values["n_frames"]
     near = np.abs(grid.nodes[..., 1]) <= 3 * grid.h
 
     def production(theta):
@@ -290,7 +287,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
             "tv_near_ridge": prod.total_variation(grid.active() & near),
             "flux_boundary": entropy_mod.boundary_flux(domain, entropy_mod.Frame(theta)),
         })
-    out = cfg.output_dir()
+    out = cfg.values["directory"]
     _write_json(out / "entropy_frames.json", {
         **_stamp(cfg),
         "f0_jump": entropy_mod.f0_jump(ridge),
@@ -310,7 +307,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
 
 
 def run_kinetic_check(cfg: ExperimentConfig) -> int:
-    domain, grid = cfg.domain(), cfg.grid()
+    domain, grid = cfg.domain, cfg.grid
     betas = [np.pi / 8, np.pi / 4, np.pi / 3, 3 * np.pi / 8, np.pi / 2]
     gens = [kinetic_mod.EntropyGenerator(p) for p in (
         kinetic_mod.PSI_COS2, kinetic_mod.PSI_SIN2, kinetic_mod.PSI_COS4, kinetic_mod.PSI_SIN4)]
@@ -319,7 +316,7 @@ def run_kinetic_check(cfg: ExperimentConfig) -> int:
         for gen in gens:
             lhs, rhs = kinetic_mod.jump_identity_check(beta, gen)
             max_err = max(max_err, abs(lhs - rhs))
-    n_beta = cfg.diag("beta_grid", 100)
+    n_beta = cfg.values["beta_grid"]
     bgrid = np.linspace(0.0, np.pi, n_beta + 2)[1:-1]
     norm_err = max(abs(kinetic_mod.gbar_beta(float(b)).total_variation() - 1.0) for b in bgrid)
     alphas = [-1.0, -0.1, -0.05, -0.01, 0.01, 0.05, 0.1, 1.0]
@@ -333,9 +330,9 @@ def run_kinetic_check(cfg: ExperimentConfig) -> int:
     _, m = exact_limit_field(domain, grid)
     sigma = kinetic_mod.ridge_sigma_field(domain, grid)
     bank = kinetic_mod.default_test_bank(domain, grid)
-    res = kinetic_mod.kinetic_residual(m, sigma, bank)
-    report = kinetic_mod.sign_structure_report(sigma, ridge_set(domain))
-    _write_json(cfg.output_dir() / "kinetic_check.json", {
+    res = kinetic_mod.kinetic_residual(m, sigma.cells, bank)
+    report = kinetic_mod.sign_structure_report(sigma.cells, ridge_set(domain))
+    _write_json(cfg.values["directory"] / "kinetic_check.json", {
         **_stamp(cfg),
         "max_identity_error": max_err,
         "max_normalization_error": norm_err,
@@ -348,15 +345,13 @@ def run_kinetic_check(cfg: ExperimentConfig) -> int:
 
 
 def run_characteristics(cfg: ExperimentConfig) -> int:
-    domain, grid = cfg.domain(), cfg.grid()
-    n = cfg.diag("ensemble_n", 20000)
-    T = cfg.diag("ensemble_T", 1.0)
-    flow = lagrangian_mod.ensemble_flow(domain, grid.h)
-    report = lagrangian_mod.ensemble_representation_check(flow, n, T, cfg.seed(), grid.h)
-    out = cfg.output_dir()
+    h, T, seed = cfg.grid.h, cfg.values["ensemble_T"], cfg.values["seed"]
+    flow = lagrangian_mod.ensemble_flow(cfg.domain, h)
+    report = lagrangian_mod.ensemble_representation_check(flow, cfg.values["ensemble_n"], T, seed, h)
+    out = cfg.values["directory"]
     _write_json(out / "ensemble_report.json", {**_stamp(cfg), **report.to_json()})
     # a handful of individual curves for inspection, traced forward over [0, T]
-    pts, angs = lagrangian_mod._sample_chi_points(flow, 6, np.random.default_rng(cfg.seed()))
+    pts, angs = lagrangian_mod._sample_chi_points(flow, 6, np.random.default_rng(seed))
     t_end, _, _, t_ref, x_ref, s_ref = lagrangian_mod._trace_batch(flow, pts, angs, np.full(6, T), +1)
     times = np.linspace(0.0, t_end, 33)  # one column per curve
     x, s = lagrangian_mod.curve_at(times, pts, 0.0, angs, (t_ref, x_ref, s_ref), (-np.inf, np.nan, np.nan))
@@ -377,8 +372,7 @@ def run(subcommand: str, config_path: str | Path) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(config_path)
-        cfg.domain(), cfg.eps_list(), Grid.check_cover(**cfg.grid_args())  # validate early; builds no grid
-    except (ConfigError, ValueError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     steps = {
@@ -389,11 +383,7 @@ def run(subcommand: str, config_path: str | Path) -> int:
         "characteristics": (run_characteristics,),
         "all": (run_entropy_report, run_kinetic_check, run_characteristics, run_limit_table),
     }[subcommand]
-    status = EXIT_OK
-    for step in steps:
-        code = step(cfg)
-        status = max(status, code)
-    return status
+    return max(step(cfg) for step in steps)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -401,6 +401,8 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
     opts = opts or MinimizeOptions()
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if opts.hessian_power == 1 and not opts.resolved_eta_min(grid.h) > 0:  # else the schedule never ends
+        raise ValueError(f"hessian_power=1 needs eta_min > 0, got {opts.eta_min}")
     if opts.warm_start is not None:
         u = ScalarField(grid, opts.warm_start.values.copy())
         u_exact, _ = exact_limit_field(domain, grid)
@@ -460,6 +462,12 @@ class LimitTable:
     gap_monotone: bool
 
 
+def check_eps_schedule(eps_list: list[float]) -> None:
+    """Raise ValueError unless ``eps_list`` is strictly decreasing, as a limit table needs."""
+    if any(e2 >= e1 for e1, e2 in zip(eps_list[:-1], eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+
+
 def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
                        opts: MinimizeOptions | None = None, slack: float = 0.05) -> LimitTable:
     """Minimize along a decreasing eps schedule, warm-starting each run.
@@ -468,8 +476,7 @@ def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
     distance over interior nodes; monotonicity of that distance and of
     the relative energy gap (up to ``slack``) is recorded on the table.
     """
-    if any(e2 >= e1 for e1, e2 in zip(eps_list[:-1], eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    check_eps_schedule(eps_list)
     opts = opts or MinimizeOptions()
     u_exact, _ = exact_limit_field(domain, grid)
     f0_ref = entropy_mod.f0_jump(ridge_set(domain))

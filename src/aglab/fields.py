@@ -78,70 +78,39 @@ def _shifted(A: np.ndarray, di: int, dj: int) -> np.ndarray:
     return B
 
 
-def _emit(rows, cols, data, case_mask, offsets, coeffs, ny, axis):
-    ii, jj = np.nonzero(case_mask)
-    lin = ii * ny + jj
-    for off, c in zip(offsets, coeffs):
-        if axis == 0:
-            tgt = (ii + off) * ny + jj
-        else:
-            tgt = ii * ny + (jj + off)
-        rows.append(lin)
-        cols.append(tgt)
-        data.append(np.full(lin.shape, c))
+# (offsets along the axis, weights times h^order) per derivative order, in
+# order of preference: a node takes the first stencil whose nodes are all active
+_STENCILS = {
+    1: (((1, -1), (0.5, -0.5)), ((0, 1, 2), (-1.5, 2.0, -0.5)), ((0, -1, -2), (1.5, -2.0, 0.5)),
+        ((0, 1), (-1.0, 1.0)), ((0, -1), (1.0, -1.0))),
+    2: (((-1, 0, 1), (1, -2, 1)), ((0, 1, 2, 3), (2, -5, 4, -1)), ((0, -1, -2, -3), (2, -5, 4, -1)),
+        ((0, 1, 2), (1, -2, 1)), ((0, -1, -2), (1, -2, 1))),
+}
 
 
-def _first_derivative(active: np.ndarray, h: float, axis: int) -> sp.csr_matrix:
-    def nb(k):
-        return _shifted(active, k, 0) if axis == 0 else _shifted(active, 0, k)
+def _derivative(active: np.ndarray, h: float, axis: int, order: int) -> sp.csr_matrix:
+    """First or second derivative along ``axis``, second order where a stencil allows it.
 
-    A = active
-    cen = A & nb(1) & nb(-1)
-    fwd2 = A & ~cen & nb(1) & nb(2)
-    bwd2 = A & ~cen & ~fwd2 & nb(-1) & nb(-2)
-    fwd1 = A & ~cen & ~fwd2 & ~bwd2 & nb(1)
-    bwd1 = A & ~cen & ~fwd2 & ~bwd2 & ~fwd1 & nb(-1)
-
-    rows, cols, data = [], [], []
+    Rows of inactive nodes, and of active nodes no stencil fits, are empty.
+    """
+    scale = h if order == 1 else h * h
     ny = active.shape[1]
-    _emit(rows, cols, data, cen, (1, -1), (0.5 / h, -0.5 / h), ny, axis)
-    _emit(rows, cols, data, fwd2, (0, 1, 2), (-1.5 / h, 2.0 / h, -0.5 / h), ny, axis)
-    _emit(rows, cols, data, bwd2, (0, -1, -2), (1.5 / h, -2.0 / h, 0.5 / h), ny, axis)
-    _emit(rows, cols, data, fwd1, (0, 1), (-1.0 / h, 1.0 / h), ny, axis)
-    _emit(rows, cols, data, bwd1, (0, -1), (1.0 / h, -1.0 / h), ny, axis)
-    n = active.size
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
-def _second_derivative(active: np.ndarray, h: float, axis: int) -> sp.csr_matrix:
-    def nb(k):
-        return _shifted(active, k, 0) if axis == 0 else _shifted(active, 0, k)
-
-    h2 = h * h
-    A = active
-    cen = A & nb(1) & nb(-1)
-    fwd3 = A & ~cen & nb(1) & nb(2) & nb(3)
-    bwd3 = A & ~cen & ~fwd3 & nb(-1) & nb(-2) & nb(-3)
-    fwd2 = A & ~cen & ~fwd3 & ~bwd3 & nb(1) & nb(2)
-    bwd2 = A & ~cen & ~fwd3 & ~bwd3 & ~fwd2 & nb(-1) & nb(-2)
-
+    step = ny if axis == 0 else 1  # flat-index distance of one node along the axis
+    free = active.copy()
     rows, cols, data = [], [], []
-    ny = active.shape[1]
-    _emit(rows, cols, data, cen, (-1, 0, 1), (1 / h2, -2 / h2, 1 / h2), ny, axis)
-    _emit(rows, cols, data, fwd3, (0, 1, 2, 3), (2 / h2, -5 / h2, 4 / h2, -1 / h2), ny, axis)
-    _emit(rows, cols, data, bwd3, (0, -1, -2, -3), (2 / h2, -5 / h2, 4 / h2, -1 / h2), ny, axis)
-    _emit(rows, cols, data, fwd2, (0, 1, 2), (1 / h2, -2 / h2, 1 / h2), ny, axis)
-    _emit(rows, cols, data, bwd2, (0, -1, -2), (1 / h2, -2 / h2, 1 / h2), ny, axis)
+    for offsets, weights in _STENCILS[order]:
+        case = free.copy()
+        for off in offsets:
+            case &= _shifted(active, off, 0) if axis == 0 else _shifted(active, 0, off)
+        free &= ~case
+        ii, jj = np.nonzero(case)
+        lin = ii * ny + jj
+        for off, w in zip(offsets, weights):
+            rows.append(lin)
+            cols.append(lin + off * step)
+            data.append(np.full(lin.shape, w / scale))
     n = active.size
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -177,10 +146,8 @@ def diff_ops(grid: Grid) -> DiffOps:
     if cached is not None:
         return cached
     active = grid.active()
-    d1 = _first_derivative(active, grid.h, axis=0)
-    d2 = _first_derivative(active, grid.h, axis=1)
-    d11 = _second_derivative(active, grid.h, axis=0)
-    d22 = _second_derivative(active, grid.h, axis=1)
+    d1, d2 = (_derivative(active, grid.h, axis, 1) for axis in (0, 1))
+    d11, d22 = (_derivative(active, grid.h, axis, 2) for axis in (0, 1))
     d12 = (d1 @ d2).tocsr()
     active_idx = np.flatnonzero(active.ravel())
     interior_idx = np.flatnonzero(grid.interior().ravel())

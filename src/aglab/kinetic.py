@@ -442,10 +442,10 @@ class KineticResidualReport:
     without_sigma: float  # the residual of sigma = 0: max over the bank of |int Phi(m).grad(zeta)|
 
 
-def kinetic_residual(m: VectorField, sigma_field: RidgeSigmaField | dict, bank: TestBank) -> KineticResidualReport:
-    """Max over the bank of |int Phi(m).grad(zeta) - int zeta psi' dsigma|."""
+def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure],
+                     bank: TestBank) -> KineticResidualReport:
+    """Max over the bank of |int Phi(m).grad(zeta) - int zeta psi' dsigma|, sigma given by its node cells."""
     grid = m.grid
-    cells = sigma_field.cells if isinstance(sigma_field, RidgeSigmaField) else sigma_field
     active = grid.active()
     pts = grid.nodes
     cell_pts = pts[[i for i, _ in cells], [j for _, j in cells]].reshape(-1, 2)
@@ -507,16 +507,15 @@ class SignStructureReport:
         }
 
 
-def sign_structure_report(sigma_field: RidgeSigmaField | dict, ridge: RidgeSet | None = None) -> SignStructureReport:
-    """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs.
+def sign_structure_report(cells: dict[tuple[int, int], CircleMeasure], ridge: RidgeSet) -> SignStructureReport:
+    """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs, sigma given by its node cells.
 
     Also reports the fraction of ridge normals aligned with the vertical
     axis, the axis-alignment census for the jump set.
     """
-    cells = sigma_field.cells if isinstance(sigma_field, RidgeSigmaField) else sigma_field
     min_margin = min((derivative_min_on_arcs(mu) for mu in cells.values()), default=0.0)
     vertical = 1.0
-    if ridge is not None and ridge.length > 0:
+    if ridge.length > 0:
         xs = np.linspace(ridge.p_minus[0], ridge.p_plus[0], 257)[1:-1]
         n = ridge.data(xs)["n"]
         aligned = np.abs(np.abs(n[..., 1]) - 1.0) < 1e-9

@@ -46,6 +46,9 @@ from .errors import NoConvergence
 from .geometry import Domain, ridge_span
 
 TWO_PI = 2.0 * np.pi
+MIN_CURVES = 1000  # the smallest ensemble the representation check accepts
+_PROBE_FRACS = (0.2, 0.4, 0.6, 0.8)  # probe times of the pushforward test, as fractions of T
+_MIN_EXPECTED = 8.0  # a bin enters the chi-squared sum once it expects this many effective curves
 _SIDE_EPS = 1e-30
 _CHI_TOL = 1e-12
 _EXIT_MAX_ITER = 40
@@ -284,10 +287,6 @@ def ensemble_representation_check(
     T: float,
     seed: int,
     h: float,
-    probe_fracs: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8),
-    spatial_bins: tuple[int, int] | None = None,
-    angular_bins: int | None = None,
-    min_expected: float = 8.0,
 ) -> EnsembleReport:
     """Monte Carlo validation of the characteristic ensemble.
 
@@ -299,12 +298,10 @@ def ensemble_representation_check(
     largest distance, over curves that are not stuck, between a traced
     end and the place ``curve_at`` gives it from the curve's records.
     """
-    if n_curves < 1000:
-        raise ValueError("ensemble check needs at least 10^3 curves")
-    if spatial_bins is None:
-        spatial_bins = (10, 6) if n_curves >= 50000 else (6, 4)
-    if angular_bins is None:
-        angular_bins = 8 if n_curves >= 50000 else 6
+    if n_curves < MIN_CURVES:
+        raise ValueError(f"ensemble check needs at least {MIN_CURVES} curves")
+    # spatial (x, y) and angular bins of the pushforward test
+    nbx, nby, angular_bins = (10, 6, 8) if n_curves >= 50000 else (6, 4, 6)
     rng = np.random.default_rng(seed)
     pts, angs = _sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
@@ -326,10 +323,9 @@ def ensemble_representation_check(
                      curve_at(t_minus, pts, t0, angs, fwd, bwd)[0] - bwd_end])
     endpoint_error = float(np.sqrt(np.max(np.sum(miss * miss, axis=-1)[:, live], initial=0.0)))
 
-    probes = [f * T for f in probe_fracs]
+    probes = [f * T for f in _PROBE_FRACS]
     probe_stats = []
     x0b, x1b, y0b, y1b = flow.bbox
-    nbx, nby = spatial_bins
     xe = np.linspace(x0b, x1b, nbx + 1)
     ye = np.linspace(y0b, y1b, nby + 1)
     se = np.linspace(0.0, TWO_PI, angular_bins + 1)
@@ -361,7 +357,7 @@ def ensemble_representation_check(
         H, _ = np.histogramdd(np.column_stack([x[ids], np.mod(s[ids], TWO_PI)]),
                               bins=(xe, ye, se), weights=weights[ids])
         expected = np.sum(weights[ids]) * p_bin
-        sel = expected >= min_expected * w2_ratio
+        sel = expected >= _MIN_EXPECTED * w2_ratio
         dof = int(np.sum(sel)) - 1
         if dof < 1:
             probe_stats.append(ProbeStat(tp, 0.0, 0, 0.0, True))

@@ -2,14 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aglab
+from aglab import cli
 from aglab.cli import EXIT_CONFIG, EXIT_OK, main, parse_config, run
+from aglab.energy import MinimizeOptions
 from aglab.errors import ConfigError
+from aglab.fields import load_field
+from aglab.geometry import Ellipse
 
 ELLIPSE_CFG = """
 [domain]
@@ -118,7 +123,14 @@ def test_removed_key_is_a_config_error(tmp_path, extra):
     ("resolution = 48", "resolution = 0"), ("resolution = 48", "h = 0"), ("resolution = 48", "h = -0.1"),
     ("resolution = 48", "resolution = 48\nghost = -5"), ("eps_list = 0.5, 0.4", "eps_list = 0.2, x"),
     ("eps_list = 0.5, 0.4", "eps_list = -0.1"), ("eps_list = 0.5, 0.4", "eps_list = 0.5, 0"),
-], ids=["resolution-0", "h-0", "h-negative", "ghost-negative", "eps-not-a-number", "eps-negative", "eps-0"])
+    ("hessian_power = 2", "hessian_power = 3"), ("hessian_power = 2", "hessian_power = 2\nwarm_start = none.txt"),
+    ("hessian_power = 2", "hessian_power = 1\neta_min = 0"), ("resolution = 48", "h = inf"),
+    ("tol = 5e-3", "tol = nan"), ("ensemble_n = 2000", "ensemble_n = 10"), ("beta_grid = 12", "beta_grid = 0"),
+    ("ensemble_T = 0.5", "ensemble_T = 0"), ("n_frames = 2", "n_frames = 0"), ("seed = 99", "seed = -1"),
+    ("eps_list = 0.5, 0.4", "eps_list = 0.4, 0.5"), ("b = 0.5", "b = 1.5"), ("kind = ellipse", "kind = stadium"),
+], ids=["resolution-0", "h-0", "h-negative", "ghost-negative", "eps-not-a-number", "eps-negative", "eps-0",
+        "hessian-power-3", "warm-start-missing", "eta-min-0", "h-inf", "tol-nan", "ensemble-n-10", "beta-grid-0",
+        "ensemble-T-0", "n-frames-0", "seed-negative", "eps-increasing", "b-above-a", "stadium-without-L-R"])
 @pytest.mark.parametrize("subcommand", ["minimize", "limit-table", "characteristics"])
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, bad, subcommand):
     p = write_cfg(tmp_path, ELLIPSE_CFG.replace(*bad))
@@ -136,6 +148,41 @@ def test_config_check_builds_no_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(geometry.Grid, "cover", staticmethod(lambda *a, **k: covers.append(a) or cover(*a, **k)))
     assert run("characteristics", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
     assert len(covers) == 1
+    # the pipelines of one run share its grid
+    covers.clear()
+    assert run("all", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
+    assert len(covers) == 1
+
+
+def test_negative_eta_min_is_rejected_at_parse(tmp_path):
+    # at hessian_power = 1 such a value would never end the eta schedule, so it is checked only here
+    text = ELLIPSE_CFG.replace("hessian_power = 2", "hessian_power = 1\neta_min = -1")
+    line = text.splitlines().index("eta_min = -1") + 1
+    with pytest.raises(ConfigError, match=rf":{line}: eta_min must be a finite number > 0, got '-1'$"):
+        parse_config(write_cfg(tmp_path, text))
+
+
+def test_schema_defaults_pass_their_own_checks():
+    for entries in cli._SCHEMA.values():
+        for key, (parse, default, check) in entries.items():
+            if default is not None:
+                cli._typed((parse, default, check), default)
+    # the [minimize] keys left unset are exactly the fields whose defaults MinimizeOptions holds
+    assert cli._OPTIONS == [f.name for f in fields(MinimizeOptions)]
+    assert all(cli._SCHEMA["minimize"][key][1] is None for key in cli._OPTIONS)
+
+
+def test_config_holds_typed_values_and_built_objects(tmp_path):
+    field_dir = tmp_path / "fields"
+    assert run("minimize", write_cfg(tmp_path, ELLIPSE_CFG.replace("directory = out", "directory = fields"))) == EXIT_OK
+    cfg = parse_config(write_cfg(tmp_path, ELLIPSE_CFG.replace(
+        "hessian_power = 2", "hessian_power = 2\nwarm_start = fields/u_eps0.5.txt")))
+    assert cfg.domain == Ellipse(1.0, 0.5)
+    assert cfg.values["eps_list"] == [0.5, 0.4] and cfg.values["seed"] == 99 and cfg.values["ghost"] == 2
+    assert cfg.values["directory"] == tmp_path / "out"
+    assert (cfg.opts.max_iter, cfg.opts.tol, cfg.opts.hessian_power, cfg.opts.eta0) == (1500, 5e-3, 2, 1.0)
+    assert np.array_equal(cfg.opts.warm_start.values, load_field(field_dir / "u_eps0.5.txt").values)
+    assert cfg.grid is cfg.grid and cfg.grid.nx == 48 + 2 * 2 + 1  # resolution plus two ghost layers a side
 
 
 def test_characteristics_traces_three_batches(tmp_path, monkeypatch):

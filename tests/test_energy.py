@@ -461,6 +461,14 @@ def test_limit_table_requires_decreasing(ellipse, grid64):
         energy_limit_table(ellipse, grid64, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("eta_min", [0.0, -1.0, np.nan])
+def test_minimize_rejects_an_eta_min_the_schedule_never_reaches(ellipse, eta_min):
+    # at hessian_power = 1 eta halves from eta0 until it reaches eta_min; below 0 it never does
+    grid = Grid.cover(ellipse, resolution=16)
+    with pytest.raises(ValueError, match="needs eta_min > 0"):
+        minimize(ellipse, grid, 0.4, MinimizeOptions(eta_min=eta_min, hessian_power=1))
+
+
 def test_grad_norm_scale(grid64):
     g = np.zeros(grid64.shape)
     g[10, 10] = grid64.h

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from aglab import geometry
+from aglab import fields, geometry
 from aglab.fields import (
     CellMeasure,
     ScalarField,
@@ -268,3 +269,97 @@ def test_dump_field_matches_row_loop(tmp_path, grid64, limit64):
         path = tmp_path / "f.txt"
         dump_field(path, fld)
         assert path.read_text() == "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the two stencil cascades that the table-driven ``fields._derivative`` replaced,
+# kept as its reference
+
+
+def _old_emit(rows, cols, data, case_mask, offsets, coeffs, ny, axis):
+    ii, jj = np.nonzero(case_mask)
+    lin = ii * ny + jj
+    for off, c in zip(offsets, coeffs):
+        if axis == 0:
+            tgt = (ii + off) * ny + jj
+        else:
+            tgt = ii * ny + (jj + off)
+        rows.append(lin)
+        cols.append(tgt)
+        data.append(np.full(lin.shape, c))
+
+
+def _old_matrix(rows, cols, data, n):
+    return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+
+def _old_first_derivative(active, h, axis):
+    def nb(k):
+        return fields._shifted(active, k, 0) if axis == 0 else fields._shifted(active, 0, k)
+
+    A = active
+    cen = A & nb(1) & nb(-1)
+    fwd2 = A & ~cen & nb(1) & nb(2)
+    bwd2 = A & ~cen & ~fwd2 & nb(-1) & nb(-2)
+    fwd1 = A & ~cen & ~fwd2 & ~bwd2 & nb(1)
+    bwd1 = A & ~cen & ~fwd2 & ~bwd2 & ~fwd1 & nb(-1)
+    rows, cols, data = [], [], []
+    ny = active.shape[1]
+    _old_emit(rows, cols, data, cen, (1, -1), (0.5 / h, -0.5 / h), ny, axis)
+    _old_emit(rows, cols, data, fwd2, (0, 1, 2), (-1.5 / h, 2.0 / h, -0.5 / h), ny, axis)
+    _old_emit(rows, cols, data, bwd2, (0, -1, -2), (1.5 / h, -2.0 / h, 0.5 / h), ny, axis)
+    _old_emit(rows, cols, data, fwd1, (0, 1), (-1.0 / h, 1.0 / h), ny, axis)
+    _old_emit(rows, cols, data, bwd1, (0, -1), (1.0 / h, -1.0 / h), ny, axis)
+    return _old_matrix(rows, cols, data, active.size)
+
+
+def _old_second_derivative(active, h, axis):
+    def nb(k):
+        return fields._shifted(active, k, 0) if axis == 0 else fields._shifted(active, 0, k)
+
+    h2 = h * h
+    A = active
+    cen = A & nb(1) & nb(-1)
+    fwd3 = A & ~cen & nb(1) & nb(2) & nb(3)
+    bwd3 = A & ~cen & ~fwd3 & nb(-1) & nb(-2) & nb(-3)
+    fwd2 = A & ~cen & ~fwd3 & ~bwd3 & nb(1) & nb(2)
+    bwd2 = A & ~cen & ~fwd3 & ~bwd3 & ~fwd2 & nb(-1) & nb(-2)
+    rows, cols, data = [], [], []
+    ny = active.shape[1]
+    _old_emit(rows, cols, data, cen, (-1, 0, 1), (1 / h2, -2 / h2, 1 / h2), ny, axis)
+    _old_emit(rows, cols, data, fwd3, (0, 1, 2, 3), (2 / h2, -5 / h2, 4 / h2, -1 / h2), ny, axis)
+    _old_emit(rows, cols, data, bwd3, (0, -1, -2, -3), (2 / h2, -5 / h2, 4 / h2, -1 / h2), ny, axis)
+    _old_emit(rows, cols, data, fwd2, (0, 1, 2), (1 / h2, -2 / h2, 1 / h2), ny, axis)
+    _old_emit(rows, cols, data, bwd2, (0, -1, -2), (1 / h2, -2 / h2, 1 / h2), ny, axis)
+    return _old_matrix(rows, cols, data, active.size)
+
+
+def _same_csr(A, B):
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices) and np.array_equal(A.data, B.data))
+
+
+def test_stencils_match_the_cascades_on_random_masks():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 12, size=2))
+        active = rng.random(shape) < rng.uniform(0.3, 1.0)
+        h = rng.uniform(0.01, 1.0)
+        for axis in (0, 1):
+            assert _same_csr(fields._derivative(active, h, axis, 1), _old_first_derivative(active, h, axis))
+            assert _same_csr(fields._derivative(active, h, axis, 2), _old_second_derivative(active, h, axis))
+
+
+@pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Stadium(2.0, 1.0)], ids=["ellipse", "stadium"])
+def test_diff_ops_match_the_cascades(domain):
+    # same arrays, in the same (unsorted) order, so every product sums in the same order
+    grid = Grid.cover(domain, h=1 / 40)
+    ops = diff_ops(grid)
+    active, h = grid.active(), grid.h
+    d1, d2 = (_old_first_derivative(active, h, axis) for axis in (0, 1))
+    d11, d22 = (_old_second_derivative(active, h, axis) for axis in (0, 1))
+    d12 = (d1 @ d2).tocsr()
+    stacked = sp.vstack([op[ops.active_idx] for op in (d1, d2, d11, d22, d12)], format="csr")
+    for new, old in [(ops.d1, d1), (ops.d2, d2), (ops.d11, d11), (ops.d22, d22), (ops.d12, d12),
+                     (ops.stacked, stacked), (ops.stacked_t, stacked[:, ops.interior_idx].T.tocsr())]:
+        assert _same_csr(new, old)

@@ -249,7 +249,7 @@ def test_kinetic_residual_refines(ellipse):
         g = Grid.cover(ellipse, h=h)
         _, m = exact_limit_field(ellipse, g)
         bank = default_test_bank(ellipse, g)
-        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g), bank).max_residual
+        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g).cells, bank).max_residual
         without = kinetic_residual(m, {}, bank).max_residual
         assert with_sigma < 0.12 * without
         if prev is not None:
@@ -275,7 +275,7 @@ def test_sign_structure_margins():
 
 def test_sign_structure_report_on_reference(ellipse, grid64):
     sig = ridge_sigma_field(ellipse, grid64)
-    rep = sign_structure_report(sig, ridge_set(ellipse))
+    rep = sign_structure_report(sig.cells, ridge_set(ellipse))
     assert rep.min_margin >= -1e-12
     assert rep.vertical_normal_fraction == 1.0
     assert rep.n_cells == len(sig.cells)
@@ -365,8 +365,8 @@ def test_kinetic_residual_matches_per_cell_loop(ellipse, grid64, limit64):
             lhs = grid64.h**2 * float(np.sum(np.sum(phi_m * bump.gradient(pts), axis=-1)[active]))
             rhs = sum(float(bump.value(pts[key])) * pairings[key] for key in sigma.cells)
             worst = max(worst, abs(lhs - rhs))
-    rep = kinetic_residual(m, sigma, bank)
+    rep = kinetic_residual(m, sigma.cells, bank)
     assert abs(rep.max_residual - worst) <= 1e-13
     assert rep.without_sigma == kinetic_residual(m, {}, bank).max_residual
-    empty = kinetic_residual(m, RidgeSigmaField(grid64, {}, {}, {}, {}), bank)
+    empty = kinetic_residual(m, RidgeSigmaField(grid64, {}, {}, {}, {}).cells, bank)
     assert empty.max_residual == empty.without_sigma == rep.without_sigma
