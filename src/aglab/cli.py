@@ -4,13 +4,13 @@ Config files are key = value pairs grouped into [section] headers.  One
 table, ``_SCHEMA``, gives every key its parser, default and valid range.
 ``parse_config`` rejects unknown sections and keys, types, defaults and
 range-checks every key in one pass, then builds the domain and the
-minimizer options (loading any warm start).  Rules that span several
-keys stay with the objects that enforce them, the domain constructors
-and ``energy.check_eps_schedule``, and their faults are config errors
-too.  So every check runs before any pipeline.  Relative paths resolve
-against the config file's directory.  Every report carries the config
-hash and the seed, and a fixed (config, seed) pair reproduces the
-outputs byte for byte.
+minimizer options.  A warm start is loaded and must lie on the run's
+grid.  Rules that span several keys stay with the objects that enforce
+them, the domain constructors and ``energy.check_eps_schedule``, and
+their faults are config errors too.  So every check runs before any
+pipeline.  Relative paths resolve against the config file's directory.
+Every report carries the config hash and the seed, and a fixed (config,
+seed) pair reproduces the outputs byte for byte.
 
 ``[diagnostics] ensemble_dt`` is accepted, because the benchmark's
 configs set it, but nothing reads it: the tracer moves from event to
@@ -23,7 +23,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -171,7 +171,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     opts = energy_mod.MinimizeOptions(**{key: values[key] for key in _OPTIONS if values[key] is not None})
-    return ExperimentConfig(raw, values, domain, opts)
+    cfg = ExperimentConfig(raw, values, domain, opts)
+    if opts.warm_start is not None:  # the run builds this grid anyway; cfg caches it
+        lattices = [(*map(float, g.origin), float(g.h), g.nx, g.ny, float(g.angle))
+                    for g in (opts.warm_start.grid, cfg.grid)]
+        if lattices[0] != lattices[1]:
+            raise ConfigError(f"{path}:{lines['warm_start']}: warm_start lies on another grid: "
+                              f"(x0, y0, h, nx, ny, angle) = {lattices[0]}, the config's is {lattices[1]}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +279,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
     near = np.abs(grid.nodes[..., 1]) <= 3 * grid.h
 
     def production(theta):
-        return entropy_mod.entropy_production(m, entropy_mod.frame_entropy_map(entropy_mod.Frame(theta)))
+        return entropy_mod.entropy_production(m, partial(entropy_mod.sigma_frame, theta))
 
     # the productions of f0_tilde_two_frames; the frame loop reuses them at
     # angles it hits exactly (both of them for n_frames = 8)
@@ -285,7 +292,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
             "frame_theta": theta,
             "tv_interior": prod.total_variation(grid.interior()),
             "tv_near_ridge": prod.total_variation(grid.active() & near),
-            "flux_boundary": entropy_mod.boundary_flux(domain, entropy_mod.Frame(theta)),
+            "flux_boundary": entropy_mod.boundary_flux(domain, theta),
         })
     out = cfg.values["directory"]
     _write_json(out / "entropy_frames.json", {
@@ -309,12 +316,11 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
 def run_kinetic_check(cfg: ExperimentConfig) -> int:
     domain, grid = cfg.domain, cfg.grid
     betas = [np.pi / 8, np.pi / 4, np.pi / 3, 3 * np.pi / 8, np.pi / 2]
-    gens = [kinetic_mod.EntropyGenerator(p) for p in (
-        kinetic_mod.PSI_COS2, kinetic_mod.PSI_SIN2, kinetic_mod.PSI_COS4, kinetic_mod.PSI_SIN4)]
+    gens = (kinetic_mod.PSI_COS2, kinetic_mod.PSI_SIN2, kinetic_mod.PSI_COS4, kinetic_mod.PSI_SIN4)
     max_err = 0.0
     for beta in betas:
-        for gen in gens:
-            lhs, rhs = kinetic_mod.jump_identity_check(beta, gen)
+        for psi in gens:
+            lhs, rhs = kinetic_mod.jump_identity_check(beta, psi)
             max_err = max(max_err, abs(lhs - rhs))
     n_beta = cfg.values["beta_grid"]
     bgrid = np.linspace(0.0, np.pi, n_beta + 2)[1:-1]

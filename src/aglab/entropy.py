@@ -1,18 +1,27 @@
 """Entropy calculus for unit divergence-free fields.
 
-The cubic frame family, construction of entropies from circle
-generators, entropy-production measures via the weak divergence, the
-defect functional evaluated three ways (two-frame combination, frame
-supremum, ridge jump integral), and boundary-flux quadrature.
+An entropy is any callable z -> Phi(z) on plane vectors, arrays of shape
+(..., 2); entropy production, jump brackets and boundary fluxes take it
+as such.  Two families supply them.
 
-Entropies are represented as trigonometric polynomials on the circle:
-a map Phi with dPhi/ds(e^{is}) . e^{is} = 0 is stored through the two
-component polynomials, and the generator psi enters via
+A cubic frame is its angle theta, the frame (e^{i theta}, e^{i(theta +
+pi/2)}), and its entropy Sigma_theta is ``partial(sigma_frame, theta)``.
+Sigma_theta is evaluated only in closed form, a cubic polynomial in z,
+which is valid off the circle too.
 
-    dPhi/ds(e^{is}) = 2 psi(s + pi/2) e^{i(s + pi/2)}.
+A circle generator is its trig polynomial psi.  ``entropy_from_generator``
+integrates
 
-Closure of Phi around the circle is equivalent to psi having no first
-harmonic, which is checkable on the coefficients.
+    dPhi/ds(e^{is}) = 2 psi(s + pi/2) e^{i(s + pi/2)}
+
+to the component polynomials of an ``EntropyMap``, which is called on a
+vector through its angle.  The map closes around the circle iff psi has
+no first harmonic, which is checked on the coefficients.  The frame
+entropy Sigma_theta is the map of the generator ``frame_generator(theta)``.
+
+The module also holds the defect functional evaluated three ways
+(two-frame combination, frame supremum, ridge jump integral) and the
+boundary-flux quadrature.
 
 A polynomial sum_{|k|<=n} c_k e^{iks} is evaluated through the point
 w = e^{is} on the unit circle: one complex exponential per point, then
@@ -23,7 +32,8 @@ one w, and the zero vector maps to w = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -31,6 +41,8 @@ import numpy as np
 from .errors import NonClosed
 from .fields import CellMeasure, VectorField, weak_divergence
 from .geometry import Domain, RidgeSet, integrate, offset_boundary
+
+Entropy = Callable[[np.ndarray], np.ndarray]  # z -> Phi(z) on plane vectors of shape (..., 2)
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +60,6 @@ class TrigPoly:
             raise ValueError("coefficient array must have odd length 2n+1")
         self.c = c
         self.n = c.size // 2
-
-    @staticmethod
-    def zero() -> "TrigPoly":
-        return TrigPoly(np.zeros(1, dtype=complex))
 
     @staticmethod
     def from_harmonics(const: float = 0.0, cos: dict[int, float] | None = None,
@@ -108,57 +116,21 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        n = max(self.n, other.n)
-        c = np.zeros(2 * n + 1, dtype=complex)
-        c[n - self.n:n + self.n + 1] += self.c
-        c[n - other.n:n + other.n + 1] += other.c
-        return TrigPoly(c)
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-1.0) * other
-
-    @property
-    def mean(self) -> float:
-        return float(np.real(self.c[self.n]))
-
     def harmonic(self, k: int) -> complex:
         if abs(k) > self.n:
             return 0.0 + 0.0j
         return complex(self.c[self.n + k])
 
 
-def _sin() -> TrigPoly:
-    return TrigPoly.from_harmonics(sin={1: 1.0})
-
-
-def _cos() -> TrigPoly:
-    return TrigPoly.from_harmonics(cos={1: 1.0})
-
-
 # ---------------------------------------------------------------------------
-# frames and the cubic family
+# the cubic frame family
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal frame (alpha1, alpha2) = (e^{i theta}, e^{i(theta + pi/2)})."""
-
-    theta: float
-
-    @property
-    def alpha1(self) -> np.ndarray:
-        return np.array([np.cos(self.theta), np.sin(self.theta)])
-
-    @property
-    def alpha2(self) -> np.ndarray:
-        return np.array([-np.sin(self.theta), np.cos(self.theta)])
-
-
-def sigma_frame(frame: Frame, z: np.ndarray) -> np.ndarray:
-    """(4/3)((z.a2)^3 a1 + (z.a1)^3 a2), the cubic entropy of the frame."""
+def sigma_frame(theta: float, z: np.ndarray) -> np.ndarray:
+    """(4/3)((z.a2)^3 a1 + (z.a1)^3 a2) for the frame (a1, a2) = (e^{i theta}, e^{i(theta + pi/2)})."""
     z = np.asarray(z, dtype=float)
-    a1, a2 = frame.alpha1, frame.alpha2
+    a1 = np.array([np.cos(theta), np.sin(theta)])
+    a2 = np.array([-np.sin(theta), np.cos(theta)])
     p = z[..., 0] * a1[0] + z[..., 1] * a1[1]
     q = z[..., 0] * a2[0] + z[..., 1] * a2[1]
     out = np.empty_like(z)
@@ -168,9 +140,9 @@ def sigma_frame(frame: Frame, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def frame_generator(frame: Frame) -> "EntropyGenerator":
+def frame_generator(theta: float) -> TrigPoly:
     """Circle generator of the cubic frame entropy: psi(t) = sin(2(t - theta))."""
-    return EntropyGenerator(TrigPoly.from_harmonics(sin={2: 1.0}).shift(frame.theta))
+    return TrigPoly.from_harmonics(sin={2: 1.0}).shift(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,74 +150,38 @@ def frame_generator(frame: Frame) -> "EntropyGenerator":
 
 
 @dataclass(frozen=True)
-class EntropyGenerator:
-    """Trig-polynomial generator psi; pi-periodic iff only even harmonics."""
-
-    psi: TrigPoly
-
-    @property
-    def pi_periodic(self) -> bool:
-        ks = self.psi.ks()
-        odd = ks % 2 != 0
-        return bool(np.all(np.abs(self.psi.c[odd]) <= 1e-14))
-
-    def closure_defect(self) -> float:
-        """Magnitude of the forbidden first harmonic of psi."""
-        return abs(self.psi.harmonic(1))
-
-
-@dataclass(frozen=True)
 class EntropyMap:
-    """Circle-to-plane entropy, component trig polynomials (phi1, phi2).
+    """The entropy of a circle generator, by its component trig polynomials (phi1, phi2).
 
-    ``vector_eval``, when set, evaluates the map directly on plane
-    vectors (used by the cubic frame family, whose closed form is a
-    polynomial in z and therefore meaningful slightly off the circle).
-    Otherwise vectors are radially projected to the circle first.
+    Called on plane vectors, it evaluates at their angle: z is taken to
+    e^{i arg z} on the circle, and the zero vector to angle 0.
     """
 
     phi1: TrigPoly
     phi2: TrigPoly
-    vector_eval: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def eval_circle(self, s) -> np.ndarray:
         w = np.exp(1j * np.asarray(s, dtype=float))
         return np.stack([self.phi1.at(w), self.phi2.at(w)], axis=-1)
 
-    def eval_vectors(self, z: np.ndarray) -> np.ndarray:
-        if self.vector_eval is not None:
-            return self.vector_eval(np.asarray(z, dtype=float))
+    def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        angle = np.arctan2(z[..., 1], z[..., 0])
-        return self.eval_circle(angle)
+        return self.eval_circle(np.arctan2(z[..., 1], z[..., 0]))
 
 
-def entropy_from_generator(gen: EntropyGenerator, tol: float = 1e-12) -> EntropyMap:
+def entropy_from_generator(psi: TrigPoly, tol: float = 1e-12) -> EntropyMap:
     """Integrate dPhi/ds = 2 psi(s + pi/2) e^{i(s + pi/2)} to a zero-mean map."""
-    if gen.closure_defect() > tol:
+    if abs(psi.harmonic(1)) > tol:
         raise NonClosed("generator carries a first harmonic; map does not close")
-    shifted = gen.psi.shift(-0.5 * np.pi)  # psi(s + pi/2)
-    comp1 = 2.0 * shifted * ((-1.0) * _sin())
-    comp2 = 2.0 * shifted * _cos()
-    phi1 = comp1.antiderivative(tol=tol)
-    phi2 = comp2.antiderivative(tol=tol)
-    return EntropyMap(phi1, phi2)
+    shifted = psi.shift(-0.5 * np.pi)  # psi(s + pi/2)
+    comp1 = 2.0 * shifted * TrigPoly.from_harmonics(sin={1: -1.0})
+    comp2 = 2.0 * shifted * TrigPoly.from_harmonics(cos={1: 1.0})
+    return EntropyMap(comp1.antiderivative(tol=tol), comp2.antiderivative(tol=tol))
 
 
-def frame_entropy_map(frame: Frame) -> EntropyMap:
-    """The cubic frame entropy as an EntropyMap with exact vector evaluation."""
-    base1 = TrigPoly.from_harmonics(sin={1: 1.0, 3: -1.0 / 3.0})
-    base2 = TrigPoly.from_harmonics(cos={1: 1.0, 3: 1.0 / 3.0})
-    th = frame.theta
-    s1, s2 = base1.shift(th), base2.shift(th)
-    phi1 = np.cos(th) * s1 + (-np.sin(th)) * s2
-    phi2 = np.sin(th) * s1 + np.cos(th) * s2
-    return EntropyMap(phi1, phi2, vector_eval=lambda z, f=frame: sigma_frame(f, z))
-
-
-def jump_bracket(phi: EntropyMap, m_plus, m_minus, n) -> np.ndarray:
+def jump_bracket(phi: Entropy, m_plus, m_minus, n) -> np.ndarray:
     """Geometric jump bracket n . (Phi(m+) - Phi(m-)), one per trailing vector."""
-    d = phi.eval_vectors(m_plus) - phi.eval_vectors(m_minus)
+    d = phi(m_plus) - phi(m_minus)
     return np.sum(np.asarray(n, dtype=float) * d, axis=-1)
 
 
@@ -253,9 +189,9 @@ def jump_bracket(phi: EntropyMap, m_plus, m_minus, n) -> np.ndarray:
 # production measures and the defect functionals
 
 
-def entropy_production(m: VectorField, phi: EntropyMap) -> CellMeasure:
+def entropy_production(m: VectorField, phi: Entropy) -> CellMeasure:
     """Weak divergence of Phi(m) as a dual-cell measure."""
-    return weak_divergence(VectorField(m.grid, phi.eval_vectors(m.values)))
+    return weak_divergence(VectorField(m.grid, phi(m.values)))
 
 
 TWO_FRAMES = (0.0, np.pi / 4)  # the axis and diagonal frame angles of f0_tilde_two_frames
@@ -263,7 +199,7 @@ TWO_FRAMES = (0.0, np.pi / 4)  # the axis and diagonal frame angles of f0_tilde_
 
 def f0_tilde_two_frames(m: VectorField) -> float:
     """sqrt(TV_e^2 + TV_eps^2) over active cells for the axis and diagonal frames."""
-    return two_frame_norm(*(entropy_production(m, frame_entropy_map(Frame(t))) for t in TWO_FRAMES))
+    return two_frame_norm(*(entropy_production(m, partial(sigma_frame, t)) for t in TWO_FRAMES))
 
 
 def two_frame_norm(prod_e: CellMeasure, prod_eps: CellMeasure) -> float:
@@ -280,7 +216,7 @@ def f0_tilde_sup(m: VectorField, n_frames: int) -> float:
     best = np.zeros(m.grid.shape)
     for k in range(n_frames):
         theta = k * np.pi / (2.0 * n_frames)
-        prod = entropy_production(m, frame_entropy_map(Frame(theta)))
+        prod = entropy_production(m, partial(sigma_frame, theta))
         best = np.maximum(best, np.abs(prod.masses))
     return float(np.sum(best[active]))
 
@@ -303,18 +239,16 @@ def f0_jump(ridge: RidgeSet) -> float:
     return integrate(integrand, (0.0, np.pi))
 
 
-def boundary_flux(domain: Domain, frame: Frame) -> float:
-    """Flux of Sigma_frame(m) through the outer rim {u = -delta}.
+def boundary_flux(domain: Domain, theta: float) -> float:
+    """Flux of Sigma_theta(m) through the outer rim {u = -delta}.
 
     On that curve m = (n2, -n1) for the outward normal n, so the flux is
     a 1D integral in the curve parameter (the angle t of (a cos t, b sin t)
     on the ellipse); by the divergence theorem it equals the total
     production inside, which for the reference field concentrates on the ridge.
     """
-    phi = frame_entropy_map(frame)
-
     def integrand(pt, n):
         mbar = np.stack([n[..., 1], -n[..., 0]], axis=-1)
-        return np.sum(phi.eval_vectors(mbar) * n, axis=-1)
+        return np.sum(sigma_frame(theta, mbar) * n, axis=-1)
 
     return offset_boundary(domain, domain.delta).integrate(integrand)

@@ -5,7 +5,9 @@ pi-periodic jump densities on the circle with their normalization
 constant, minimal angular disintegrations, the jump identity relating
 entropies to the unnormalized density, total-variation minimality
 checks, the weak kinetic-identity residual against a bank of test
-functions, and the sign-structure report for quadrant arcs.
+functions, and the sign-structure report for quadrant arcs.  A circle
+generator is its trig polynomial psi, as in ``entropy``; the test bank
+holds low even harmonics.
 
 Angular measures are represented exactly: a finite atom list plus a
 piecewise density, every piece of the form A*sin(s - phase) + B on an
@@ -17,20 +19,12 @@ normalization checks honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .entropy import (
-    EntropyGenerator,
-    Frame,
-    TrigPoly,
-    entropy_from_generator,
-    frame_entropy_map,
-    frame_generator,
-    jump_bracket,
-)
+from .entropy import TrigPoly, entropy_from_generator, frame_generator, jump_bracket, sigma_frame
 from .errors import BetaOutOfRange
 from .fields import VectorField
 from .geometry import GL_NODES, GL_WEIGHTS, Domain, Grid, RidgeSet, integrate, ridge_set, signed_distance
@@ -90,7 +84,6 @@ class CircleMeasure:
 
     atoms: list[tuple[float, float]] = field(default_factory=list)
     pieces: list[Piece] = field(default_factory=list)
-    pi_periodic: bool = False
 
     def __post_init__(self):
         self.atoms = [(float(_wrap(s)), float(w)) for s, w in self.atoms]
@@ -125,12 +118,12 @@ class CircleMeasure:
         if abs(self.covered_length() - TWO_PI) > 1e-9:
             raise ValueError("density pieces must cover the circle to add a constant")
         pieces = [Piece(p.s0, p.s1, p.amp, p.phase, p.offset + alpha) for p in self.pieces]
-        return CircleMeasure(list(self.atoms), pieces, pi_periodic=False)
+        return CircleMeasure(list(self.atoms), pieces)
 
     def scaled(self, c: float) -> "CircleMeasure":
         atoms = [(s, c * w) for s, w in self.atoms]
         pieces = [Piece(p.s0, p.s1, c * p.amp, p.phase, c * p.offset) for p in self.pieces]
-        return CircleMeasure(atoms, pieces, pi_periodic=self.pi_periodic)
+        return CircleMeasure(atoms, pieces)
 
     def shifted(self, s_bar: float) -> "CircleMeasure":
         """Pushforward under s -> s + s_bar (density becomes f(s - s_bar))."""
@@ -145,7 +138,7 @@ class CircleMeasure:
                 ph = _wrap(p.phase + s_bar)
                 pieces.append(Piece(a, TWO_PI, p.amp, ph, p.offset))
                 pieces.append(Piece(0.0, b - TWO_PI, p.amp, ph, p.offset))
-        return CircleMeasure(atoms, pieces, pi_periodic=self.pi_periodic)
+        return CircleMeasure(atoms, pieces)
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
@@ -156,7 +149,6 @@ class CircleMeasure:
                  "params": [p.amp, p.phase, p.offset]}
                 for p in self.pieces
             ],
-            "pi_periodic": self.pi_periodic,
         }
 
 
@@ -223,7 +215,7 @@ def _gbar_unnormalized(beta: float) -> CircleMeasure:
             Piece(lo, hi, 1.0, 0.0, -np.cos(beta)),
             Piece(lo + np.pi, hi + np.pi, 1.0, np.pi, -np.cos(beta)),
         ]
-        return CircleMeasure([], _cover_with_zeros(pieces), pi_periodic=True)
+        return CircleMeasure([], _cover_with_zeros(pieces))
     lo, hi = np.pi / 2 - beta, np.pi / 2 + beta
     base = np.cos(beta) - np.sqrt(2.0) / 2.0
     pieces = [
@@ -232,7 +224,7 @@ def _gbar_unnormalized(beta: float) -> CircleMeasure:
     ]
     covered = _cover_with_zeros(pieces)
     out = [Piece(p.s0, p.s1, p.amp, p.phase, p.offset if p.amp != 0 else base) for p in covered]
-    return CircleMeasure([], out, pi_periodic=True)
+    return CircleMeasure([], out)
 
 
 @lru_cache(maxsize=4096)
@@ -277,7 +269,7 @@ def minimal_disintegration(kind: Jump | NonJump) -> CircleMeasure:
         return gbar_beta(kind.beta).shifted(kind.s_bar)
     s, sgn = kind.s_bar, float(np.sign(kind.sign) or 1.0)
     atoms = [(s - np.pi / 2, 0.5 * sgn), (s + np.pi / 2, 0.5 * sgn)]
-    return CircleMeasure(atoms, _cover_with_zeros([]), pi_periodic=True)
+    return CircleMeasure(atoms, _cover_with_zeros([]))
 
 
 def minimality_check(mu: CircleMeasure, alphas: Iterable[float], tol: float = 1e-10) -> bool:
@@ -292,20 +284,22 @@ def minimality_check(mu: CircleMeasure, alphas: Iterable[float], tol: float = 1e
 # jump identity
 
 
-def jump_identity_check(beta: float, gen: EntropyGenerator) -> tuple[float, float]:
+def jump_identity_check(beta: float, psi: TrigPoly) -> tuple[float, float]:
     """Both sides of e1.(Phi(e^{ib}) - Phi(e^{-ib})) = -int g_b psi' ds.
 
-    The left side comes from the integrated entropy map, the right side
-    from ``integrate`` of the closed-form density against psi', split at
-    its breaks pi/2 +- b and 3pi/2 +- b; the two paths share no code.
+    psi must be pi-periodic, with even harmonics only; an odd one raises
+    ValueError.  The left side comes from the integrated entropy map, the
+    right side from ``integrate`` of the closed-form density against psi',
+    split at its breaks pi/2 +- b and 3pi/2 +- b; the two paths share no
+    code.
     """
     if not (0.0 <= beta <= np.pi / 2):
         raise BetaOutOfRange(f"identity requires beta in [0, pi/2], got {beta}")
-    if not gen.pi_periodic:
-        raise ValueError("generator must be pi-periodic")
-    phi = entropy_from_generator(gen)
+    if np.any(np.abs(psi.c[psi.ks() % 2 != 0]) > 1e-14):
+        raise ValueError("generator must be pi-periodic (even harmonics only)")
+    phi = entropy_from_generator(psi)
     lhs = float(phi.eval_circle(np.asarray(beta))[0] - phi.eval_circle(np.asarray(-beta))[0])
-    dpsi = gen.psi.derivative()
+    dpsi = psi.derivative()
     edges = sorted({0.0, np.pi / 2 - beta, np.pi / 2 + beta, 3 * np.pi / 2 - beta, 3 * np.pi / 2 + beta, TWO_PI})
     return lhs, -integrate(lambda s: g_beta(beta, s) * dpsi(s), edges)
 
@@ -347,8 +341,7 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     j0 = int(np.argmin(np.abs(pts[0, :, 1])))
     xs = pts[:, j0, 0]
     h = grid.h
-    phi_e = frame_entropy_map(Frame(0.0))
-    dpsi_e = frame_generator(Frame(0.0)).psi.derivative()
+    dpsi_e = frame_generator(0.0).derivative()
 
     a = np.maximum(xs - h / 2, lo)
     b = np.minimum(xs + h / 2, hi)
@@ -357,7 +350,7 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     eps_in = 1e-9 * max(1.0, hi - lo)
     data = ridge.data(np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in))
     bases = [gbar_beta(beta).shifted(sbar) for beta, sbar in zip(data["beta"].tolist(), data["sbar"].tolist())]
-    bracket = jump_bracket(phi_e, data["m_plus"], data["m_minus"], data["n"])
+    bracket = jump_bracket(partial(sigma_frame, 0.0), data["m_plus"], data["m_minus"], data["n"])
     r = -bracket / _pairings(bases, dpsi_e)
     keys = [(i, j0) for i in on.tolist()]
     rho = dict(zip(keys, r.tolist()))
@@ -402,8 +395,10 @@ class CompactBump:
 
 @dataclass
 class TestBank:
+    """Test functions of the weak kinetic identity: spatial bumps zeta and generators psi."""
+
     bumps: list[CompactBump]
-    generators: list[EntropyGenerator]
+    generators: list[TrigPoly]
 
 
 PSI_SIN2 = TrigPoly.from_harmonics(sin={2: 1.0})
@@ -413,7 +408,7 @@ PSI_COS4 = TrigPoly.from_harmonics(cos={4: 1.0})
 
 
 def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
-    """Ridge-centered and off-ridge bumps, low even-harmonic generators.
+    """Ridge-centered and off-ridge bumps; generators sin 2s, cos 2s, sin 4s and cos 4s.
 
     Bump supports are sized from the signed distance so they stay inside
     the extended domain; otherwise the weak identity picks up boundary
@@ -432,8 +427,7 @@ def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
     for c in centers:
         room = signed_distance(domain, np.asarray(c)) + domain.delta
         bumps.append(CompactBump(c, min(0.5 * span, 0.9 * room)))
-    gens = [EntropyGenerator(p) for p in (PSI_SIN2, PSI_COS2, PSI_SIN4, PSI_COS4)]
-    return TestBank(bumps, gens)
+    return TestBank(bumps, [PSI_SIN2, PSI_COS2, PSI_SIN4, PSI_COS4])
 
 
 @dataclass
@@ -444,7 +438,10 @@ class KineticResidualReport:
 
 def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure],
                      bank: TestBank) -> KineticResidualReport:
-    """Max over the bank of |int Phi(m).grad(zeta) - int zeta psi' dsigma|, sigma given by its node cells."""
+    """Max over the bank of |int Phi(m).grad(zeta) - int zeta psi' dsigma|, sigma given by its node cells.
+
+    Phi is the entropy of the generator psi, evaluated at the angle of m.
+    """
     grid = m.grid
     active = grid.active()
     pts = grid.nodes
@@ -452,9 +449,9 @@ def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure]
     grads = [bump.gradient(pts)[active] for bump in bank.bumps]
     zetas = [bump.value(cell_pts) for bump in bank.bumps]
     worst = without = 0.0
-    for gen in bank.generators:
-        phi_m = entropy_from_generator(gen).eval_vectors(m.values[active])
-        pairings = _pairings(list(cells.values()), gen.psi.derivative())
+    for psi in bank.generators:
+        phi_m = entropy_from_generator(psi)(m.values[active])
+        pairings = _pairings(list(cells.values()), psi.derivative())
         for gz, zeta in zip(grads, zetas):
             lhs = grid.h**2 * float(np.sum(np.sum(phi_m * gz, axis=-1)))
             worst = max(worst, abs(lhs - float(zeta @ pairings)))

@@ -13,8 +13,8 @@ from aglab import cli
 from aglab.cli import EXIT_CONFIG, EXIT_OK, main, parse_config, run
 from aglab.energy import MinimizeOptions
 from aglab.errors import ConfigError
-from aglab.fields import load_field
-from aglab.geometry import Ellipse
+from aglab.fields import ScalarField, dump_field, load_field
+from aglab.geometry import Ellipse, Grid
 
 ELLIPSE_CFG = """
 [domain]
@@ -183,6 +183,30 @@ def test_config_holds_typed_values_and_built_objects(tmp_path):
     assert (cfg.opts.max_iter, cfg.opts.tol, cfg.opts.hessian_power, cfg.opts.eta0) == (1500, 5e-3, 2, 1.0)
     assert np.array_equal(cfg.opts.warm_start.values, load_field(field_dir / "u_eps0.5.txt").values)
     assert cfg.grid is cfg.grid and cfg.grid.nx == 48 + 2 * 2 + 1  # resolution plus two ghost layers a side
+
+
+WARM_CFG = ELLIPSE_CFG.replace("resolution = 48", "h = 0.05")
+
+
+@pytest.mark.parametrize("case", ["dumped-at-h-0.0625", "same-shape-other-h"])
+@pytest.mark.parametrize("subcommand", ["minimize", "limit-table"])
+def test_warm_start_on_another_lattice_is_a_config_error(tmp_path, capsys, case, subcommand):
+    # a zero field from a cover at h = 1/16, or of the run's shape with an h 1% larger
+    if case == "dumped-at-h-0.0625":
+        grid = Grid.cover(Ellipse(1.0, 0.5), h=0.0625)
+    else:
+        g = parse_config(write_cfg(tmp_path, WARM_CFG)).grid
+        grid = Grid(origin=g.origin, h=1.01 * g.h, nx=g.nx, ny=g.ny)
+    dump_field(tmp_path / "fields" / "u.txt", ScalarField(grid, np.zeros(grid.shape)))
+    text = WARM_CFG.replace("hessian_power = 2", "hessian_power = 2\nwarm_start = fields/u.txt")
+    p = write_cfg(tmp_path, text)
+    line = text.splitlines().index("warm_start = fields/u.txt") + 1
+    with pytest.raises(ConfigError, match=rf":{line}: warm_start lies on another grid: "):
+        parse_config(p)
+    assert run(subcommand, p) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_characteristics_traces_three_batches(tmp_path, monkeypatch):

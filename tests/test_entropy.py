@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,6 @@ from scipy.integrate import quad
 
 from aglab import entropy
 from aglab.entropy import (
-    EntropyGenerator,
-    Frame,
     TrigPoly,
     boundary_flux,
     entropy_from_generator,
@@ -15,7 +15,6 @@ from aglab.entropy import (
     f0_jump,
     f0_tilde_sup,
     f0_tilde_two_frames,
-    frame_entropy_map,
     frame_generator,
     jump_bracket,
     sigma_frame,
@@ -23,6 +22,7 @@ from aglab.entropy import (
 from aglab.errors import NonClosed
 from aglab.fields import VectorField, exact_limit_field
 from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, offset_boundary, ridge_set
+from aglab.kinetic import jump_identity_check
 
 RNG = np.random.default_rng(11)
 
@@ -41,18 +41,18 @@ F0_ELLIPSE = 3.0973312761654945
 
 
 def test_sigma_frame_examples():
-    assert sigma_frame(Frame(0.0), np.array([0.0, 1.0])) == pytest.approx([4 / 3, 0.0])
-    assert sigma_frame(Frame(0.0), np.array([0.0, 0.0])) == pytest.approx([0.0, 0.0])
+    assert sigma_frame(0.0, np.array([0.0, 1.0])) == pytest.approx([4 / 3, 0.0])
+    assert sigma_frame(0.0, np.array([0.0, 0.0])) == pytest.approx([0.0, 0.0])
     z = np.array([np.sqrt(2) / 2, np.sqrt(2) / 2])
-    want = (4 / 3) * Frame(np.pi / 4).alpha2
-    assert sigma_frame(Frame(np.pi / 4), z) == pytest.approx(want)
+    want = (4 / 3) * np.array([-np.sin(np.pi / 4), np.cos(np.pi / 4)])  # the frame's alpha2
+    assert sigma_frame(np.pi / 4, z) == pytest.approx(want)
     assert want == pytest.approx([-2 * np.sqrt(2) / 3, 2 * np.sqrt(2) / 3])
 
 
 def test_sigma_frame_odd():
     z = RNG.standard_normal((32, 2))
-    f = Frame(0.7)
-    assert np.allclose(sigma_frame(f, -z), -sigma_frame(f, z), atol=0.0)
+    theta = 0.7
+    assert np.allclose(sigma_frame(theta, -z), -sigma_frame(theta, z), atol=0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,8 +62,8 @@ def test_sigma_frame_equivariance(theta, rot, zx, zy):
     z = np.array([zx, zy])
     c, s = np.cos(rot), np.sin(rot)
     R = np.array([[c, -s], [s, c]])
-    lhs = sigma_frame(Frame(theta + rot), R @ z)
-    rhs = R @ sigma_frame(Frame(theta), z)
+    lhs = sigma_frame(theta + rot, R @ z)
+    rhs = R @ sigma_frame(theta, z)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -86,63 +86,74 @@ def test_trig_poly_matches_exponential_sum(n, hermitian):
 def test_sigma_frame_matches_power_form():
     z = RNG.uniform(-1.5, 1.5, size=(64, 2))
     for theta in (0.0, 0.4, np.pi / 4, 2.0):
-        f = Frame(theta)
-        a1, a2 = f.alpha1, f.alpha2
+        a1 = np.array([np.cos(theta), np.sin(theta)])
+        a2 = np.array([-np.sin(theta), np.cos(theta)])
         p = z[..., 0] * a1[0] + z[..., 1] * a1[1]
         q = z[..., 0] * a2[0] + z[..., 1] * a2[1]
         want = np.stack([(4.0 / 3.0) * (q**3 * a1[0] + p**3 * a2[0]),
                          (4.0 / 3.0) * (q**3 * a1[1] + p**3 * a2[1])], axis=-1)
-        np.testing.assert_allclose(sigma_frame(f, z), want, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(sigma_frame(theta, z), want, rtol=1e-14, atol=1e-15)
 
 
-def test_eval_vectors_matches_angle_form():
-    phi = entropy_from_generator(EntropyGenerator(TrigPoly.from_harmonics(sin={4: 1.0}, cos={2: 0.3})))
+def test_entropy_map_call_matches_angle_form():
+    phi = entropy_from_generator(TrigPoly.from_harmonics(sin={4: 1.0}, cos={2: 0.3}))
     z = RNG.standard_normal((50, 2))
     z[:3] = 0.0  # the zero vector is taken to angle 0
     angle = np.arctan2(z[:, 1], z[:, 0])
     want = np.stack([np.real(np.exp(1j * np.multiply.outer(angle, p.ks())) @ p.c)
                      for p in (phi.phi1, phi.phi2)], axis=-1)
-    assert np.max(np.abs(phi.eval_vectors(z) - want)) <= 1e-13
-    assert np.array_equal(phi.eval_vectors(z[:3]), np.repeat(phi.eval_circle(0.0)[None], 3, axis=0))
+    assert np.max(np.abs(phi(z) - want)) <= 1e-13
+    assert np.array_equal(phi(z[:3]), np.repeat(phi.eval_circle(0.0)[None], 3, axis=0))
 
 
 def test_entropy_from_zero_generator():
-    phi = entropy_from_generator(EntropyGenerator(TrigPoly.zero()))
+    phi = entropy_from_generator(TrigPoly(np.zeros(1)))
     s = np.linspace(0, 2 * np.pi, 64)
     assert np.allclose(phi.eval_circle(s), 0.0)
 
 
 def test_entropy_defect_vanishes():
-    gen = EntropyGenerator(TrigPoly.from_harmonics(cos={2: 1.0}))
-    phi = entropy_from_generator(gen)
+    phi = entropy_from_generator(TrigPoly.from_harmonics(cos={2: 1.0}))
     assert max_defect(phi, 1024) < 1e-12
 
 
 def test_entropy_reproduces_cubic_frame():
     # psi = sin(2s) integrates to the axis-frame cubic entropy
-    phi = entropy_from_generator(frame_generator(Frame(0.0)))
-    ref = frame_entropy_map(Frame(0.0))
+    phi = entropy_from_generator(frame_generator(0.0))
     s = np.linspace(0, 2 * np.pi, 257)
-    assert np.max(np.abs(phi.eval_circle(s) - ref.eval_circle(s))) < 1e-10
+    # its harmonics: (4/3)(sin^3 s, cos^3 s) = (sin s - sin 3s / 3, cos s + cos 3s / 3)
+    ref = np.stack([np.sin(s) - np.sin(3 * s) / 3, np.cos(s) + np.cos(3 * s) / 3], axis=-1)
+    assert np.max(np.abs(phi.eval_circle(s) - ref)) < 1e-10
     # and the closed form on the circle
     z = np.stack([np.cos(s), np.sin(s)], axis=-1)
-    assert np.max(np.abs(phi.eval_circle(s) - sigma_frame(Frame(0.0), z))) < 1e-10
+    assert np.max(np.abs(phi.eval_circle(s) - sigma_frame(0.0, z))) < 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(-2 * np.pi, 2 * np.pi))
+def test_frame_generator_integrates_to_the_frame_entropy(theta):
+    s = np.linspace(0, 2 * np.pi, 257)
+    phi = entropy_from_generator(frame_generator(theta))
+    z = np.stack([np.cos(s), np.sin(s)], axis=-1)
+    assert np.max(np.abs(phi.eval_circle(s) - sigma_frame(theta, z))) <= 1e-13
 
 
 def test_non_closed_generator_rejected():
-    gen = EntropyGenerator(TrigPoly.from_harmonics(cos={1: 1.0}))
     with pytest.raises(NonClosed):
-        entropy_from_generator(gen)
+        entropy_from_generator(TrigPoly.from_harmonics(cos={1: 1.0}))
 
 
-def test_pi_periodic_flag():
-    assert EntropyGenerator(TrigPoly.from_harmonics(cos={2: 1.0}, sin={4: 0.5})).pi_periodic
-    assert not EntropyGenerator(TrigPoly.from_harmonics(cos={3: 1.0})).pi_periodic
+def test_jump_identity_check_rejects_odd_harmonics():
+    lhs, rhs = jump_identity_check(np.pi / 3, TrigPoly.from_harmonics(cos={2: 1.0}, sin={4: 0.5}))
+    assert abs(lhs - rhs) <= 1e-8
+    for odd in ({3: 1.0}, {3: 1e-10}):
+        with pytest.raises(ValueError, match="pi-periodic"):
+            jump_identity_check(np.pi / 3, TrigPoly.from_harmonics(cos=odd))
 
 
 def test_production_constant_field_zero(grid64):
     m = VectorField(grid64, np.broadcast_to([1.0, 0.0], grid64.shape + (2,)).copy())
-    prod = entropy_production(m, frame_entropy_map(Frame(0.3)))
+    prod = entropy_production(m, partial(sigma_frame, 0.3))
     assert prod.total_variation() == 0.0
 
 
@@ -156,8 +167,7 @@ def test_production_annulus_second_order():
         g.mask = np.where((r > 0.25) & (r < 0.7), INTERIOR, EXTERIOR).astype(np.uint8)
         g.ridge_near = np.zeros(g.shape, bool)
         m = VectorField(g, np.stack([-y, x], axis=-1) / np.where(r == 0, 1, r)[..., None])
-        for phi in (frame_entropy_map(Frame(0.0)),
-                    entropy_from_generator(EntropyGenerator(TrigPoly.from_harmonics(cos={2: 1.0})))):
+        for phi in (partial(sigma_frame, 0.0), entropy_from_generator(TrigPoly.from_harmonics(cos={2: 1.0}))):
             tvs.append(entropy_production(m, phi).total_variation(g.active()))
     assert tvs[2] < tvs[0] / 3
     assert tvs[3] < tvs[1] / 3
@@ -168,7 +178,7 @@ def test_production_jump_bracket():
     beta = np.pi / 3
     m_plus = np.array([np.cos(beta), np.sin(beta)])
     m_minus = np.array([np.cos(beta), -np.sin(beta)])
-    phi = frame_entropy_map(Frame(0.0))
+    phi = partial(sigma_frame, 0.0)
     bracket = jump_bracket(phi, m_plus, m_minus, np.array([1.0, 0.0]))
     n = 96
     g = Grid(origin=(0.0, 0.0), h=1.5 / n, nx=n, ny=n)
@@ -191,9 +201,9 @@ def test_two_frames_vs_jump_and_flux(ellipse, grid64, limit64):
     _, m = limit64
     two = f0_tilde_two_frames(m)
     assert two == pytest.approx(F0_ELLIPSE, rel=0.02)
-    flux = boundary_flux(ellipse, Frame(0.0))
+    flux = boundary_flux(ellipse, 0.0)
     assert flux == pytest.approx(F0_ELLIPSE, rel=1e-8)
-    assert abs(boundary_flux(ellipse, Frame(np.pi / 4))) < 1e-10
+    assert abs(boundary_flux(ellipse, np.pi / 4)) < 1e-10
 
 
 @pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Ellipse(1.0, 0.05), Stadium(2.0, 1.0)],
@@ -209,15 +219,13 @@ def test_jump_energy_and_flux_match_adaptive_quadrature(domain):
     ref, _ = quad(density, ridge.p_minus[0], ridge.p_plus[0], epsabs=1e-13, epsrel=1e-12, limit=400)
     assert f0_jump(ridge) == pytest.approx(ref, rel=1e-9)
     for theta in (0.0, np.pi / 8):
-        frame = Frame(theta)
-
         def flux_density(t, p):
             n = p.normal(np.array([t]))[0]
-            return float(sigma_frame(frame, np.array([n[1], -n[0]])) @ n) * p.speed(np.array([t]))[0]
+            return float(sigma_frame(theta, np.array([n[1], -n[0]])) @ n) * p.speed(np.array([t]))[0]
 
         ref = sum(quad(flux_density, p.t0, p.t1, args=(p,), epsabs=1e-13, epsrel=1e-12, limit=400)[0]
                   for p in offset_boundary(domain, domain.delta).pieces)
-        assert boundary_flux(domain, frame) == pytest.approx(ref, rel=1e-9)
+        assert boundary_flux(domain, theta) == pytest.approx(ref, rel=1e-9)
 
 
 def test_boundary_flux_evaluates_the_entropy_once_per_round(ellipse, monkeypatch):
@@ -225,12 +233,12 @@ def test_boundary_flux_evaluates_the_entropy_once_per_round(ellipse, monkeypatch
     points = []
     sigma = entropy.sigma_frame
 
-    def counted(frame, z):
+    def counted(theta, z):
         points.append(np.asarray(z).size // 2)
-        return sigma(frame, z)
+        return sigma(theta, z)
 
     monkeypatch.setattr(entropy, "sigma_frame", counted)
-    boundary_flux(ellipse, Frame(0.0))
+    boundary_flux(ellipse, 0.0)
     assert 1 <= len(points) <= 3
     assert min(points) > 1
 

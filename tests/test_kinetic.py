@@ -1,18 +1,11 @@
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from aglab.entropy import (
-    EntropyGenerator,
-    Frame,
-    TrigPoly,
-    entropy_from_generator,
-    frame_entropy_map,
-    frame_generator,
-    jump_bracket,
-)
+from aglab.entropy import entropy_from_generator, frame_generator, jump_bracket, sigma_frame
 from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
 from aglab.geometry import Ellipse, Grid, ridge_set
@@ -40,7 +33,7 @@ from aglab.kinetic import (
     sign_structure_report,
 )
 
-GENS = [EntropyGenerator(p) for p in (PSI_COS2, PSI_SIN2, PSI_COS4, PSI_SIN4)]
+GENS = [PSI_COS2, PSI_SIN2, PSI_COS4, PSI_SIN4]
 ALPHAS = [-1.0, -0.1, -0.05, -0.01, 0.01, 0.05, 0.1, 1.0]
 TWO_PI = 2.0 * np.pi
 
@@ -50,14 +43,14 @@ def sigma_zero_disintegration(s_bar: float, sign: int = 1) -> CircleMeasure:
     sgn = float(np.sign(sign) or 1.0)
     atoms = [(s_bar, 0.25 * sgn), (s_bar + np.pi, 0.25 * sgn)]
     pieces = [Piece(0.0, TWO_PI, 0.0, 0.0, -sgn / (4.0 * np.pi))]
-    return CircleMeasure(atoms, pieces, pi_periodic=True)
+    return CircleMeasure(atoms, pieces)
 
 
 def circle_measure_from_json(obj: dict) -> CircleMeasure:
     """Inverse of ``CircleMeasure.to_json``."""
     atoms = [(s, w) for s, w in obj["atoms"]]
     pieces = [Piece(p["s0"], p["s1"], *p["params"]) for p in obj["pieces"]]
-    return CircleMeasure(atoms, pieces, pi_periodic=obj.get("pi_periodic", False))
+    return CircleMeasure(atoms, pieces)
 
 
 @dataclass
@@ -214,11 +207,10 @@ def test_bracket_matches_g_quadrature():
         m_plus = np.array([np.cos(sbar + beta), np.sin(sbar + beta)])
         m_minus = np.array([np.cos(sbar - beta), np.sin(sbar - beta)])
         n = np.array([0.0, 1.0])
-        for gen in GENS:
-            phi_map = frame_entropy_map(Frame(0.0)) if gen is None else None
-            phi = entropy_from_generator(gen)
+        for psi in GENS:
+            phi = entropy_from_generator(psi)
             geom = jump_bracket(phi, m_plus, m_minus, n)
-            dpsi = gen.psi.derivative()
+            dpsi = psi.derivative()
             val, _ = quad(lambda s: g_beta(beta, s - sbar) * float(dpsi(np.asarray(s))),
                           0, 2 * np.pi, limit=200,
                           points=[sbar + np.pi / 2 - beta, sbar + np.pi / 2 + beta,
@@ -314,11 +306,11 @@ def test_pairings_match_per_measure_integrals():
         CircleMeasure(),  # nothing to integrate
         minimal_disintegration(Jump(2.4, 1.0)).scaled(-0.3),
     ]
-    for gen in GENS:
-        f = gen.psi.derivative()
+    for psi in GENS:
+        f = psi.derivative()
         want = np.array([integrate_against(mu, f) for mu in measures])
         assert np.max(np.abs(_pairings(measures, f) - want)) <= 1e-14
-    assert _pairings([], GENS[0].psi).shape == (0,)
+    assert _pairings([], GENS[0]).shape == (0,)
 
 
 def test_ridge_sigma_field_matches_per_cell_loop(ellipse, grid64):
@@ -327,8 +319,8 @@ def test_ridge_sigma_field_matches_per_cell_loop(ellipse, grid64):
     lo, hi = ridge.p_minus[0], ridge.p_plus[0]
     j0 = int(np.argmin(np.abs(grid64.nodes[0, :, 1])))
     xs, h = grid64.nodes[:, j0, 0], grid64.h
-    phi_e = frame_entropy_map(Frame(0.0))
-    dpsi_e = frame_generator(Frame(0.0)).psi.derivative()
+    phi_e = partial(sigma_frame, 0.0)
+    dpsi_e = frame_generator(0.0).derivative()
     eps_in = 1e-9 * max(1.0, hi - lo)
     rho, seg, betas = {}, {}, {}
     for i in range(grid64.nx):
@@ -355,11 +347,11 @@ def test_kinetic_residual_matches_per_cell_loop(ellipse, grid64, limit64):
     active, pts = grid64.active(), grid64.nodes
     angle = np.arctan2(m.values[..., 1], m.values[..., 0])
     worst = 0.0
-    for gen in bank.generators:
-        phi = entropy_from_generator(gen)
+    for psi in bank.generators:
+        phi = entropy_from_generator(psi)
         phi_m = np.stack([np.real(np.exp(1j * np.multiply.outer(angle, p.ks())) @ p.c)
                           for p in (phi.phi1, phi.phi2)], axis=-1)
-        dpsi = gen.psi.derivative()
+        dpsi = psi.derivative()
         pairings = {key: integrate_against(mu, dpsi) for key, mu in sigma.cells.items()}
         for bump in bank.bumps:
             lhs = grid64.h**2 * float(np.sum(np.sum(phi_m * bump.gradient(pts), axis=-1)[active]))
