@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -39,8 +39,6 @@ from .geometry import Domain, Ellipse, Grid, Stadium, ridge_set
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_CONFIG = 3
-
-SUBCOMMANDS = ("minimize", "limit-table", "entropy-report", "kinetic-check", "characteristics", "all")
 
 _POSITIVE = "a finite number > 0", lambda v: 0 < v < np.inf
 _PATH = "a path", lambda v: True
@@ -205,18 +203,12 @@ def _jsonify(obj):
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], stamp: dict) -> None:
+    """The table as ``path`` (.csv) and its gnuplot-ready twin (.dat: whitespace, commented header)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_hash={stamp['config_hash']} seed={stamp['seed']}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    # gnuplot-ready twin: whitespace separated, hash-commented header
-    dat = path.with_suffix(".dat")
-    dlines = [f"# config_hash={stamp['config_hash']} seed={stamp['seed']}", "# " + " ".join(header)]
-    for row in rows:
-        dlines.append(" ".join(_fmt(v) for v in row))
-    dat.write_text("\n".join(dlines) + "\n")
+    first = f"# config_hash={stamp['config_hash']} seed={stamp['seed']}"
+    cells = [[_fmt(v) for v in row] for row in rows]
+    for target, sep, head in ((path, ",", ""), (path.with_suffix(".dat"), " ", "# ")):
+        target.write_text("\n".join([first, head + sep.join(header), *map(sep.join, cells)]) + "\n")
 
 
 def _fmt(v) -> str:
@@ -245,6 +237,7 @@ def run_minimize(cfg: ExperimentConfig) -> int:
         "potential_term": split.potential_term,
         "iterations": res.iterations,
         "converged": res.converged,
+        "levels_converged": [lv.converged for lv in res.levels],
         "eta_final": res.eta_final,
         "grad_norm_final": res.levels[-1].grad_norm,
     })
@@ -281,8 +274,8 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
     def production(theta):
         return entropy_mod.entropy_production(m, partial(entropy_mod.sigma_frame, theta))
 
-    # the productions of f0_tilde_two_frames; the frame loop reuses them at
-    # angles it hits exactly (both of them for n_frames = 8)
+    # the productions of the two frames of two_frame_norm; the frame loop
+    # reuses them at angles it hits exactly (both of them for n_frames = 8)
     two = {t: production(t) for t in entropy_mod.TWO_FRAMES}
     frames = []
     for k in range(n_frames):
@@ -302,7 +295,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
         "frames": frames,
     })
     rows = []
-    lo, hi = ridge.p_minus[0], ridge.p_plus[0]
+    lo, hi = ridge.lo, ridge.hi
     if hi > lo:
         xs = np.linspace(lo, hi, 129)[1:-1]
         data = ridge.data(xs)
@@ -345,7 +338,7 @@ def run_kinetic_check(cfg: ExperimentConfig) -> int:
         "minimality_ok": minimal_ok,
         "residual_with_sigma": res.max_residual,
         "residual_without_sigma": res.without_sigma,
-        "sign_structure": report.to_json(),
+        "sign_structure": asdict(report),
     })
     return EXIT_OK
 
@@ -355,7 +348,7 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     flow = lagrangian_mod.ensemble_flow(cfg.domain, h)
     report = lagrangian_mod.ensemble_representation_check(flow, cfg.values["ensemble_n"], T, seed, h)
     out = cfg.values["directory"]
-    _write_json(out / "ensemble_report.json", {**_stamp(cfg), **report.to_json()})
+    _write_json(out / "ensemble_report.json", {**_stamp(cfg), **asdict(report)})
     # a handful of individual curves for inspection, traced forward over [0, T]
     pts, angs = lagrangian_mod._sample_chi_points(flow, 6, np.random.default_rng(seed))
     t_end, _, _, t_ref, x_ref, s_ref = lagrangian_mod._trace_batch(flow, pts, angs, np.full(6, T), +1)
@@ -371,6 +364,18 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# subcommand -> the pipelines it runs, in order
+_STEPS = {
+    "minimize": (run_minimize,),
+    "limit-table": (run_limit_table,),
+    "entropy-report": (run_entropy_report,),
+    "kinetic-check": (run_kinetic_check,),
+    "characteristics": (run_characteristics,),
+    "all": (run_entropy_report, run_kinetic_check, run_characteristics, run_limit_table),
+}
+SUBCOMMANDS = tuple(_STEPS)
+
+
 def run(subcommand: str, config_path: str | Path) -> int:
     """Execute one pipeline; exit status 0 ok, 2 not converged, 3 config error."""
     if subcommand not in SUBCOMMANDS:
@@ -381,15 +386,7 @@ def run(subcommand: str, config_path: str | Path) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    steps = {
-        "minimize": (run_minimize,),
-        "limit-table": (run_limit_table,),
-        "entropy-report": (run_entropy_report,),
-        "kinetic-check": (run_kinetic_check,),
-        "characteristics": (run_characteristics,),
-        "all": (run_entropy_report, run_kinetic_check, run_characteristics, run_limit_table),
-    }[subcommand]
-    return max(step(cfg) for step in steps)
+    return max(step(cfg) for step in _STEPS[subcommand])
 
 
 def main(argv: list[str] | None = None) -> int:

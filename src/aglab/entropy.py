@@ -19,9 +19,9 @@ vector through its angle.  The map closes around the circle iff psi has
 no first harmonic, which is checked on the coefficients.  The frame
 entropy Sigma_theta is the map of the generator ``frame_generator(theta)``.
 
-The module also holds the defect functional evaluated three ways
-(two-frame combination, frame supremum, ridge jump integral) and the
-boundary-flux quadrature.
+The module also holds the two measures of the defect functional, the
+two-frame norm of a field's production and the jump integral along the
+ridge, and the boundary-flux quadrature.
 
 A polynomial sum_{|k|<=n} c_k e^{iks} is evaluated through the point
 w = e^{is} on the unit circle: one complex exponential per point, then
@@ -33,7 +33,6 @@ one w, and the zero vector maps to w = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -43,6 +42,7 @@ from .fields import CellMeasure, VectorField, weak_divergence
 from .geometry import Domain, RidgeSet, integrate, offset_boundary
 
 Entropy = Callable[[np.ndarray], np.ndarray]  # z -> Phi(z) on plane vectors of shape (..., 2)
+_CLOSURE_TOL = 1e-12  # largest mean or first harmonic that still counts as zero
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +62,12 @@ class TrigPoly:
         self.n = c.size // 2
 
     @staticmethod
-    def from_harmonics(const: float = 0.0, cos: dict[int, float] | None = None,
-                       sin: dict[int, float] | None = None) -> "TrigPoly":
+    def from_harmonics(cos: dict[int, float] | None = None, sin: dict[int, float] | None = None) -> "TrigPoly":
+        """sum_k cos[k] cos(ks) + sin[k] sin(ks), with no constant term."""
         cos = cos or {}
         sin = sin or {}
         n = max([0, *cos.keys(), *sin.keys()])
         c = np.zeros(2 * n + 1, dtype=complex)
-        c[n] = const
         for k, a in cos.items():
             c[n + k] += a / 2
             c[n - k] += a / 2
@@ -95,9 +94,9 @@ class TrigPoly:
     def derivative(self) -> "TrigPoly":
         return TrigPoly(1j * self.ks() * self.c)
 
-    def antiderivative(self, tol: float = 1e-12) -> "TrigPoly":
+    def antiderivative(self) -> "TrigPoly":
         """Periodic antiderivative with zero mean; requires zero mean input."""
-        if abs(self.c[self.n]) > tol * max(1.0, np.abs(self.c).max()):
+        if abs(self.c[self.n]) > _CLOSURE_TOL * max(1.0, np.abs(self.c).max()):
             raise NonClosed("antiderivative of a trig polynomial with nonzero mean")
         k = self.ks().astype(float)
         k[self.n] = 1.0
@@ -169,14 +168,14 @@ class EntropyMap:
         return self.eval_circle(np.arctan2(z[..., 1], z[..., 0]))
 
 
-def entropy_from_generator(psi: TrigPoly, tol: float = 1e-12) -> EntropyMap:
+def entropy_from_generator(psi: TrigPoly) -> EntropyMap:
     """Integrate dPhi/ds = 2 psi(s + pi/2) e^{i(s + pi/2)} to a zero-mean map."""
-    if abs(psi.harmonic(1)) > tol:
+    if abs(psi.harmonic(1)) > _CLOSURE_TOL:
         raise NonClosed("generator carries a first harmonic; map does not close")
     shifted = psi.shift(-0.5 * np.pi)  # psi(s + pi/2)
     comp1 = 2.0 * shifted * TrigPoly.from_harmonics(sin={1: -1.0})
     comp2 = 2.0 * shifted * TrigPoly.from_harmonics(cos={1: 1.0})
-    return EntropyMap(comp1.antiderivative(tol=tol), comp2.antiderivative(tol=tol))
+    return EntropyMap(comp1.antiderivative(), comp2.antiderivative())
 
 
 def jump_bracket(phi: Entropy, m_plus, m_minus, n) -> np.ndarray:
@@ -194,31 +193,13 @@ def entropy_production(m: VectorField, phi: Entropy) -> CellMeasure:
     return weak_divergence(VectorField(m.grid, phi(m.values)))
 
 
-TWO_FRAMES = (0.0, np.pi / 4)  # the axis and diagonal frame angles of f0_tilde_two_frames
-
-
-def f0_tilde_two_frames(m: VectorField) -> float:
-    """sqrt(TV_e^2 + TV_eps^2) over active cells for the axis and diagonal frames."""
-    return two_frame_norm(*(entropy_production(m, partial(sigma_frame, t)) for t in TWO_FRAMES))
+TWO_FRAMES = (0.0, np.pi / 4)  # the axis and diagonal frame angles of two_frame_norm
 
 
 def two_frame_norm(prod_e: CellMeasure, prod_eps: CellMeasure) -> float:
-    """f0_tilde_two_frames from the productions of the two frames TWO_FRAMES."""
+    """sqrt(TV_e^2 + TV_eps^2) over active cells, from the productions of the frames TWO_FRAMES."""
     active = prod_e.grid.active()
     return float(np.hypot(prod_e.total_variation(active), prod_eps.total_variation(active)))
-
-
-def f0_tilde_sup(m: VectorField, n_frames: int) -> float:
-    """Cellwise sup over the frame family theta_k = k pi / (2 n_frames)."""
-    if n_frames < 2:
-        raise ValueError("n_frames must be at least 2")
-    active = m.grid.active()
-    best = np.zeros(m.grid.shape)
-    for k in range(n_frames):
-        theta = k * np.pi / (2.0 * n_frames)
-        prod = entropy_production(m, partial(sigma_frame, theta))
-        best = np.maximum(best, np.abs(prod.masses))
-    return float(np.sum(best[active]))
 
 
 def f0_jump(ridge: RidgeSet) -> float:
@@ -227,7 +208,7 @@ def f0_jump(ridge: RidgeSet) -> float:
     Integrated in theta on [0, pi] with x1 = mid - half cos(theta), whose
     factor half sin(theta) smooths sin^3 beta ~ eps^(3/2) at the ridge ends.
     """
-    lo, hi = ridge.p_minus[0], ridge.p_plus[0]
+    lo, hi = ridge.lo, ridge.hi
     if hi - lo <= 0:
         return 0.0
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -5,10 +5,6 @@ class AglabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AmbiguousProjection(AglabError):
-    """Closest-point projection queried on (or too close to) the ridge."""
-
-
 class NoConvergence(AglabError):
     """An iterative solve (closest point, exit time) did not reach its tolerance."""
 

@@ -54,10 +54,6 @@ class CellMeasure:
     grid: Grid
     masses: np.ndarray
 
-    def total_mass(self, region: np.ndarray | None = None) -> float:
-        m = self.masses if region is None else self.masses[region]
-        return float(np.sum(m))
-
     def total_variation(self, region: np.ndarray | None = None) -> float:
         m = self.masses if region is None else self.masses[region]
         return float(np.sum(np.abs(m)))
@@ -217,9 +213,8 @@ def weak_divergence(F: VectorField) -> CellMeasure:
 def exact_limit_field(domain: Domain, grid: Grid) -> tuple[ScalarField, VectorField]:
     """Extended signed distance and its perp-gradient sampled at the nodes.
 
-    Ridge-near nodes receive the one-sided value from their own side of
-    the ridge (upper side for x2 == 0 exactly); they stay flagged in
-    ``grid.ridge_near``.
+    Nodes near the ridge receive the one-sided value from their own side
+    of it, and nodes on it (x2 == 0 exactly) the value from above.
     """
     u, grad = geometry._signed_distance_grad(domain, grid.nodes)
     return ScalarField(grid, u), VectorField(grid, geometry.rot90(grad))

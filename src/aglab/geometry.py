@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AmbiguousProjection, NoConvergence, QuadratureFailure
+from .errors import NoConvergence, QuadratureFailure
 
 INTERIOR = 0
 COLLAR = 1
@@ -35,7 +35,6 @@ EXTERIOR = 2
 
 RIDGE_SBAR = 1.5 * np.pi
 _ON_BOUNDARY_TOL = 1e-12
-_RIDGE_TOL = 1e-12
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -205,24 +204,6 @@ def signed_distance(domain: Domain, x) -> np.ndarray | float:
     return float(sd) if sd.ndim == 0 else sd
 
 
-def ridge_distance(domain: Domain, x) -> np.ndarray | float:
-    """Distance from x to the ridge segment."""
-    x = np.asarray(x, dtype=float)
-    lo, hi = ridge_span(domain)
-    q1 = np.clip(x[..., 0], lo, hi)
-    d = np.hypot(x[..., 0] - q1, x[..., 1])
-    return float(d) if d.ndim == 0 else d
-
-
-def project_to_boundary(domain: Domain, x, tol: float = _RIDGE_TOL) -> np.ndarray:
-    """Unique closest boundary point; raises AmbiguousProjection on the ridge."""
-    x = np.asarray(x, dtype=float)
-    if np.any(ridge_distance(domain, x) <= tol):
-        raise AmbiguousProjection("projection queried on the ridge (medial axis)")
-    q, _ = _project_raw(domain, x)
-    return q
-
-
 def _inward_normal(domain: Domain, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if isinstance(domain, Ellipse):
@@ -271,31 +252,24 @@ def limit_vector_field(domain: Domain, x) -> np.ndarray:
 # ridge
 
 
-def ridge_span(domain: Domain) -> tuple[float, float]:
-    if isinstance(domain, Ellipse):
-        c2 = domain.a**2 - domain.b**2
-        half = c2 / domain.a
-        return -half, half
-    return 0.0, domain.L
-
-
 @dataclass(frozen=True)
 class RidgeSet:
-    """Horizontal jump segment with per-point one-sided trace data.
+    """The jump segment [lo, hi] x {0} with per-point one-sided trace data.
 
     ``data(x1)`` evaluates, for ridge abscissas x1 strictly inside the
     segment, the normal ``n`` = (0, 1), the upper/lower traces ``m_plus``
     and ``m_minus``, their angle ``beta`` in (0, pi) from the bisector, and
-    the bisector angle ``sbar`` = 3*pi/2.
+    the bisector angle ``sbar`` = 3*pi/2.  A disk's ridge is the single
+    point lo == hi.
     """
 
     domain: Domain
-    p_minus: tuple[float, float]
-    p_plus: tuple[float, float]
+    lo: float
+    hi: float
 
     @property
     def length(self) -> float:
-        return self.p_plus[0] - self.p_minus[0]
+        return self.hi - self.lo
 
     def data(self, x1) -> dict:
         """One-sided traces at the ridge points (x1, 0).
@@ -327,8 +301,11 @@ class RidgeSet:
 
 
 def ridge_set(domain: Domain) -> RidgeSet:
-    lo, hi = ridge_span(domain)
-    return RidgeSet(domain, (lo, 0.0), (hi, 0.0))
+    """The domain's ridge: |x1| <= (a^2 - b^2)/a, between the evolute's cusps, on the ellipse; the core on the stadium."""
+    if isinstance(domain, Ellipse):
+        half = (domain.a**2 - domain.b**2) / domain.a
+        return RidgeSet(domain, -half, half)
+    return RidgeSet(domain, 0.0, domain.L)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +318,7 @@ class Grid:
 
     Node (i, j) sits at ``origin + i*h*e1 + j*h*e2`` where (e1, e2) are
     the lattice axes (world axes rotated by ``angle``).  ``mask`` holds
-    the INTERIOR / COLLAR / EXTERIOR class per node and ``ridge_near``
-    flags nodes within h/2 of the ridge segment.
+    the INTERIOR / COLLAR / EXTERIOR class per node.
     """
 
     origin: tuple[float, float]
@@ -351,7 +327,6 @@ class Grid:
     ny: int
     angle: float = 0.0
     mask: np.ndarray | None = field(default=None, repr=False)
-    ridge_near: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -377,9 +352,6 @@ class Grid:
 
     def interior(self) -> np.ndarray:
         return self.mask == INTERIOR
-
-    def collar(self) -> np.ndarray:
-        return self.mask == COLLAR
 
     @staticmethod
     def cover(domain: Domain, h: float | None = None, resolution: int | None = None,
@@ -427,7 +399,6 @@ class Grid:
         mask[sd > -domain.delta] = COLLAR
         mask[sd >= -_ON_BOUNDARY_TOL] = INTERIOR
         self.mask = mask
-        self.ridge_near = ridge_distance(domain, self.nodes) <= 0.5 * self.h
 
 
 # ---------------------------------------------------------------------------

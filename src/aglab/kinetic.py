@@ -30,6 +30,7 @@ from .fields import VectorField
 from .geometry import GL_NODES, GL_WEIGHTS, Domain, Grid, RidgeSet, integrate, ridge_set, signed_distance
 
 TWO_PI = 2.0 * np.pi
+_UNIT_TOL = 1e-10  # the normalization and minimality tolerance of unit-TV measures
 
 
 def _wrap(s):
@@ -49,9 +50,6 @@ class Piece:
     amp: float
     phase: float
     offset: float
-
-    def density(self, s):
-        return self.amp * np.sin(s - self.phase) + self.offset
 
     def antiderivative(self, s):
         return -self.amp * np.cos(s - self.phase) + self.offset * s
@@ -74,9 +72,6 @@ class Piece:
         F, cuts = self.antiderivative, sorted(cuts)
         return float(sum(abs(F(q) - F(p)) for p, q in zip(cuts[:-1], cuts[1:])))
 
-    def signed_integral(self) -> float:
-        return float(self.antiderivative(self.s1) - self.antiderivative(self.s0))
-
 
 @dataclass
 class CircleMeasure:
@@ -89,25 +84,11 @@ class CircleMeasure:
         self.atoms = [(float(_wrap(s)), float(w)) for s, w in self.atoms]
         self.pieces = sorted(self.pieces, key=lambda p: p.s0)
 
-    # -- evaluation ---------------------------------------------------------
-    def density(self, s) -> np.ndarray:
-        s = _wrap(np.asarray(s, dtype=float))
-        out = np.zeros_like(s)
-        for p in self.pieces:
-            sel = (s >= p.s0) & (s < p.s1)
-            out[sel] = p.density(s[sel])
-        return out
-
     # -- integrals ----------------------------------------------------------
     def total_variation(self) -> float:
         tv = sum(abs(w) for _, w in self.atoms)
         tv += sum(p.abs_integral() for p in self.pieces)
         return float(tv)
-
-    def total_mass(self) -> float:
-        mass = sum(w for _, w in self.atoms)
-        mass += sum(p.signed_integral() for p in self.pieces)
-        return float(mass)
 
     # -- algebra ------------------------------------------------------------
     def covered_length(self) -> float:
@@ -139,17 +120,6 @@ class CircleMeasure:
                 pieces.append(Piece(a, TWO_PI, p.amp, ph, p.offset))
                 pieces.append(Piece(0.0, b - TWO_PI, p.amp, ph, p.offset))
         return CircleMeasure(atoms, pieces)
-
-    # -- serialization ------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "atoms": [[s, w] for s, w in self.atoms],
-            "pieces": [
-                {"s0": p.s0, "s1": p.s1, "kind": "const" if p.amp == 0 else "sin",
-                 "params": [p.amp, p.phase, p.offset]}
-                for p in self.pieces
-            ],
-        }
 
 
 def _pairings(measures: list[CircleMeasure], f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -272,12 +242,12 @@ def minimal_disintegration(kind: Jump | NonJump) -> CircleMeasure:
     return CircleMeasure(atoms, _cover_with_zeros([]))
 
 
-def minimality_check(mu: CircleMeasure, alphas: Iterable[float], tol: float = 1e-10) -> bool:
-    """True iff adding any sampled constant density does not lower the TV."""
+def minimality_check(mu: CircleMeasure, alphas: Iterable[float]) -> bool:
+    """True iff adding any sampled constant density does not lower the TV, up to _UNIT_TOL."""
     tv0 = mu.total_variation()
-    if abs(tv0 - 1.0) > 1e-10:
+    if abs(tv0 - 1.0) > _UNIT_TOL:
         raise ValueError(f"measure must have unit total variation, got {tv0}")
-    return all(mu.with_const(a).total_variation() >= tv0 - tol for a in alphas)
+    return all(mu.with_const(a).total_variation() >= tv0 - _UNIT_TOL for a in alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +304,7 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     if grid.angle != 0.0:
         raise NotImplementedError("ridge sigma field expects an axis-aligned grid")
     ridge = ridge_set(domain)
-    lo, hi = ridge.p_minus[0], ridge.p_plus[0]
+    lo, hi = ridge.lo, ridge.hi
     if hi <= lo:
         return RidgeSigmaField(grid, {}, {}, {}, {})
     pts = grid.nodes
@@ -415,7 +385,7 @@ def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
     flux that has nothing to do with the kinetic measure.
     """
     ridge = ridge_set(domain)
-    lo, hi = ridge.p_minus[0], ridge.p_plus[0]
+    lo, hi = ridge.lo, ridge.hi
     span = max(hi - lo, 4 * grid.h)
     if hi > lo:
         centers = [(lo + f * (hi - lo), 0.0) for f in (0.25, 0.5, 0.75)]
@@ -496,24 +466,19 @@ class SignStructureReport:
     vertical_normal_fraction: float
     n_cells: int
 
-    def to_json(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "vertical_normal_fraction": self.vertical_normal_fraction,
-            "n_cells": self.n_cells,
-        }
-
 
 def sign_structure_report(cells: dict[tuple[int, int], CircleMeasure], ridge: RidgeSet) -> SignStructureReport:
     """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs, sigma given by its node cells.
 
     Also reports the fraction of ridge normals aligned with the vertical
-    axis, the axis-alignment census for the jump set.
+    axis.  It is 1.0 by construction: ``RidgeSet.data`` fixes n = (0, 1)
+    for both supported shapes, so the census checks the record, not the
+    geometry.
     """
     min_margin = min((derivative_min_on_arcs(mu) for mu in cells.values()), default=0.0)
     vertical = 1.0
     if ridge.length > 0:
-        xs = np.linspace(ridge.p_minus[0], ridge.p_plus[0], 257)[1:-1]
+        xs = np.linspace(ridge.lo, ridge.hi, 257)[1:-1]
         n = ridge.data(xs)["n"]
         aligned = np.abs(np.abs(n[..., 1]) - 1.0) < 1e-9
         vertical = float(np.mean(aligned))

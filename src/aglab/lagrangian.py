@@ -43,7 +43,7 @@ from scipy.special import kolmogorov
 
 from . import geometry
 from .errors import NoConvergence
-from .geometry import Domain, ridge_span
+from .geometry import RIDGE_SBAR, Domain, ridge_set
 
 TWO_PI = 2.0 * np.pi
 MIN_CURVES = 1000  # the smallest ensemble the representation check accepts
@@ -67,8 +67,8 @@ class DomainFlow:
         self.domain = domain
         self.inset = inset
         self.level = inset - domain.delta  # inside <=> signed_distance > level
-        lo, hi = ridge_span(domain)
-        self.ridge = (lo, hi, geometry.RIDGE_SBAR) if hi > lo else None
+        ridge = ridge_set(domain)
+        self.ridge = ridge if ridge.length > 0 else None  # a disk's ridge is one point
         (x0, x1), (y0, y1) = domain.bounding_box()
         self.bbox = (x0, x1, y0, y1)
 
@@ -141,7 +141,7 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
     # motion is direction * e^{is}; admissibility always references e^{is}
     v = direction * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if flow.ridge is not None:
-        r_lo, r_hi, r_sbar = flow.ridge
+        r_lo, r_hi = flow.ridge.lo, flow.ridge.hi
         # a tiny or zero v_y gives an infinite or NaN tau, which fails every test below
         with np.errstate(all="ignore"):
             tau = -pos[:, 1] / v[:, 1]
@@ -153,7 +153,7 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
         m_far = flow.m(np.stack([xc, far_y], axis=-1))
         blocked = np.cos(cur_ang) * m_far[:, 0] + np.sin(cur_ang) * m_far[:, 1] <= _CHI_TOL
         # free crossers keep their angle; blocked ones reflect
-        s_new = np.mod(2.0 * r_sbar - cur_ang + np.pi, TWO_PI)
+        s_new = np.mod(2.0 * RIDGE_SBAR - cur_ang + np.pi, TWO_PI)
         m_near = flow.m(np.stack([xc, -far_y], axis=-1))
         dead = blocked & (np.cos(s_new) * m_near[:, 0] + np.sin(s_new) * m_near[:, 1] < -_CHI_TOL)
         bounce = blocked & ~dead
@@ -234,7 +234,7 @@ class EnsembleReport:
     n_jumps: int
     endpoint_error: float
     endpoint_ok: bool
-    probe_stats: list[ProbeStat]
+    probes: list[ProbeStat]
     pushforward_ok: bool
     ridge_mass_fraction: float
     concentration_ok: bool
@@ -243,18 +243,6 @@ class EnsembleReport:
     ks_statistic: float
     ks_p_value: float
     stationarity_ok: bool
-
-    def to_json(self) -> dict:
-        out = {k: getattr(self, k) for k in (
-            "n_curves", "window", "seed", "stuck_curves", "n_jumps",
-            "endpoint_error", "endpoint_ok", "pushforward_ok", "ridge_mass_fraction", "concentration_ok",
-            "cancellation_ratio", "cancellation_ok", "ks_statistic",
-            "ks_p_value", "stationarity_ok")}
-        out["probes"] = [
-            {"t": p.t, "chi2": p.chi2, "dof": p.dof, "threshold": p.threshold, "ok": p.ok}
-            for p in self.probe_stats
-        ]
-        return out
 
 
 def _sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -323,8 +311,7 @@ def ensemble_representation_check(
                      curve_at(t_minus, pts, t0, angs, fwd, bwd)[0] - bwd_end])
     endpoint_error = float(np.sqrt(np.max(np.sum(miss * miss, axis=-1)[:, live], initial=0.0)))
 
-    probes = [f * T for f in _PROBE_FRACS]
-    probe_stats = []
+    probes = []
     x0b, x1b, y0b, y1b = flow.bbox
     xe = np.linspace(x0b, x1b, nbx + 1)
     ye = np.linspace(y0b, y1b, nby + 1)
@@ -351,7 +338,7 @@ def ensemble_representation_check(
 
     w2_ratio = float(np.sum(weights**2) / np.sum(weights))
     pushforward_ok = True
-    for tp in probes:
+    for tp in (f * T for f in _PROBE_FRACS):
         ids = np.flatnonzero((t_minus < tp) & (tp < t_plus))
         x, s = curve_at(tp, pts, t0, angs, fwd, bwd)
         H, _ = np.histogramdd(np.column_stack([x[ids], np.mod(s[ids], TWO_PI)]),
@@ -360,13 +347,13 @@ def ensemble_representation_check(
         sel = expected >= _MIN_EXPECTED * w2_ratio
         dof = int(np.sum(sel)) - 1
         if dof < 1:
-            probe_stats.append(ProbeStat(tp, 0.0, 0, 0.0, True))
+            probes.append(ProbeStat(tp, 0.0, 0, 0.0, True))
             continue
         chi2 = float(np.sum((H[sel] - expected[sel]) ** 2 / (expected[sel] * w2_ratio)))
         thresh = dof + 4.0 * math.sqrt(2.0 * dof)
         ok = chi2 <= thresh
         pushforward_ok &= ok
-        probe_stats.append(ProbeStat(tp, chi2, dof, thresh, ok))
+        probes.append(ProbeStat(tp, chi2, dof, thresh, ok))
 
     # --- aggregate kinetic measure from jump arcs ---
     fc, bc = np.flatnonzero(np.isfinite(fwd_t)), np.flatnonzero(np.isfinite(bwd_t))
@@ -391,7 +378,7 @@ def ensemble_representation_check(
 
         # signed aggregation on (ridge cell, angular bin)
         if flow.ridge is not None:
-            r_lo, r_hi, _ = flow.ridge
+            r_lo, r_hi = flow.ridge.lo, flow.ridge.hi
         else:
             r_lo, r_hi = x0b, x1b
         ncell = max(int(np.ceil((r_hi - r_lo) / h)), 1)
@@ -425,7 +412,7 @@ def ensemble_representation_check(
         n_jumps=n_jumps,
         endpoint_error=endpoint_error,
         endpoint_ok=endpoint_error <= 1e-9,
-        probe_stats=probe_stats,
+        probes=probes,
         pushforward_ok=bool(pushforward_ok),
         ridge_mass_fraction=ridge_frac,
         concentration_ok=ridge_frac >= 0.95,

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_entropy_report_deterministic(tmp_path):
 
 @pytest.mark.parametrize("n_frames", [2, 3])
 def test_entropy_report_computes_each_production_once(tmp_path, monkeypatch, n_frames):
-    # with 2 frames the loop covers both frames of f0_tilde_two_frames; with 3 it misses pi/4
+    # with 2 frames the loop covers both frames of f0_two_frames (0 and pi/4); with 3 it misses pi/4
     from aglab import entropy
 
     fields = []
@@ -253,7 +254,9 @@ def test_entropy_report_computes_each_production_once(tmp_path, monkeypatch, n_f
     assert len(fields) == {2: 2, 3: 4}[n_frames]
     report = json.loads((tmp_path / "out" / "entropy_frames.json").read_text())
     assert len(report["frames"]) == n_frames
-    assert report["f0_two_frames"] == entropy.f0_tilde_two_frames(fields[0])
+    m = fields[0]
+    tvs = [production(m, partial(entropy.sigma_frame, t)).total_variation(m.grid.active()) for t in (0.0, np.pi / 4)]
+    assert report["f0_two_frames"] == float(np.hypot(*tvs))
 
 
 def test_limit_table_outputs(tmp_path):
@@ -280,12 +283,25 @@ def test_minimize_dumps_field(tmp_path):
     summary = json.loads((out / "minimize_summary.json").read_text())
     assert summary["eps"] == 0.5
     assert summary["total"] == pytest.approx(summary["hessian_term"] + summary["potential_term"])
+    assert summary["levels_converged"] == [True]  # hessian_power = 2 runs one level
+
+
+def test_minimize_reports_every_level(tmp_path):
+    # the benchmark's minimize config with a budget of 27 steps: the first
+    # four eta levels run out of their 3-step shares, the last level converges
+    text = ("[domain]\nkind = ellipse\na = 1.0\nb = 0.5\n[grid]\nh = 0.025\n"
+            "[minimize]\neps_list = 0.2\nhessian_power = 1\nmax_iter = 27\n[output]\ndirectory = out\nseed = 1\n")
+    assert run("minimize", write_cfg(tmp_path, text)) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "minimize_summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["levels_converged"] == [False] * 4 + [True] * 5
 
 
 def test_kinetic_check_identity_error(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert run("kinetic-check", p) == EXIT_OK
     report = json.loads((tmp_path / "out" / "kinetic_check.json").read_text())
+    assert report["sign_structure"].keys() == {"min_margin", "vertical_normal_fraction", "n_cells"}
     assert report["max_identity_error"] <= 1e-8
     assert report["max_normalization_error"] <= 1e-10
     assert report["minimality_ok"]
@@ -315,6 +331,12 @@ def test_characteristics_report(tmp_path):
     assert run("characteristics", p) == EXIT_OK
     out = tmp_path / "out"
     rep = json.loads((out / "ensemble_report.json").read_text())
+    assert rep.keys() == {
+        "config_hash", "seed", "n_curves", "window", "stuck_curves", "n_jumps", "endpoint_error", "endpoint_ok",
+        "probes", "pushforward_ok", "ridge_mass_fraction", "concentration_ok", "cancellation_ratio",
+        "cancellation_ok", "ks_statistic", "ks_p_value", "stationarity_ok"}
+    assert len(rep["probes"]) == 4
+    assert all(probe.keys() == {"t", "chi2", "dof", "threshold", "ok"} for probe in rep["probes"])
     assert rep["seed"] == 99
     assert rep["cancellation_ok"]
     assert (out / "curves.csv").exists()

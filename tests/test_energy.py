@@ -21,7 +21,7 @@ from aglab.energy import (
 )
 from aglab.errors import NonFiniteEnergy
 from aglab.fields import ScalarField, diff_ops, exact_limit_field, fd_gradient
-from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
+from aglab.geometry import COLLAR, EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
 
 RNG = np.random.default_rng(23)
 
@@ -31,7 +31,6 @@ def unit_square_grid(n=32, pad=3):
     mask = np.full((g.nx, g.ny), EXTERIOR, dtype=np.uint8)
     mask[pad:pad + n, pad:pad + n] = INTERIOR  # nodal area exactly 1
     g.mask = mask
-    g.ridge_near = np.zeros((g.nx, g.ny), bool)
     return g
 
 
@@ -314,7 +313,7 @@ def test_minimize_beats_mollified_start(ellipse):
     assert e_final <= e_start + 1e-12
     # pinned nodes never change, exactly
     u_exact, _ = exact_limit_field(ellipse, grid)
-    collar = grid.collar()
+    collar = grid.mask == COLLAR
     assert np.array_equal(res.u.values[collar], u_exact.values[collar])
 
 

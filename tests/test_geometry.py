@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aglab import geometry
-from aglab.errors import AmbiguousProjection, QuadratureFailure
+from aglab.errors import QuadratureFailure
 from aglab.geometry import (
     COLLAR,
     EXTERIOR,
@@ -17,7 +17,6 @@ from aglab.geometry import (
     grad_signed_distance,
     limit_vector_field,
     offset_boundary,
-    project_to_boundary,
     ridge_set,
     _project_raw,
     signed_distance,
@@ -43,14 +42,19 @@ def test_signed_distance_vs_sampling_oracle(ellipse, boundary_samples):
         assert got == pytest.approx(want, abs=1e-8)
 
 
+def project(domain, x):
+    """Closest boundary point of points off the ridge, where it is unique."""
+    return _project_raw(domain, np.asarray(x, dtype=float))[0]
+
+
 def test_projection_trivials(ellipse, stadium):
-    assert project_to_boundary(ellipse, [2.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert project_to_boundary(stadium, [1.0, 3.0]) == pytest.approx([1.0, 1.0], abs=1e-14)
+    assert project(ellipse, [2.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert project(stadium, [1.0, 3.0]) == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_projection_vs_sampling_oracle(ellipse, boundary_samples):
     p = np.array([0.3, 0.1])
-    q = project_to_boundary(ellipse, p)
+    q = project(ellipse, p)
     d = np.hypot(boundary_samples[:, 0] - p[0], boundary_samples[:, 1] - p[1])
     q_oracle = boundary_samples[np.argmin(d)]
     assert q == pytest.approx(q_oracle, abs=1e-5)  # sample spacing limits the oracle
@@ -60,20 +64,14 @@ def test_projection_vs_sampling_oracle(ellipse, boundary_samples):
 def test_projection_idempotent(ellipse):
     pts = RNG.uniform(-1.2, 1.2, size=(64, 2))
     pts = pts[np.abs(pts[:, 1]) > 1e-3]
-    q = project_to_boundary(ellipse, pts)
-    q2 = project_to_boundary(ellipse, q + 1e-13)  # nudge off the exact boundary
+    q = project(ellipse, pts)
+    q2 = project(ellipse, q + 1e-13)  # nudge off the exact boundary
     assert np.max(np.abs(q - q2)) < 1e-10
-
-
-def test_projection_ambiguous_on_ridge(ellipse):
-    with pytest.raises(AmbiguousProjection):
-        project_to_boundary(ellipse, [0.2, 0.0])
 
 
 def test_ridge_endpoints_ellipse(ellipse, boundary_samples):
     r = ridge_set(ellipse)
-    assert r.p_minus == pytest.approx((-0.75, 0.0))
-    assert r.p_plus == pytest.approx((0.75, 0.0))
+    assert (r.lo, r.hi) == pytest.approx((-0.75, 0.75))
     # oracle: beyond the endpoint the closest-point set is a single cluster
     # near the vertex, strictly inside it splits into two symmetric clusters
     d = np.hypot(boundary_samples[:, 0] - 0.70, boundary_samples[:, 1])
@@ -86,8 +84,7 @@ def test_ridge_endpoints_ellipse(ellipse, boundary_samples):
 
 def test_ridge_endpoints_stadium(stadium):
     r = ridge_set(stadium)
-    assert r.p_minus == pytest.approx((0.0, 0.0))
-    assert r.p_plus == pytest.approx((2.0, 0.0))
+    assert (r.lo, r.hi) == pytest.approx((0.0, 2.0))
     d = r.data(np.array([0.5, 1.0, 1.5]))
     assert d["beta"] == pytest.approx(np.pi / 2)
 
@@ -147,14 +144,6 @@ def test_grid_classification(ellipse, grid64):
     assert np.all(grid64.mask[-2:, :] == EXTERIOR)
     assert np.all(grid64.mask[:, :2] == EXTERIOR)
     assert np.all(grid64.mask[:, -2:] == EXTERIOR)
-
-
-def test_grid_ridge_near(ellipse, grid64):
-    pts = grid64.nodes
-    near = grid64.ridge_near
-    span = 0.75
-    inside = (np.abs(pts[..., 1]) <= grid64.h / 2 + 1e-15) & (np.abs(pts[..., 0]) <= span)
-    assert np.all(near[inside])
 
 
 @pytest.mark.parametrize("size", [{"h": 0.0}, {"h": -0.1}, {"h": np.nan}, {"resolution": 0},

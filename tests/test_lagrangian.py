@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_ensemble_ellipse_statistics(ellipse):
 def test_ensemble_seed_reproducible(ellipse):
     r1 = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 2000, 0.6, seed=17, h=1 / 64)
     r2 = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 2000, 0.6, seed=17, h=1 / 64)
-    assert json.dumps(r1.to_json(), sort_keys=True) == json.dumps(r2.to_json(), sort_keys=True)
+    assert json.dumps(asdict(r1), sort_keys=True) == json.dumps(asdict(r2), sort_keys=True)
 
 
 def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
@@ -248,7 +249,7 @@ def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
     bad = ensemble_representation_check(flow, 2000, 0.6, seed=17, h=1 / 64)
     assert not bad.endpoint_ok
     # no other verdict or statistic sees the mutation
-    others = lambda rep: {k: v for k, v in rep.to_json().items() if not k.startswith("endpoint")}
+    others = lambda rep: {k: v for k, v in asdict(rep).items() if not k.startswith("endpoint")}
     assert others(bad) == others(ref)
 
 
@@ -282,7 +283,7 @@ def on_exit_curve(flow):
 
 def hard_starts(flow, direction):
     """(start, angle) pairs on the inputs that are numerically hard for the tracer."""
-    lo, hi, _ = flow.ridge
+    lo, hi = flow.ridge.lo, flow.ridge.hi
     x0, x1, y0, y1 = flow.bbox
     angle = st.floats(0.0, 2 * np.pi)
     # the exit curve lies `inset` inside the bounding box
@@ -331,7 +332,7 @@ def test_trace_properties_hard_inputs(flow, data):
     assert reflected + stuck[0] <= 1
     if reflected:
         assert x_ref[0, 1] == 0.0
-        assert flow.ridge[0] <= x_ref[0, 0] <= flow.ridge[1]
+        assert flow.ridge.lo <= x_ref[0, 0] <= flow.ridge.hi
     if stuck[0]:
         assert pos[0, 1] == 0.0
     else:
@@ -353,7 +354,7 @@ def test_trace_properties_hard_inputs(flow, data):
 @given(data=st.data())
 def test_curve_at_reflection_tie(flow, data):
     """At its reflection time a curve is on the outgoing line forward and on the start line backward."""
-    lo, hi, _ = flow.ridge
+    lo, hi = flow.ridge.lo, flow.ridge.hi
     direction = data.draw(st.sampled_from([1, -1]))
     s = data.draw(st.floats(0.0, 2 * np.pi))
     # the start's line meets the ridge at (xc, 0) after time d
