@@ -257,7 +257,8 @@ def run_limit_table(cfg: ExperimentConfig) -> int:
         "f0_reference": table.f0_reference,
         "w11_monotone": table.w11_monotone,
         "gap_monotone": table.gap_monotone,
-        "rows": [{"eps": r.eps, "total": r.total, "w11": r.w11, "converged": r.converged}
+        "rows": [{"eps": r.eps, "total": r.total, "w11": r.w11, "converged": r.converged,
+                  "levels_converged": r.levels_converged}
                  for r in table.rows],
     })
     ok = all(r.converged for r in table.rows)

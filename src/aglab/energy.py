@@ -18,8 +18,13 @@ five derivative operators, W is the per-node curvature of the energy
 density made positive semidefinite, and gamma = 8 h^2 / eps.  H's
 sparsity pattern depends on the grid alone, so each grid builds it once,
 with a map from the nodal W to H's data; a step only fills in values.
-The first SuperLU factor on a grid picks a fill-reducing column order
-from that pattern, and every later one reuses it.
+
+A step solves H d = g inexactly (Dembo, Eisenstat & Steihaug 1982), by
+conjugate gradients preconditioned with the last SuperLU factor of the
+same ``minimize`` call, which may be many steps and eta levels old.
+Only when CG stalls is H factored afresh, and that factor is kept in
+turn.  The first factor on a grid picks a fill-reducing column order
+from the pattern, and every later one reuses it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .geometry import Domain, Grid, ridge_set
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
 _MAX_BACKTRACKS = 60  # step halvings before a line search gives up
+_CG_RTOL = 1e-4  # a step's CG stops at |H d - g| <= _CG_RTOL |g|
+_CG_MAX_ITER = 16  # CG iterations before a step factors H afresh
 _MOLLIFY_CELLS = 2.0  # width of the start's Gaussian blur, in cells
 _LIMIT_SLACK = 0.05  # relative rise that a limit table's monotonicity flags forgive
 
@@ -74,6 +81,7 @@ class LevelRecord:
     split: EnergySplit  # of the state the level returned
     grad_norm: float  # of the same state
     converged: bool  # grad_norm <= tol
+    factors: int  # Newton matrices factored on the level
 
 
 @dataclass
@@ -325,8 +333,11 @@ def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
     the default column ordering for nonsymmetric matrices.  The ordering
     reads only the structure, which is fixed on a grid, so the first
     factor stores its column order on the pattern, and every later one
-    factors H in that order with no ordering step.  ``splu`` is looked up
-    on its module at each call, where a tracer can wrap it.
+    factors H in that order with no ordering step.  The factor itself
+    depends on u, so it is never stored on the pattern: a ``minimize``
+    call keeps it (:class:`_KeptFactor`) as the preconditioner of later
+    steps.  ``splu`` is looked up on its module at each call, where a
+    tracer can wrap it.
     """
     options = {"SymmetricMode": True}
     if pattern.order is None:
@@ -346,12 +357,62 @@ def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
     return _ReorderedFactor(lu, pattern.order)
 
 
-def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
-                  budget: int) -> tuple[ScalarField, LevelRecord]:
-    """Damped Newton steps on one eta level, with a plain Armijo backtrack.
+def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> np.ndarray | None:
+    """Solve H x = b by conjugate gradients from 0, preconditioned with ``lu``.
 
-    Each step factors H (:func:`_newton_matrix`) at the current state,
-    solves H d = g on the interior unknowns, and halves t from 1 until
+    Returns x once the residual |b - H x| falls to _CG_RTOL |b|, or None
+    if _CG_MAX_ITER iterations do not get it there (Nocedal & Wright,
+    Algorithm 5.3).  With H and the preconditioner SPD, every iterate
+    minimizes x.H x / 2 - b.x over a subspace that holds it, so
+    b.x = x.H x > 0 and -x is a descent direction.  With H's own factor
+    the first iterate is the direct solution.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    stop = _CG_RTOL * np.linalg.norm(b)
+    z = lu.solve(r)
+    p = z
+    rz = r @ z
+    for _ in range(_CG_MAX_ITER):
+        Hp = H @ p
+        alpha = rz / (p @ Hp)
+        x += alpha * p
+        r -= alpha * Hp
+        if np.linalg.norm(r) <= stop:
+            return x
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
+@dataclass
+class _KeptFactor:
+    """The last Newton factor of one ``minimize`` call and a count of factors made."""
+
+    pattern: _NewtonPattern
+    lu: object = None
+    factors: int = 0
+
+    def solve(self, H: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+        """x with |H x - b| <= _CG_RTOL |b|: CG on the kept factor, else a new factor of H."""
+        if self.lu is not None:
+            x = _preconditioned_cg(H, b, self.lu)
+            if x is not None:
+                return x
+        self.lu = None  # free the old factor first, so no two are alive together
+        self.lu = _factor(H, self.pattern)
+        self.factors += 1
+        return self.lu.solve(b)
+
+
+def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions,
+                  budget: int, kept: _KeptFactor) -> tuple[ScalarField, LevelRecord]:
+    """Inexact damped Newton steps on one eta level, with a plain Armijo backtrack.
+
+    Each step builds H (:func:`_newton_matrix`) at the current state,
+    solves H d = g on the interior unknowns through ``kept`` to a relative
+    residual of _CG_RTOL, and halves t from 1 until
     E(u - t d) <= E(u) - _ARMIJO t g.d.  Accepted steps only lower the
     energy, so the current state is always the best one.  The level ends
     when the gradient norm meets ``tol``, after ``budget`` steps, or on a
@@ -361,19 +422,19 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     grid = u0.grid
     power = opts.hessian_power
     idx = diff_ops(grid).interior_idx
-    pattern = _newton_pattern(grid)
     u = u0.values
     split = energy(u0, eps, eta, power)
     g = energy_gradient(u0, eps, eta, power)
     gn = grad_norm(grid, g)
     it = backtracks = 0
+    factors = kept.factors
     while it < budget and gn > opts.tol:
         # zero off the interior, so a step leaves the collar exactly pinned;
-        # H and its factor are freed at once, so no two are alive together
+        # H is freed once the step is solved, its factor (if one was made) is kept
         d = np.zeros(u.size)
-        d[idx] = _factor(_newton_matrix(ScalarField(grid, u), eps, eta, power), pattern).solve(g.ravel()[idx])
+        d[idx] = kept.solve(_newton_matrix(ScalarField(grid, u), eps, eta, power), g.ravel()[idx])
         d = d.reshape(grid.shape)
-        slope = float(np.sum(g * d))  # positive: H is SPD
+        slope = float(np.sum(g * d))  # positive: H and the preconditioner are SPD
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = u - t * d
@@ -388,7 +449,8 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
         g = energy_gradient(ScalarField(grid, u), eps, eta, power)
         gn = grad_norm(grid, g)
         it += 1
-    return ScalarField(grid, u), LevelRecord(eta, it, backtracks, split, gn, gn <= opts.tol)
+    record = LevelRecord(eta, it, backtracks, split, gn, gn <= opts.tol, kept.factors - factors)
+    return ScalarField(grid, u), record
 
 
 def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> MinimizeResult:
@@ -423,12 +485,13 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
     else:
         etas = [0.0]
 
+    kept = _KeptFactor(_newton_pattern(grid))  # lives for this call only: a factor depends on u
     levels: list[LevelRecord] = []
     for k, eta in enumerate(etas):
         # the remaining iterations, shared among the remaining levels; a
         # level whose share rounds to 0 takes no step, so max_iter holds
         budget = (opts.max_iter - sum(lv.iterations for lv in levels)) // (len(etas) - k)
-        u, level = _newton_level(u, eps, eta, opts, budget)
+        u, level = _newton_level(u, eps, eta, opts, budget, kept)
         levels.append(level)
     return MinimizeResult(
         u=u,
@@ -452,7 +515,8 @@ class LimitRow:
     potential_term: float
     core_total: float
     w11: float
-    converged: bool
+    converged: bool  # of the last eta level
+    levels_converged: list[bool]  # of every eta level, in schedule order
     iterations: int
 
 
@@ -501,6 +565,7 @@ def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
             core_total=core.total,
             w11=w11_distance(res.u, u_exact, grid.interior()),
             converged=res.converged,
+            levels_converged=[lv.converged for lv in res.levels],
             iterations=res.iterations,
         ))
         warm = res.u

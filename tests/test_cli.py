@@ -297,6 +297,18 @@ def test_minimize_reports_every_level(tmp_path):
     assert summary["levels_converged"] == [False] * 4 + [True] * 5
 
 
+def test_limit_table_reports_every_level(tmp_path):
+    # the same budget-starved run as a limit table's one row: the row's
+    # `converged` reads only the last level, `levels_converged` shows the rest
+    text = ("[domain]\nkind = ellipse\na = 1.0\nb = 0.5\n[grid]\nh = 0.025\n"
+            "[minimize]\neps_list = 0.2\nhessian_power = 1\nmax_iter = 27\n[output]\ndirectory = out\nseed = 1\n")
+    assert run("limit-table", write_cfg(tmp_path, text)) == EXIT_OK
+    table = json.loads((tmp_path / "out" / "limit_table.json").read_text())
+    [row] = table["rows"]
+    assert row["converged"] is True
+    assert row["levels_converged"] == [False] * 4 + [True] * 5
+
+
 def test_kinetic_check_identity_error(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert run("kinetic-check", p) == EXIT_OK

@@ -243,14 +243,65 @@ def test_second_minimize_on_a_grid_reuses_the_column_order(ellipse, monkeypatch)
     opts = MinimizeOptions(max_iter=400, hessian_power=1)
     fresh = minimize(ellipse, grid, 0.3, opts)
     # only the first factor on the grid orders its columns
-    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (fresh.iterations - 1)
+    factors = sum(lv.factors for lv in fresh.levels)
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (factors - 1)
     orderings.clear()
     again = minimize(ellipse, grid, 0.3, opts)
-    assert orderings == ["NATURAL"] * again.iterations
+    # the factor itself is not kept from one call to the next: it depends on u
+    assert orderings == ["NATURAL"] * sum(lv.factors for lv in again.levels)
+    assert [lv.factors for lv in again.levels] == [lv.factors for lv in fresh.levels]
     assert [lv.iterations for lv in again.levels] == [lv.iterations for lv in fresh.levels]
     assert [lv.backtracks for lv in again.levels] == [lv.backtracks for lv in fresh.levels]
     for a, b in zip(again.levels, fresh.levels):
         assert abs(a.split.total - b.split.total) <= 1e-12 * b.split.total
+
+
+class _CountedSolves:
+    """A factor whose ``solve`` calls are counted."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+@functools.cache
+def _cg_start():
+    ellipse = Ellipse(1.0, 0.5)
+    grid = Grid.cover(ellipse, resolution=16)
+    return grid, mollified_limit_field(ellipse, grid)
+
+
+# the preconditioner is a factor of another state, eps and eta, as when a
+# step reuses the factor of an earlier step or eta level
+@given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 0.2), other_noise=st.floats(0.0, 0.2),
+       eps=st.floats(0.1, 1.0), eta=st.floats(1e-3, 1.0), other_eta=st.floats(1e-3, 1.0),
+       power=st.sampled_from([1, 2]))
+def test_preconditioned_cg_returns_a_descent_direction(seed, noise, other_noise, eps, eta, other_eta, power):
+    grid, start = _cg_start()
+    rng = np.random.default_rng(seed)
+    idx = diff_ops(grid).interior_idx
+
+    def state(scale):
+        vals = start.values.copy()
+        vals.ravel()[idx] += scale * grid.h * rng.standard_normal(idx.size)
+        return ScalarField(grid, vals)
+
+    u = state(noise)
+    H = energy_mod._newton_matrix(u, eps, eta, power)
+    g = energy_gradient(u, eps, eta, power).ravel()[idx]
+    pattern = energy_mod._newton_pattern(grid)
+    other = energy_mod._factor(energy_mod._newton_matrix(state(other_noise), 2 * eps, other_eta, power), pattern)
+    d = energy_mod._preconditioned_cg(H, g, other)
+    if d is not None:
+        assert np.linalg.norm(H @ d - g) <= energy_mod._CG_RTOL * np.linalg.norm(g)
+        assert g @ d > 0
+    own = _CountedSolves(energy_mod._factor(H, pattern))
+    d = energy_mod._preconditioned_cg(H, g, own)
+    assert d is not None and own.calls == 1
+    assert np.linalg.norm(H @ d - g) <= 1e-10 * np.linalg.norm(g)
 
 
 _DERIV = st.floats(-50.0, 50.0)
@@ -408,8 +459,8 @@ def test_minimize_calls_the_traced_entry_points(ellipse, monkeypatch):
         assert sum(not lv.converged for lv in res.levels) == failed
         assert counts["energy"] > res.iterations > 0
         assert counts["gradient"] == res.iterations + len(res.levels)
-        # one factor per line search, failed ones included
-        assert counts["splu"] == res.iterations + failed
+        # every factor goes through splu; at most one per line search, failed ones included
+        assert 0 < counts["splu"] == sum(lv.factors for lv in res.levels) <= res.iterations + failed
 
 
 def test_level_records(ellipse):
@@ -446,6 +497,27 @@ def test_benchmark_minimize_trajectory(ellipse):
     assert [lv.backtracks for lv in res.levels] == [14, 0, 0, 0, 0, 0, 0, 0, 0]
     assert res.converged
     assert abs(res.levels[-1].split.total - 1.1262599590928513) <= 1e-12 * 1.1262599590928513
+
+
+def test_benchmark_minimize_keeps_its_factor(ellipse):
+    # the benchmark's minimize-ellipse job takes 36 steps; CG on the kept
+    # factor solves most of them, so few of them factor H
+    grid = Grid.cover(ellipse, h=1 / 40)
+    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
+    assert res.levels[0].factors >= 1
+    assert sum(lv.factors for lv in res.levels) <= 12
+
+
+def test_minimize_leaves_a_fold_start_for_the_standard_minimizer(ellipse):
+    # u_0.3 = 0.3 - |d - 0.3| solves |grad u| = 1 a.e. with the same boundary
+    # data, but its gradient flips on {d = 0.3}; from it the inexact Newton
+    # steps still reach the minimizer of the mollified start
+    grid = Grid.cover(ellipse, h=1 / 40)
+    d, _ = exact_limit_field(ellipse, grid)
+    fold = ScalarField(grid, 0.3 - np.abs(d.values - 0.3))
+    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1, warm_start=fold))
+    assert all(lv.converged for lv in res.levels)
+    assert abs(res.levels[-1].split.total - 1.1262599590928513) <= 1e-9 * 1.1262599590928513
 
 
 def test_limit_table_single_row(ellipse):

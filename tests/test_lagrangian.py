@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.special import kolmogorov as kolmogorov_sf
 from scipy.stats import kstwobign
 
 from aglab import geometry, lagrangian
@@ -171,13 +172,20 @@ def test_stadium_bounce(stadium):
     assert np.mod(j["s_to"], 2 * np.pi) == pytest.approx(np.pi / 4)
 
 
-def same_float(a: float, b: float) -> bool:
-    return a == b or (np.isnan(a) and np.isnan(b))
+def same_tail(a: float, b: float) -> bool:
+    # the closed-form series agree with scipy's Kolmogorov tail to 5e-15 on [0, 3]
+    return abs(a - b) <= 1e-14 or (np.isnan(a) and np.isnan(b))
 
 
 @pytest.mark.parametrize("arg", [-1.0, 0.0, 1e-300, 1e-8, 0.5, 1.36, 3.0, 20.0, 1e3, np.nan])
 def test_ks_tail_is_kstwobign_sf(arg):
-    assert same_float(float(lagrangian.kolmogorov(arg)), float(kstwobign.sf(arg)))
+    assert same_tail(lagrangian.kolmogorov(arg), float(kstwobign.sf(arg)))
+
+
+def test_ks_tail_matches_scipy_kolmogorov():
+    # both series, their switch at y = 1 and the flat tail below y = 0.05
+    for y in [*np.linspace(0.0, 3.0, 3001), 5.0, 10.0, np.inf]:
+        assert same_tail(lagrangian.kolmogorov(float(y)), float(kolmogorov_sf(y))), y
 
 
 def test_weighted_ks_p_value_is_kstwobign_sf(monkeypatch):
@@ -199,7 +207,7 @@ def test_weighted_ks_p_value_is_kstwobign_sf(monkeypatch):
         first = np.arange(v1.size + v2.size) < v1.size
         with np.errstate(over="ignore", invalid="ignore"):
             _, p = _weighted_ks(np.concatenate([v1, v2]), np.concatenate([w1, w2]), first, ~first)
-        assert same_float(p, float(kstwobign.sf(args[-1])))
+        assert same_tail(p, float(kstwobign.sf(args[-1])))
     assert len(args) == len(cases)
     assert args[0] == 0.0 and 0 < args[1] < 1e-15 and 2 < args[3] < 4 and args[4] > 10 and np.isnan(args[5])
 
