@@ -22,9 +22,13 @@ with a map from the nodal W to H's data; a step only fills in values.
 A step solves H d = g inexactly (Dembo, Eisenstat & Steihaug 1982), by
 conjugate gradients preconditioned with the last SuperLU factor of the
 same ``minimize`` call, which may be many steps and eta levels old.
-Only when CG stalls is H factored afresh, and that factor is kept in
-turn.  The first factor on a grid picks a fill-reducing column order
-from the pattern, and every later one reuses it.
+H is factored afresh, and that factor kept in turn, when CG stalls, and
+at the step after a CG run that took more than _CG_REFRESH iterations:
+a factor that slow has gone stale, and its solves cost more than a new
+one (the lagged-preconditioner rule of Knoll & Keyes 2004, section 3).
+The rule counts iterations, never time, so a config always takes the
+same path.  The first factor on a grid picks a fill-reducing column
+order from the pattern, and every later one reuses it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
 _MAX_BACKTRACKS = 60  # step halvings before a line search gives up
 _CG_RTOL = 1e-4  # a step's CG stops at |H d - g| <= _CG_RTOL |g|
 _CG_MAX_ITER = 16  # CG iterations before a step factors H afresh
+_CG_REFRESH = 10  # a CG run of more iterations makes the next step factor H afresh
 _MOLLIFY_CELLS = 2.0  # width of the start's Gaussian blur, in cells
 _LIMIT_SLACK = 0.05  # relative rise that a limit table's monotonicity flags forgive
 
@@ -82,6 +87,7 @@ class LevelRecord:
     grad_norm: float  # of the same state
     converged: bool  # grad_norm <= tol
     factors: int  # Newton matrices factored on the level
+    solves: int  # triangular solves with a factor: CG preconditioner and direct
 
 
 @dataclass
@@ -336,8 +342,8 @@ def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
     factors H in that order with no ordering step.  The factor itself
     depends on u, so it is never stored on the pattern: a ``minimize``
     call keeps it (:class:`_KeptFactor`) as the preconditioner of later
-    steps.  ``splu`` is looked up on its module at each call, where a
-    tracer can wrap it.
+    steps, until CG on it stalls or gets slow.  ``splu`` is looked up on
+    its module at each call, where a tracer can wrap it.
     """
     options = {"SymmetricMode": True}
     if pattern.order is None:
@@ -357,12 +363,14 @@ def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
     return _ReorderedFactor(lu, pattern.order)
 
 
-def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> np.ndarray | None:
+def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> tuple[np.ndarray | None, int]:
     """Solve H x = b by conjugate gradients from 0, preconditioned with ``lu``.
 
-    Returns x once the residual |b - H x| falls to _CG_RTOL |b|, or None
-    if _CG_MAX_ITER iterations do not get it there (Nocedal & Wright,
-    Algorithm 5.3).  With H and the preconditioner SPD, every iterate
+    Returns (x, iterations) once the residual |b - H x| falls to
+    _CG_RTOL |b|, or (None, _CG_MAX_ITER) if that many iterations do not
+    get it there (Nocedal & Wright, Algorithm 5.3).  A run of k
+    iterations makes k solves with ``lu`` if it converges, and k + 1 if
+    not.  With H and the preconditioner SPD, every iterate
     minimizes x.H x / 2 - b.x over a subspace that holds it, so
     b.x = x.H x > 0 and -x is a descent direction.  With H's own factor
     the first iterate is the direct solution.
@@ -373,36 +381,46 @@ def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> np.ndarray | None
     z = lu.solve(r)
     p = z
     rz = r @ z
-    for _ in range(_CG_MAX_ITER):
+    for k in range(1, _CG_MAX_ITER + 1):
         Hp = H @ p
         alpha = rz / (p @ Hp)
         x += alpha * p
         r -= alpha * Hp
         if np.linalg.norm(r) <= stop:
-            return x
+            return x, k
         z = lu.solve(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    return None
+    return None, _CG_MAX_ITER
 
 
 @dataclass
 class _KeptFactor:
-    """The last Newton factor of one ``minimize`` call and a count of factors made."""
+    """The last Newton factor of one ``minimize`` call, with counts of its work.
+
+    A step runs CG on the kept factor unless the last CG run took more
+    than _CG_REFRESH iterations; then, as when CG stalls, it factors H
+    afresh and solves directly.
+    """
 
     pattern: _NewtonPattern
     lu: object = None
     factors: int = 0
+    solves: int = 0
+    cg_iterations: int = 0  # of the last CG run; 0 after a fresh factor
 
     def solve(self, H: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
         """x with |H x - b| <= _CG_RTOL |b|: CG on the kept factor, else a new factor of H."""
-        if self.lu is not None:
-            x = _preconditioned_cg(H, b, self.lu)
+        if self.lu is not None and self.cg_iterations <= _CG_REFRESH:
+            x, self.cg_iterations = _preconditioned_cg(H, b, self.lu)
+            self.solves += self.cg_iterations + (x is None)
             if x is not None:
                 return x
         self.lu = None  # free the old factor first, so no two are alive together
         self.lu = _factor(H, self.pattern)
         self.factors += 1
+        self.solves += 1
+        self.cg_iterations = 0
         return self.lu.solve(b)
 
 
@@ -416,8 +434,10 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     E(u - t d) <= E(u) - _ARMIJO t g.d.  Accepted steps only lower the
     energy, so the current state is always the best one.  The level ends
     when the gradient norm meets ``tol``, after ``budget`` steps, or on a
-    line search that runs out of its ``_MAX_BACKTRACKS`` halvings; it
-    counts as converged only in the first case.
+    line search that runs out of its ``_MAX_BACKTRACKS`` halvings, or on
+    a step that is not a descent direction (g.d not finite and positive),
+    which no backtrack could make lower the energy; it counts as
+    converged only in the first case.
     """
     grid = u0.grid
     power = opts.hessian_power
@@ -427,7 +447,7 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     g = energy_gradient(u0, eps, eta, power)
     gn = grad_norm(grid, g)
     it = backtracks = 0
-    factors = kept.factors
+    factors, solves = kept.factors, kept.solves
     while it < budget and gn > opts.tol:
         # zero off the interior, so a step leaves the collar exactly pinned;
         # H is freed once the step is solved, its factor (if one was made) is kept
@@ -435,6 +455,8 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
         d[idx] = kept.solve(_newton_matrix(ScalarField(grid, u), eps, eta, power), g.ravel()[idx])
         d = d.reshape(grid.shape)
         slope = float(np.sum(g * d))  # positive: H and the preconditioner are SPD
+        if not 0.0 < slope < np.inf:
+            break
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = u - t * d
@@ -449,7 +471,8 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
         g = energy_gradient(ScalarField(grid, u), eps, eta, power)
         gn = grad_norm(grid, g)
         it += 1
-    record = LevelRecord(eta, it, backtracks, split, gn, gn <= opts.tol, kept.factors - factors)
+    record = LevelRecord(eta, it, backtracks, split, gn, gn <= opts.tol,
+                         kept.factors - factors, kept.solves - solves)
     return ScalarField(grid, u), record
 
 

@@ -242,7 +242,9 @@ def dump_field(path: str | Path, fld: ScalarField | VectorField) -> None:
     ij = np.indices((grid.nx, grid.ny)).transpose(1, 2, 0)
     values = fld.values.reshape(grid.nx, grid.ny, -1)
     cols = np.concatenate([ij, grid.nodes, values], axis=-1).reshape(grid.nx * grid.ny, -1)
-    np.savetxt(path, cols, fmt="%d %d " + " ".join(["%.12g"] * (cols.shape[1] - 2)))
+    # np.savetxt's bytes, from one format call over all rows
+    row = "%d %d " + " ".join(["%.12g"] * (cols.shape[1] - 2)) + "\n"
+    path.write_text((row * cols.shape[0]) % tuple(cols.ravel().tolist()))
     meta = _grid_meta(grid)
     meta["components"] = values.shape[-1]
     Path(str(path) + ".json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")

@@ -294,13 +294,13 @@ def test_preconditioned_cg_returns_a_descent_direction(seed, noise, other_noise,
     g = energy_gradient(u, eps, eta, power).ravel()[idx]
     pattern = energy_mod._newton_pattern(grid)
     other = energy_mod._factor(energy_mod._newton_matrix(state(other_noise), 2 * eps, other_eta, power), pattern)
-    d = energy_mod._preconditioned_cg(H, g, other)
+    d, iterations = energy_mod._preconditioned_cg(H, g, other)
     if d is not None:
         assert np.linalg.norm(H @ d - g) <= energy_mod._CG_RTOL * np.linalg.norm(g)
         assert g @ d > 0
     own = _CountedSolves(energy_mod._factor(H, pattern))
-    d = energy_mod._preconditioned_cg(H, g, own)
-    assert d is not None and own.calls == 1
+    d, iterations = energy_mod._preconditioned_cg(H, g, own)
+    assert d is not None and own.calls == 1 and iterations == 1
     assert np.linalg.norm(H @ d - g) <= 1e-10 * np.linalg.norm(g)
 
 
@@ -506,6 +506,32 @@ def test_benchmark_minimize_keeps_its_factor(ellipse):
     res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
     assert res.levels[0].factors >= 1
     assert sum(lv.factors for lv in res.levels) <= 12
+    # a factor whose CG runs get long is replaced before it stalls
+    assert sum(lv.solves for lv in res.levels) <= 300
+
+
+def test_benchmark_minimize_is_reproducible(ellipse):
+    # the solver's path reads iteration counts, never a clock, so two runs
+    # on fresh grids take the same steps, factors and solves
+    runs = [minimize(ellipse, Grid.cover(ellipse, h=1 / 40), 0.2, MinimizeOptions(hessian_power=1))
+            for _ in range(2)]
+    assert np.array_equal(runs[0].u.values, runs[1].u.values)
+    for key in ("iterations", "factors", "solves"):
+        assert [getattr(lv, key) for lv in runs[0].levels] == [getattr(lv, key) for lv in runs[1].levels]
+
+
+def test_an_ascent_direction_ends_the_level(ellipse, monkeypatch):
+    # a step along which the energy rises is never taken, however small
+    solve = energy_mod._KeptFactor.solve
+    monkeypatch.setattr(energy_mod._KeptFactor, "solve", lambda self, H, b: -solve(self, H, b))
+    grid = Grid.cover(ellipse, resolution=24)
+    start = mollified_limit_field(ellipse, grid)
+    res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=400, hessian_power=1))
+    assert np.array_equal(res.u.values, start.values)
+    for lv in res.levels:
+        assert not lv.converged
+        assert lv.iterations == lv.backtracks == 0
+        assert lv.split == energy(start, 0.3, lv.eta)
 
 
 def test_minimize_leaves_a_fold_start_for_the_standard_minimizer(ellipse):

@@ -269,6 +269,19 @@ def test_dump_field_matches_row_loop(tmp_path, grid64, limit64):
         assert path.read_text() == "\n".join(lines) + "\n"
 
 
+def test_dump_field_matches_savetxt(tmp_path, grid64, limit64):
+    """One format call over all rows writes np.savetxt's bytes, scalar and vector."""
+    ij = np.indices((grid64.nx, grid64.ny)).transpose(1, 2, 0)
+    for fld in limit64:
+        values = fld.values.reshape(grid64.nx, grid64.ny, -1)
+        cols = np.concatenate([ij, grid64.nodes, values], axis=-1).reshape(grid64.nx * grid64.ny, -1)
+        ref = tmp_path / "ref.txt"
+        np.savetxt(ref, cols, fmt="%d %d " + " ".join(["%.12g"] * (cols.shape[1] - 2)))
+        path = tmp_path / "f.txt"
+        dump_field(path, fld)
+        assert path.read_bytes() == ref.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the two stencil cascades that the table-driven ``fields._derivative`` replaced,
 # kept as its reference
