@@ -22,6 +22,13 @@ with a map from the nodal W to H's data; a step only fills in values.
 A step solves H d = g inexactly (Dembo, Eisenstat & Steihaug 1982), by
 conjugate gradients preconditioned with the last SuperLU factor of the
 same ``minimize`` call, which may be many steps and eta levels old.
+CG stops at |H d - g| <= forcing |g|, with a forcing term that is never
+below _CG_RTOL: Eisenstat & Walker's (1996) choice 2, which is
+_FORCING_MAX on a level's first step and then 0.9 times the square of
+the last ratio of gradient norms.  It stays loose while |g| falls slowly
+and tightens as Newton converges; Kelley's (1995, section 6.3) safeguard
+keeps it above 0.5 tol / |g|, so the last step is not oversolved.
+
 H is factored afresh, and that factor kept in turn, when CG stalls, and
 at the step after a CG run that took more than _CG_REFRESH iterations:
 a factor that slow has gone stale, and its solves cost more than a new
@@ -46,7 +53,8 @@ from .geometry import Domain, Grid, ridge_set
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
 _MAX_BACKTRACKS = 60  # step halvings before a line search gives up
-_CG_RTOL = 1e-4  # a step's CG stops at |H d - g| <= _CG_RTOL |g|
+_CG_RTOL = 1e-4  # floor of the forcing term: no CG runs to a tighter relative residual
+_FORCING_MAX = 0.9  # forcing term on a level's first step, and its ceiling
 _CG_MAX_ITER = 16  # CG iterations before a step factors H afresh
 _CG_REFRESH = 10  # a CG run of more iterations makes the next step factor H afresh
 _MOLLIFY_CELLS = 2.0  # width of the start's Gaussian blur, in cells
@@ -363,12 +371,34 @@ def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
     return _ReorderedFactor(lu, pattern.order)
 
 
-def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> tuple[np.ndarray | None, int]:
+def _forcing(gn: float, gn_prev: float | None, eta_prev: float, tol: float) -> float:
+    """Relative CG residual for a Newton step at gradient norm ``gn``.
+
+    ``gn_prev`` is the gradient norm at the level's previous step (None
+    on its first step) and ``eta_prev`` that step's forcing term.  This is
+    Eisenstat & Walker's choice 2 with gamma = _FORCING_MAX and alpha = 2: the
+    ratio term 0.9 (gn / gn_prev)^2 is raised to 0.9 eta_prev^2 when that
+    exceeds 0.1, so one lucky step does not tighten the bound at once.
+    Kelley's safeguard then keeps it above 0.5 tol / gn, and the result
+    lies in [_CG_RTOL, _FORCING_MAX].
+    """
+    if gn_prev is None:
+        return _FORCING_MAX
+    eta = _FORCING_MAX * (gn / gn_prev) ** 2
+    safeguard = _FORCING_MAX * eta_prev**2
+    if safeguard > 0.1:
+        eta = max(eta, safeguard)
+    return max(_CG_RTOL, min(_FORCING_MAX, max(eta, 0.5 * tol / gn)))
+
+
+def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu, rtol: float) -> tuple[np.ndarray | None, int]:
     """Solve H x = b by conjugate gradients from 0, preconditioned with ``lu``.
 
     Returns (x, iterations) once the residual |b - H x| falls to
-    _CG_RTOL |b|, or (None, _CG_MAX_ITER) if that many iterations do not
-    get it there (Nocedal & Wright, Algorithm 5.3).  A run of k
+    rtol |b|, or (None, _CG_MAX_ITER) if that many iterations do not
+    get it there (Nocedal & Wright, Algorithm 5.3).  A Newton step
+    passes its forcing term (:func:`_forcing`, in [_CG_RTOL,
+    _FORCING_MAX]) as ``rtol``.  A run of k
     iterations makes k solves with ``lu`` if it converges, and k + 1 if
     not.  With H and the preconditioner SPD, every iterate
     minimizes x.H x / 2 - b.x over a subspace that holds it, so
@@ -377,7 +407,7 @@ def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> tuple[np.ndarray 
     """
     x = np.zeros_like(b)
     r = b.copy()
-    stop = _CG_RTOL * np.linalg.norm(b)
+    stop = rtol * np.linalg.norm(b)
     z = lu.solve(r)
     p = z
     rz = r @ z
@@ -398,9 +428,10 @@ def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu) -> tuple[np.ndarray 
 class _KeptFactor:
     """The last Newton factor of one ``minimize`` call, with counts of its work.
 
-    A step runs CG on the kept factor unless the last CG run took more
-    than _CG_REFRESH iterations; then, as when CG stalls, it factors H
-    afresh and solves directly.
+    A step runs CG on the kept factor to the step's forcing term unless
+    the last CG run took more than _CG_REFRESH iterations; then, as when
+    CG stalls, it factors H afresh and solves directly, which leaves no
+    residual to bound.
     """
 
     pattern: _NewtonPattern
@@ -409,10 +440,10 @@ class _KeptFactor:
     solves: int = 0
     cg_iterations: int = 0  # of the last CG run; 0 after a fresh factor
 
-    def solve(self, H: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-        """x with |H x - b| <= _CG_RTOL |b|: CG on the kept factor, else a new factor of H."""
+    def solve(self, H: sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray:
+        """x with |H x - b| <= rtol |b|: CG on the kept factor, else a new factor of H."""
         if self.lu is not None and self.cg_iterations <= _CG_REFRESH:
-            x, self.cg_iterations = _preconditioned_cg(H, b, self.lu)
+            x, self.cg_iterations = _preconditioned_cg(H, b, self.lu, rtol)
             self.solves += self.cg_iterations + (x is None)
             if x is not None:
                 return x
@@ -429,8 +460,8 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     """Inexact damped Newton steps on one eta level, with a plain Armijo backtrack.
 
     Each step builds H (:func:`_newton_matrix`) at the current state,
-    solves H d = g on the interior unknowns through ``kept`` to a relative
-    residual of _CG_RTOL, and halves t from 1 until
+    solves H d = g on the interior unknowns through ``kept`` to the
+    relative residual that :func:`_forcing` picks, and halves t from 1 until
     E(u - t d) <= E(u) - _ARMIJO t g.d.  Accepted steps only lower the
     energy, so the current state is always the best one.  The level ends
     when the gradient norm meets ``tol``, after ``budget`` steps, or on a
@@ -446,13 +477,15 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     split = energy(u0, eps, eta, power)
     g = energy_gradient(u0, eps, eta, power)
     gn = grad_norm(grid, g)
+    gn_prev, forcing = None, _FORCING_MAX
     it = backtracks = 0
     factors, solves = kept.factors, kept.solves
     while it < budget and gn > opts.tol:
+        forcing = _forcing(gn, gn_prev, forcing, opts.tol)
         # zero off the interior, so a step leaves the collar exactly pinned;
         # H is freed once the step is solved, its factor (if one was made) is kept
         d = np.zeros(u.size)
-        d[idx] = kept.solve(_newton_matrix(ScalarField(grid, u), eps, eta, power), g.ravel()[idx])
+        d[idx] = kept.solve(_newton_matrix(ScalarField(grid, u), eps, eta, power), g.ravel()[idx], forcing)
         d = d.reshape(grid.shape)
         slope = float(np.sum(g * d))  # positive: H and the preconditioner are SPD
         if not 0.0 < slope < np.inf:
@@ -469,7 +502,7 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
             break
         u, split = trial, trial_split
         g = energy_gradient(ScalarField(grid, u), eps, eta, power)
-        gn = grad_norm(grid, g)
+        gn_prev, gn = gn, grad_norm(grid, g)
         it += 1
     record = LevelRecord(eta, it, backtracks, split, gn, gn <= opts.tol,
                          kept.factors - factors, kept.solves - solves)

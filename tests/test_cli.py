@@ -287,10 +287,10 @@ def test_minimize_dumps_field(tmp_path):
 
 
 def test_minimize_reports_every_level(tmp_path):
-    # the benchmark's minimize config with a budget of 27 steps: the first
-    # four eta levels run out of their 3-step shares, the last level converges
+    # the benchmark's minimize config with a budget of 36 steps: the first
+    # four eta levels run out of their 4-step shares, the last level converges
     text = ("[domain]\nkind = ellipse\na = 1.0\nb = 0.5\n[grid]\nh = 0.025\n"
-            "[minimize]\neps_list = 0.2\nhessian_power = 1\nmax_iter = 27\n[output]\ndirectory = out\nseed = 1\n")
+            "[minimize]\neps_list = 0.2\nhessian_power = 1\nmax_iter = 36\n[output]\ndirectory = out\nseed = 1\n")
     assert run("minimize", write_cfg(tmp_path, text)) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "minimize_summary.json").read_text())
     assert summary["converged"] is True
@@ -301,7 +301,7 @@ def test_limit_table_reports_every_level(tmp_path):
     # the same budget-starved run as a limit table's one row: the row's
     # `converged` reads only the last level, `levels_converged` shows the rest
     text = ("[domain]\nkind = ellipse\na = 1.0\nb = 0.5\n[grid]\nh = 0.025\n"
-            "[minimize]\neps_list = 0.2\nhessian_power = 1\nmax_iter = 27\n[output]\ndirectory = out\nseed = 1\n")
+            "[minimize]\neps_list = 0.2\nhessian_power = 1\nmax_iter = 36\n[output]\ndirectory = out\nseed = 1\n")
     assert run("limit-table", write_cfg(tmp_path, text)) == EXIT_OK
     table = json.loads((tmp_path / "out" / "limit_table.json").read_text())
     [row] = table["rows"]

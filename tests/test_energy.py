@@ -275,11 +275,13 @@ def _cg_start():
 
 
 # the preconditioner is a factor of another state, eps and eta, as when a
-# step reuses the factor of an earlier step or eta level
+# step reuses the factor of an earlier step or eta level; rtol spans the
+# forcing terms a step may ask for
 @given(seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 0.2), other_noise=st.floats(0.0, 0.2),
        eps=st.floats(0.1, 1.0), eta=st.floats(1e-3, 1.0), other_eta=st.floats(1e-3, 1.0),
-       power=st.sampled_from([1, 2]))
-def test_preconditioned_cg_returns_a_descent_direction(seed, noise, other_noise, eps, eta, other_eta, power):
+       power=st.sampled_from([1, 2]), rtol=st.floats(energy_mod._CG_RTOL, energy_mod._FORCING_MAX))
+def test_preconditioned_cg_returns_a_descent_direction(seed, noise, other_noise, eps, eta, other_eta, power,
+                                                       rtol):
     grid, start = _cg_start()
     rng = np.random.default_rng(seed)
     idx = diff_ops(grid).interior_idx
@@ -294,14 +296,43 @@ def test_preconditioned_cg_returns_a_descent_direction(seed, noise, other_noise,
     g = energy_gradient(u, eps, eta, power).ravel()[idx]
     pattern = energy_mod._newton_pattern(grid)
     other = energy_mod._factor(energy_mod._newton_matrix(state(other_noise), 2 * eps, other_eta, power), pattern)
-    d, iterations = energy_mod._preconditioned_cg(H, g, other)
+    d, iterations = energy_mod._preconditioned_cg(H, g, other, rtol)
     if d is not None:
-        assert np.linalg.norm(H @ d - g) <= energy_mod._CG_RTOL * np.linalg.norm(g)
+        assert np.linalg.norm(H @ d - g) <= rtol * np.linalg.norm(g)
         assert g @ d > 0
     own = _CountedSolves(energy_mod._factor(H, pattern))
-    d, iterations = energy_mod._preconditioned_cg(H, g, own)
+    d, iterations = energy_mod._preconditioned_cg(H, g, own, rtol)
     assert d is not None and own.calls == 1 and iterations == 1
     assert np.linalg.norm(H @ d - g) <= 1e-10 * np.linalg.norm(g)
+
+
+_NORM = st.floats(1e-8, 1e4)
+
+
+@given(gn=_NORM, gn_prev=st.none() | _NORM, eta_prev=st.floats(energy_mod._CG_RTOL, energy_mod._FORCING_MAX),
+       tol=st.floats(1e-8, 1e-1))
+def test_forcing_term_is_bounded(gn, gn_prev, eta_prev, tol):
+    eta = energy_mod._forcing(gn, gn_prev, eta_prev, tol)
+    assert energy_mod._CG_RTOL <= eta <= energy_mod._FORCING_MAX
+    # a level's first step solves loosely, and no step oversolves for tol
+    if gn_prev is None:
+        assert eta == energy_mod._FORCING_MAX
+    assert eta >= min(energy_mod._FORCING_MAX, 0.5 * tol / gn)
+
+
+# gn_k = gn_0 r^(2^k) converges quadratically.  The safeguard 0.9 eta_prev^2
+# holds the forcing term up for the first few steps, and Kelley's 0.5 tol / gn
+# for the last ones; tol = 1e-100 gn_0 leaves steps between them
+@given(gn0=st.floats(1.0, 1e3), r=st.floats(0.05, 0.95))
+def test_forcing_term_falls_to_the_floor_under_quadratic_convergence(gn0, r):
+    tol = 1e-100 * gn0
+    gn, gn_prev, eta, etas = gn0 * r, None, energy_mod._FORCING_MAX, []
+    while gn > tol:
+        eta = energy_mod._forcing(gn, gn_prev, eta, tol)
+        etas.append(eta)
+        gn_prev, gn = gn, gn * (gn / gn0)
+    assert etas[0] == energy_mod._FORCING_MAX
+    assert energy_mod._CG_RTOL in etas
 
 
 _DERIV = st.floats(-50.0, 50.0)
@@ -406,9 +437,13 @@ def test_minimize_rotation_covariance_disk():
 
 
 def test_failed_line_search_keeps_its_iterations(ellipse, monkeypatch):
-    # two trials per line search: the first level accepts steps, then ends on
-    # a failed search, and so does every later one
-    monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", 2)
+    # Armijo at 0.9 with three trials per line search (t = 1, 1/2, 1/4): a
+    # step d with g.d = d.H d, as CG gives, lowers the quadratic model by
+    # only (1 - t/2) t g.d, so a search succeeds only where the energy
+    # falls faster than its model.  The first level accepts steps, then
+    # ends on a failed search, and so does every later one
+    monkeypatch.setattr(energy_mod, "_ARMIJO", 0.9)
+    monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", 3)
     calls = []
 
     def counted_gradient(*args, **kwargs):
@@ -448,8 +483,10 @@ def test_minimize_calls_the_traced_entry_points(ellipse, monkeypatch):
     monkeypatch.setattr(energy_mod, "energy_gradient", counted("gradient", energy_gradient))
     monkeypatch.setattr(sla, "splu", counted("splu", sla.splu))
     grid = Grid.cover(ellipse, resolution=32)
-    # with two trials per line search every level ends on a failed one
-    for max_backtracks, failed in ((60, 0), (2, 11)):
+    # with the line search of test_failed_line_search_keeps_its_iterations
+    # every level ends on a failed one
+    for armijo, max_backtracks, failed in ((1e-4, 60, 0), (0.9, 3, 11)):
+        monkeypatch.setattr(energy_mod, "_ARMIJO", armijo)
         monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", max_backtracks)
         counts = {"energy": 0, "gradient": 0, "splu": 0}
         res = minimize(ellipse, grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
@@ -493,21 +530,23 @@ def test_benchmark_minimize_trajectory(ellipse):
     # these numbers says so
     grid = Grid.cover(ellipse, h=1 / 40)
     res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
-    assert [lv.iterations for lv in res.levels] == [13, 5, 4, 3, 3, 2, 2, 2, 2]
-    assert [lv.backtracks for lv in res.levels] == [14, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert [lv.iterations for lv in res.levels] == [12, 5, 5, 5, 3, 4, 3, 3, 2]
+    assert [lv.backtracks for lv in res.levels] == [4, 0, 0, 0, 0, 0, 0, 0, 0]
     assert res.converged
-    assert abs(res.levels[-1].split.total - 1.1262599590928513) <= 1e-12 * 1.1262599590928513
+    assert abs(res.levels[-1].split.total - 1.1262599590943088) <= 1e-12 * 1.1262599590943088
 
 
 def test_benchmark_minimize_keeps_its_factor(ellipse):
-    # the benchmark's minimize-ellipse job takes 36 steps; CG on the kept
-    # factor solves most of them, so few of them factor H
+    # the benchmark's minimize-ellipse job takes 42 steps; CG on the kept
+    # factor, stopped at each step's forcing term, solves most of them, so
+    # few of them factor H (3 factors and 116 solves; a fixed CG tolerance
+    # of _CG_RTOL took 7 and 254)
     grid = Grid.cover(ellipse, h=1 / 40)
     res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
     assert res.levels[0].factors >= 1
-    assert sum(lv.factors for lv in res.levels) <= 12
+    assert sum(lv.factors for lv in res.levels) <= 5
     # a factor whose CG runs get long is replaced before it stalls
-    assert sum(lv.solves for lv in res.levels) <= 300
+    assert sum(lv.solves for lv in res.levels) <= 160
 
 
 def test_benchmark_minimize_is_reproducible(ellipse):
@@ -523,7 +562,7 @@ def test_benchmark_minimize_is_reproducible(ellipse):
 def test_an_ascent_direction_ends_the_level(ellipse, monkeypatch):
     # a step along which the energy rises is never taken, however small
     solve = energy_mod._KeptFactor.solve
-    monkeypatch.setattr(energy_mod._KeptFactor, "solve", lambda self, H, b: -solve(self, H, b))
+    monkeypatch.setattr(energy_mod._KeptFactor, "solve", lambda self, H, b, rtol: -solve(self, H, b, rtol))
     grid = Grid.cover(ellipse, resolution=24)
     start = mollified_limit_field(ellipse, grid)
     res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=400, hessian_power=1))
@@ -543,6 +582,9 @@ def test_minimize_leaves_a_fold_start_for_the_standard_minimizer(ellipse):
     fold = ScalarField(grid, 0.3 - np.abs(d.values - 0.3))
     res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1, warm_start=fold))
     assert all(lv.converged for lv in res.levels)
+    # loose CG on the first level's many steps keeps the factor (13 factors;
+    # a fixed CG tolerance of _CG_RTOL took 67)
+    assert sum(lv.factors for lv in res.levels) <= 25
     assert abs(res.levels[-1].split.total - 1.1262599590928513) <= 1e-9 * 1.1262599590928513
 
 
