@@ -331,7 +331,7 @@ def run_kinetic_check(cfg: ExperimentConfig) -> int:
     sigma = kinetic_mod.ridge_sigma_field(domain, grid)
     bank = kinetic_mod.default_test_bank(domain, grid)
     res = kinetic_mod.kinetic_residual(m, sigma.cells, bank)
-    report = kinetic_mod.sign_structure_report(sigma.cells, ridge_set(domain))
+    report = kinetic_mod.sign_structure_report(sigma.cells)
     _write_json(cfg.values["directory"] / "kinetic_check.json", {
         **_stamp(cfg),
         "max_identity_error": max_err,

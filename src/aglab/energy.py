@@ -13,29 +13,31 @@ slope; minimization acts on interior nodes only.
 
 The one solver is damped Newton with a plain Armijo backtrack, run
 under a continuation schedule on the smoothing parameter eta.  Its
-matrix is h^2 B^T W B + gamma I on the interior unknowns: B stacks the
-five derivative operators, W is the per-node curvature of the energy
-density made positive semidefinite, and gamma = 8 h^2 / eps.  H's
-sparsity pattern depends on the grid alone, so each grid builds it once,
-with a map from the nodal W to H's data; a step only fills in values.
+matrix is H = h^2 B^T W B + gamma I on the interior unknowns: B stacks
+the five derivative operators, W is the per-node curvature of the energy
+density made positive semidefinite, and gamma = 8 h^2 / eps.  A step
+computes W at its state and keeps H unassembled: a product with H goes
+through B, W and B^T.
 
 A step solves H d = g inexactly (Dembo, Eisenstat & Steihaug 1982), by
 conjugate gradients preconditioned with the last SuperLU factor of the
 same ``minimize`` call, which may be many steps and eta levels old.
-CG stops at |H d - g| <= forcing |g|, with a forcing term that is never
-below _CG_RTOL: Eisenstat & Walker's (1996) choice 2, which is
-_FORCING_MAX on a level's first step and then 0.9 times the square of
-the last ratio of gradient norms.  It stays loose while |g| falls slowly
-and tightens as Newton converges; Kelley's (1995, section 6.3) safeguard
-keeps it above 0.5 tol / |g|, so the last step is not oversolved.
+CG needs only products with H, never H itself: this is the
+Jacobian-free Newton-Krylov scheme of Knoll & Keyes (2004).  CG stops at
+|H d - g| <= forcing |g|, with a forcing term that is never below
+_CG_RTOL: Eisenstat & Walker's (1996) choice 2, which is _FORCING_MAX on
+a level's first step and then 0.9 times the square of the last ratio of
+gradient norms.  It stays loose while |g| falls slowly and tightens as
+Newton converges; Kelley's (1995, section 6.3) safeguard keeps it above
+0.5 tol / |g|, so the last step is not oversolved.
 
-H is factored afresh, and that factor kept in turn, when CG stalls, and
-at the step after a CG run that took more than _CG_REFRESH iterations:
-a factor that slow has gone stale, and its solves cost more than a new
-one (the lagged-preconditioner rule of Knoll & Keyes 2004, section 3).
+H is assembled, factored afresh and that factor kept in turn, when CG
+stalls, and at the step after a CG run that took more than _CG_REFRESH
+iterations: a factor that slow has gone stale, and its solves cost more
+than a new one (the lagged-preconditioner rule of Knoll & Keyes 2004,
+section 3).  So H is assembled once per factor and on no other step.
 The rule counts iterations, never time, so a config always takes the
-same path.  The first factor on a grid picks a fill-reducing column
-order from the pattern, and every later one reuses it.
+same path.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import scipy.sparse.linalg as sla
 
 from . import entropy as entropy_mod
 from .errors import NonFiniteEnergy
-from .fields import ScalarField, diff_ops, exact_limit_field, w11_distance
+from .fields import DiffOps, ScalarField, diff_ops, exact_limit_field, w11_distance
 from .geometry import Domain, Grid, ridge_set
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
@@ -236,139 +238,60 @@ def _nodal_hessian(z: np.ndarray, eps: float, eta: float, power: int) -> np.ndar
     return W
 
 
-@dataclass
-class _NewtonPattern:
-    """The fixed structure of the Newton matrix of one grid.
-
-    H is linear in the 13 nodal arrays W[i, j] of :data:`_BLOCKS`, so its
-    CSC pattern and a map from those arrays to its data are built once
-    per grid (:func:`_newton_pattern`).  The first factor on the grid adds
-    SuperLU's column order and the pattern of H in that order.
-    """
-
-    indptr: np.ndarray  # CSC pattern of H in natural interior order
-    indices: np.ndarray
-    map: sp.csc_matrix  # H.data - gamma on the diagonal = map @ concat(W[i, j] for _BLOCKS)
-    diag: np.ndarray  # positions of the diagonal in H.data
-    order: np.ndarray | None = None  # column order of the first factor
-    permuted: sp.csc_matrix | None = None  # pattern of H[order][:, order]; data index H.data
-
-
-def _newton_pattern(grid: Grid) -> _NewtonPattern:
-    """Pattern and assembly map of the Newton matrix (cached on the grid object).
-
-    With B_k the block of rows of operator k in B (node p, interior
-    column a), H[a, b] = h^2 sum over (i, j) in _BLOCKS and nodes p of
-    W[i, j, p] B_i[p, a] B_j[p, b] + gamma [a == b].  The pattern holds
-    every pair (a, b) that one node couples in one block, exact zeros
-    included, plus the diagonal; the map holds h^2 B_i[p, a] B_j[p, b] in
-    row (a, b) and column (block, p).  Two sparse products give the
-    pattern; one pass per block fills the map's preallocated arrays.
-    """
-    cached = grid.__dict__.get("_newton_pattern")
-    if cached is not None:
-        return cached
-    ops = diff_ops(grid)
-    B = ops.stacked[:, ops.interior_idx]
-    n, n_int = ops.active_idx.size, ops.interior_idx.size
-    blocks = [B[k * n:(k + 1) * n] for k in range(5)]
-    # the unknowns each node couples within a group of _BLOCKS; absolute
-    # values keep the products below from cancelling to a dropped zero
-    reach = [sum(abs(blocks[k]) for k in group) for group in ((0, 1), (2, 3, 4))]
-    S = (sum(G.T @ G for G in reach) + sp.identity(n_int)).tocsc()
-    S.sort_indices()
-    keys = np.repeat(np.arange(n_int, dtype=np.int64), np.diff(S.indptr)) * n_int + S.indices  # column-major
-    counts = [np.diff(Bk.indptr) for Bk in blocks]
-    per_node = np.concatenate([counts[i] * counts[j] for i, j in _BLOCKS])  # map entries per column
-    rows = np.empty(per_node.sum(), dtype=np.int32)
-    vals = np.empty(rows.size)
-    start = 0
-    for i, j in _BLOCKS:
-        Bi, Bj = blocks[i], blocks[j]
-        node_i = np.repeat(np.arange(n), counts[i])  # node of each entry of B_i
-        reps = counts[j][node_i]
-        ei = np.repeat(np.arange(Bi.nnz), reps)
-        # entries of B_j in the row of each B_i entry, in turn
-        first = np.cumsum(reps) - reps
-        ej = np.repeat(Bj.indptr[node_i] - first, reps) + np.arange(ei.size)
-        stop = start + ei.size
-        rows[start:stop] = np.searchsorted(keys, Bj.indices[ej].astype(np.int64) * n_int + Bi.indices[ei])
-        vals[start:stop] = Bi.data[ei] * Bj.data[ej]
-        start = stop
-    vals *= grid.h**2
-    pattern = _NewtonPattern(
-        indptr=S.indptr,
-        indices=S.indices,
-        map=sp.csc_matrix((vals, rows, np.concatenate([[0], np.cumsum(per_node)])),
-                          shape=(keys.size, len(_BLOCKS) * n)),
-        diag=np.searchsorted(keys, np.arange(n_int) * (n_int + 1)),
-    )
-    grid.__dict__["_newton_pattern"] = pattern
-    return pattern
-
-
-def _newton_matrix(u: ScalarField, eps: float, eta: float, power: int) -> sp.csc_matrix:
-    """Newton matrix H = h^2 B^T W B + gamma I on the interior unknowns, in CSC.
+@dataclass(frozen=True)
+class _NewtonOperator:
+    """Newton matrix H = h^2 B^T W B + gamma I on the interior unknowns, unassembled.
 
     B is the stacked operator restricted to interior columns (its
     transpose is ``stacked_t``), W the per-node curvature of
-    :func:`_nodal_hessian`, and gamma = 8 h^2 / eps.  H is SPD, in natural
-    interior order, on the grid's fixed pattern: one product of the
-    map of :func:`_newton_pattern` with the nodal W gives its data.
+    :func:`_nodal_hessian`, and gamma = 8 h^2 / eps.  ``H @ p`` multiplies
+    through B, W and B^T without forming H, which is all CG needs;
+    :meth:`matrix` assembles H for a factor.
     """
-    grid = u.grid
-    pattern = _newton_pattern(grid)
-    z = (diff_ops(grid).stacked @ u.values.ravel()).reshape(5, -1)
-    W = _nodal_hessian(z, eps, eta, power)
-    data = pattern.map @ np.concatenate([W[i, j] for i, j in _BLOCKS])
-    data[pattern.diag] += 8.0 * grid.h**2 / eps
-    n = pattern.indptr.size - 1
-    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+
+    ops: DiffOps
+    W: np.ndarray  # shape (5, 5, n_active)
+    h2: float
+    gamma: float
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        v = np.zeros(self.ops.stacked.shape[1])
+        v[self.ops.interior_idx] = p
+        z = (self.ops.stacked @ v).reshape(5, -1)
+        return self.h2 * (self.ops.stacked_t @ np.einsum("ijn,jn->in", self.W, z).ravel()) + self.gamma * p
+
+    def matrix(self) -> sp.csc_matrix:
+        """H in CSC, through two sparse products with W assembled from its 13 blocks."""
+        n = self.W.shape[2]
+        node = np.arange(n)
+        rows = np.concatenate([i * n + node for i, _ in _BLOCKS])
+        cols = np.concatenate([j * n + node for _, j in _BLOCKS])
+        vals = np.concatenate([self.W[i, j] for i, j in _BLOCKS])
+        W = sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 5 * n))
+        Bt = self.ops.stacked_t
+        return (self.h2 * (Bt @ W @ Bt.T) + self.gamma * sp.identity(Bt.shape[0])).tocsc()
 
 
-@dataclass(frozen=True)
-class _ReorderedFactor:
-    """Factor of H[order][:, order] that solves systems in H's own order."""
-
-    lu: sla.SuperLU
-    order: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty_like(b)
-        x[self.order] = self.lu.solve(b[self.order])
-        return x
+def _newton_operator(u: ScalarField, eps: float, eta: float, power: int) -> _NewtonOperator:
+    """The Newton operator at ``u``: one product with the stacked operator gives W."""
+    ops = diff_ops(u.grid)
+    z = (ops.stacked @ u.values.ravel()).reshape(5, -1)
+    h2 = u.grid.h**2
+    return _NewtonOperator(ops, _nodal_hessian(z, eps, eta, power), h2, 8.0 * h2 / eps)
 
 
-def _factor(H: sp.csc_matrix, pattern: _NewtonPattern):
-    """SuperLU factor of the SPD matrix H on ``pattern``; it has ``solve``.
+def _factor(H: sp.csc_matrix) -> sla.SuperLU:
+    """SuperLU factor of the assembled SPD Newton matrix H; it has ``solve``.
 
     Symmetric mode, a minimum-degree ordering of H^T + H and pivots kept
     on the diagonal give less fill, and a faster factor and solve, than
-    the default column ordering for nonsymmetric matrices.  The ordering
-    reads only the structure, which is fixed on a grid, so the first
-    factor stores its column order on the pattern, and every later one
-    factors H in that order with no ordering step.  The factor itself
-    depends on u, so it is never stored on the pattern: a ``minimize``
-    call keeps it (:class:`_KeptFactor`) as the preconditioner of later
-    steps, until CG on it stalls or gets slow.  ``splu`` is looked up on
-    its module at each call, where a tracer can wrap it.
+    the default column ordering for nonsymmetric matrices.  H is assembled
+    only for this call, once per factor; a ``minimize`` call keeps the
+    factor (:class:`_KeptFactor`) as the preconditioner of later steps,
+    which multiply by H without forming it.  ``splu`` is looked up on its
+    module at each call, where a tracer can wrap it.
     """
-    options = {"SymmetricMode": True}
-    if pattern.order is None:
-        lu = sla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=options)
-        # pivots stay on the diagonal, so the row order equals the column order
-        perm = np.asarray(lu.perm_c)
-        n = perm.size
-        rows, cols = perm[pattern.indices], perm[np.repeat(np.arange(n), np.diff(pattern.indptr))]
-        gather = np.lexsort((rows, cols))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-        pattern.permuted = sp.csc_matrix((gather, rows[gather], indptr), shape=(n, n))
-        pattern.order = np.argsort(perm)
-        return lu
-    p = pattern.permuted
-    lu = sla.splu(sp.csc_matrix((H.data[p.data], p.indices, p.indptr), shape=H.shape),
-                  permc_spec="NATURAL", diag_pivot_thresh=0.0, options=options)
-    return _ReorderedFactor(lu, pattern.order)
+    return sla.splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def _forcing(gn: float, gn_prev: float | None, eta_prev: float, tol: float) -> float:
@@ -391,19 +314,20 @@ def _forcing(gn: float, gn_prev: float | None, eta_prev: float, tol: float) -> f
     return max(_CG_RTOL, min(_FORCING_MAX, max(eta, 0.5 * tol / gn)))
 
 
-def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu, rtol: float) -> tuple[np.ndarray | None, int]:
+def _preconditioned_cg(H: _NewtonOperator, b: np.ndarray, lu, rtol: float) -> tuple[np.ndarray | None, int]:
     """Solve H x = b by conjugate gradients from 0, preconditioned with ``lu``.
 
-    Returns (x, iterations) once the residual |b - H x| falls to
-    rtol |b|, or (None, _CG_MAX_ITER) if that many iterations do not
-    get it there (Nocedal & Wright, Algorithm 5.3).  A Newton step
-    passes its forcing term (:func:`_forcing`, in [_CG_RTOL,
-    _FORCING_MAX]) as ``rtol``.  A run of k
-    iterations makes k solves with ``lu`` if it converges, and k + 1 if
-    not.  With H and the preconditioner SPD, every iterate
-    minimizes x.H x / 2 - b.x over a subspace that holds it, so
-    b.x = x.H x > 0 and -x is a descent direction.  With H's own factor
-    the first iterate is the direct solution.
+    H is the unassembled Newton operator: each iteration multiplies by it
+    once, without forming the matrix.  Returns (x, iterations) once the
+    residual |b - H x| falls to rtol |b|, or (None, _CG_MAX_ITER) if that
+    many iterations do not get it there (Nocedal & Wright, Algorithm 5.3).
+    A Newton step passes its forcing term (:func:`_forcing`, in
+    [_CG_RTOL, _FORCING_MAX]) as ``rtol``.  A run of k iterations makes
+    k solves with ``lu`` if it converges, and k + 1 if not.  With H and
+    the preconditioner SPD, every iterate minimizes x.H x / 2 - b.x over
+    a subspace that holds it, so b.x = x.H x > 0 and -x is a descent
+    direction.  With H's own factor the first iterate is the direct
+    solution.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -428,19 +352,19 @@ def _preconditioned_cg(H: sp.csc_matrix, b: np.ndarray, lu, rtol: float) -> tupl
 class _KeptFactor:
     """The last Newton factor of one ``minimize`` call, with counts of its work.
 
-    A step runs CG on the kept factor to the step's forcing term unless
-    the last CG run took more than _CG_REFRESH iterations; then, as when
-    CG stalls, it factors H afresh and solves directly, which leaves no
-    residual to bound.
+    A step runs CG on the kept factor to the step's forcing term, which
+    multiplies by H without forming it, unless the last CG run took more
+    than _CG_REFRESH iterations; then, as when CG stalls, it assembles H,
+    factors it afresh and solves directly, which leaves no residual to
+    bound.  So H is assembled once per factor, never on the other steps.
     """
 
-    pattern: _NewtonPattern
-    lu: object = None
+    lu: sla.SuperLU | None = None
     factors: int = 0
     solves: int = 0
     cg_iterations: int = 0  # of the last CG run; 0 after a fresh factor
 
-    def solve(self, H: sp.csc_matrix, b: np.ndarray, rtol: float) -> np.ndarray:
+    def solve(self, H: _NewtonOperator, b: np.ndarray, rtol: float) -> np.ndarray:
         """x with |H x - b| <= rtol |b|: CG on the kept factor, else a new factor of H."""
         if self.lu is not None and self.cg_iterations <= _CG_REFRESH:
             x, self.cg_iterations = _preconditioned_cg(H, b, self.lu, rtol)
@@ -448,7 +372,7 @@ class _KeptFactor:
             if x is not None:
                 return x
         self.lu = None  # free the old factor first, so no two are alive together
-        self.lu = _factor(H, self.pattern)
+        self.lu = _factor(H.matrix())
         self.factors += 1
         self.solves += 1
         self.cg_iterations = 0
@@ -459,9 +383,10 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
                   budget: int, kept: _KeptFactor) -> tuple[ScalarField, LevelRecord]:
     """Inexact damped Newton steps on one eta level, with a plain Armijo backtrack.
 
-    Each step builds H (:func:`_newton_matrix`) at the current state,
-    solves H d = g on the interior unknowns through ``kept`` to the
-    relative residual that :func:`_forcing` picks, and halves t from 1 until
+    Each step builds the Newton operator H (:func:`_newton_operator`) at
+    the current state, solves H d = g on the interior unknowns through
+    ``kept`` to the relative residual that :func:`_forcing` picks, and
+    halves t from 1 until
     E(u - t d) <= E(u) - _ARMIJO t g.d.  Accepted steps only lower the
     energy, so the current state is always the best one.  The level ends
     when the gradient norm meets ``tol``, after ``budget`` steps, or on a
@@ -485,7 +410,7 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
         # zero off the interior, so a step leaves the collar exactly pinned;
         # H is freed once the step is solved, its factor (if one was made) is kept
         d = np.zeros(u.size)
-        d[idx] = kept.solve(_newton_matrix(ScalarField(grid, u), eps, eta, power), g.ravel()[idx], forcing)
+        d[idx] = kept.solve(_newton_operator(ScalarField(grid, u), eps, eta, power), g.ravel()[idx], forcing)
         d = d.reshape(grid.shape)
         slope = float(np.sum(g * d))  # positive: H and the preconditioner are SPD
         if not 0.0 < slope < np.inf:
@@ -541,7 +466,7 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
     else:
         etas = [0.0]
 
-    kept = _KeptFactor(_newton_pattern(grid))  # lives for this call only: a factor depends on u
+    kept = _KeptFactor()  # lives for this call only: a factor depends on u
     levels: list[LevelRecord] = []
     for k, eta in enumerate(etas):
         # the remaining iterations, shared among the remaining levels; a

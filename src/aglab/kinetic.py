@@ -27,7 +27,7 @@ import numpy as np
 from .entropy import TrigPoly, entropy_from_generator, frame_generator, jump_bracket, sigma_frame
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import GL_NODES, GL_WEIGHTS, Domain, Grid, RidgeSet, integrate, ridge_set, signed_distance
+from .geometry import GL_NODES, GL_WEIGHTS, Domain, Grid, integrate, ridge_set, signed_distance
 
 TWO_PI = 2.0 * np.pi
 _UNIT_TOL = 1e-10  # the normalization and minimality tolerance of unit-TV measures
@@ -463,23 +463,10 @@ def derivative_min_on_arcs(mu: CircleMeasure) -> float:
 @dataclass
 class SignStructureReport:
     min_margin: float
-    vertical_normal_fraction: float
     n_cells: int
 
 
-def sign_structure_report(cells: dict[tuple[int, int], CircleMeasure], ridge: RidgeSet) -> SignStructureReport:
-    """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs, sigma given by its node cells.
-
-    Also reports the fraction of ridge normals aligned with the vertical
-    axis.  It is 1.0 by construction: ``RidgeSet.data`` fixes n = (0, 1)
-    for both supported shapes, so the census checks the record, not the
-    geometry.
-    """
+def sign_structure_report(cells: dict[tuple[int, int], CircleMeasure]) -> SignStructureReport:
+    """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs, sigma given by its node cells."""
     min_margin = min((derivative_min_on_arcs(mu) for mu in cells.values()), default=0.0)
-    vertical = 1.0
-    if ridge.length > 0:
-        xs = np.linspace(ridge.lo, ridge.hi, 257)[1:-1]
-        n = ridge.data(xs)["n"]
-        aligned = np.abs(np.abs(n[..., 1]) - 1.0) < 1e-9
-        vertical = float(np.mean(aligned))
-    return SignStructureReport(min_margin, vertical, len(cells))
+    return SignStructureReport(min_margin, len(cells))

@@ -313,7 +313,7 @@ def test_kinetic_check_identity_error(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert run("kinetic-check", p) == EXIT_OK
     report = json.loads((tmp_path / "out" / "kinetic_check.json").read_text())
-    assert report["sign_structure"].keys() == {"min_margin", "vertical_normal_fraction", "n_cells"}
+    assert report["sign_structure"].keys() == {"min_margin", "n_cells"}
     assert report["max_identity_error"] <= 1e-8
     assert report["max_normalization_error"] <= 1e-10
     assert report["minimality_ok"]

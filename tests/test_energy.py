@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,14 +150,13 @@ def test_stacked_operator_matches_five_operators(ellipse, angle, power):
 def test_symmetric_metric_factor_solves(ellipse, power):
     grid = Grid.cover(ellipse, resolution=40)
     u = mollified_limit_field(ellipse, grid)
-    H = energy_mod._newton_matrix(u, 0.2, 0.05, power)
+    op = energy_mod._newton_operator(u, 0.2, 0.05, power)
+    H = op.matrix()
     assert abs(H - H.T).max() <= 1e-14 * abs(H).max()
     rhs = RNG.standard_normal(H.shape[0])
-    pattern = energy_mod._newton_pattern(grid)
-    for _ in range(2):  # the first factor on the grid picks the column order, the second reuses it
-        lu = energy_mod._factor(H, pattern)
-        x = lu.solve(rhs)
-        assert np.linalg.norm(H @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    x = energy_mod._factor(H).solve(rhs)
+    assert np.linalg.norm(H @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert np.linalg.norm(op @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("power", [1, 2])
@@ -175,24 +175,21 @@ def test_newton_matrix_matches_gradient_difference(ellipse, power):
     gp = energy_gradient(ScalarField(grid, u.values + t * v), eps, eta, power)
     gm = energy_gradient(ScalarField(grid, u.values - t * v), eps, eta, power)
     fd = ((gp - gm) / (2 * t)).ravel()[idx]
-    H = energy_mod._newton_matrix(u, eps, eta, power)
+    H = energy_mod._newton_operator(u, eps, eta, power)
     Hv = H @ v.ravel()[idx] - 8.0 * grid.h**2 / eps * v.ravel()[idx]
     assert np.max(np.abs(Hv - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
-def _product_newton_matrix(u, eps, eta, power):
-    """H = h^2 B^T W B + gamma I through two sparse products, W assembled from its 13 blocks."""
+def _blockwise_newton_matrix(u, eps, eta, power):
+    """H = h^2 sum over _BLOCKS of B_i^T diag(W[i, j]) B_j + gamma I, one block at a time."""
     ops = diff_ops(u.grid)
     z = (ops.stacked @ u.values.ravel()).reshape(5, -1)
     W = energy_mod._nodal_hessian(z, eps, eta, power)
     n = z.shape[1]
-    node = np.arange(n)
-    rows = np.concatenate([i * n + node for i, _ in energy_mod._BLOCKS])
-    cols = np.concatenate([j * n + node for _, j in energy_mod._BLOCKS])
-    vals = np.concatenate([W[i, j] for i, j in energy_mod._BLOCKS])
-    W_sp = sp.csr_matrix((vals, (rows, cols)), shape=(5 * n, 5 * n))
+    B = [ops.stacked[k * n:(k + 1) * n][:, ops.interior_idx] for k in range(5)]
     h2 = u.grid.h**2
-    return h2 * (ops.stacked_t @ W_sp @ ops.stacked_t.T) + 8.0 * h2 / eps * sp.identity(ops.interior_idx.size)
+    return (h2 * sum(B[i].T @ sp.diags(W[i, j]) @ B[j] for i, j in energy_mod._BLOCKS)
+            + 8.0 * h2 / eps * sp.identity(ops.interior_idx.size))
 
 
 @functools.cache
@@ -202,58 +199,37 @@ def _small_grid(shape):
 
 # slope 0.5 puts |grad u| below 1 at most nodes and 1.5 above it, so that the
 # potential block takes both of its branches; 1.0 mixes them
-@given(shape=st.sampled_from(["ellipse", "stadium"]), slope=st.sampled_from([0.5, 1.0, 1.5]),
-       turn=st.floats(0.0, 2 * np.pi), noise=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
-       eps=st.floats(0.05, 2.0), eta=st.floats(1e-3, 1.0), power=st.sampled_from([1, 2]))
-def test_newton_matrix_matches_the_product_formula(shape, slope, turn, noise, seed, eps, eta, power):
+_SLOPED_STATES = given(
+    shape=st.sampled_from(["ellipse", "stadium"]), slope=st.sampled_from([0.5, 1.0, 1.5]),
+    turn=st.floats(0.0, 2 * np.pi), noise=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(0.05, 2.0), eta=st.floats(1e-3, 1.0), power=st.sampled_from([1, 2]))
+
+
+def _sloped_state(shape, slope, turn, noise, seed):
     grid = _small_grid(shape)
     x, y = grid.nodes[..., 0], grid.nodes[..., 1]
     rough = noise * grid.h * np.random.default_rng(seed).standard_normal(grid.shape)
-    vals = slope * (np.cos(turn) * x + np.sin(turn) * y) + rough
-    u = ScalarField(grid, vals)
-    H = energy_mod._newton_matrix(u, eps, eta, power)
-    ref = _product_newton_matrix(u, eps, eta, power)
+    return ScalarField(grid, slope * (np.cos(turn) * x + np.sin(turn) * y) + rough)
+
+
+@_SLOPED_STATES
+def test_newton_matrix_matches_the_product_formula(shape, slope, turn, noise, seed, eps, eta, power):
+    u = _sloped_state(shape, slope, turn, noise, seed)
+    H = energy_mod._newton_operator(u, eps, eta, power).matrix()
+    ref = _blockwise_newton_matrix(u, eps, eta, power)
     assert H.format == "csc" and H.shape == ref.shape
     assert abs(H - ref).max() <= 1e-14 * abs(H).max()
-    # the product drops exact zeros, the fixed pattern keeps them
-    pattern = energy_mod._newton_pattern(grid)
-    n = H.shape[0]
-    pattern_keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
-    ref = ref.tocoo()
-    assert np.isin(ref.col * n + ref.row, pattern_keys).all()
 
 
-def test_newton_pattern_is_cached_per_grid(ellipse):
-    grid = Grid.cover(ellipse, resolution=16)
-    pattern = energy_mod._newton_pattern(grid)
-    assert energy_mod._newton_pattern(grid) is pattern
-    assert energy_mod._newton_pattern(Grid.cover(ellipse, resolution=16)) is not pattern
-
-
-def test_second_minimize_on_a_grid_reuses_the_column_order(ellipse, monkeypatch):
-    orderings = []
-
-    def recording_splu(*args, **kwargs):
-        orderings.append(kwargs["permc_spec"])
-        return splu(*args, **kwargs)
-
-    splu = sla.splu
-    monkeypatch.setattr(sla, "splu", recording_splu)
-    grid = Grid.cover(ellipse, resolution=24)
-    opts = MinimizeOptions(max_iter=400, hessian_power=1)
-    fresh = minimize(ellipse, grid, 0.3, opts)
-    # only the first factor on the grid orders its columns
-    factors = sum(lv.factors for lv in fresh.levels)
-    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (factors - 1)
-    orderings.clear()
-    again = minimize(ellipse, grid, 0.3, opts)
-    # the factor itself is not kept from one call to the next: it depends on u
-    assert orderings == ["NATURAL"] * sum(lv.factors for lv in again.levels)
-    assert [lv.factors for lv in again.levels] == [lv.factors for lv in fresh.levels]
-    assert [lv.iterations for lv in again.levels] == [lv.iterations for lv in fresh.levels]
-    assert [lv.backtracks for lv in again.levels] == [lv.backtracks for lv in fresh.levels]
-    for a, b in zip(again.levels, fresh.levels):
-        assert abs(a.split.total - b.split.total) <= 1e-12 * b.split.total
+@_SLOPED_STATES
+def test_newton_operator_multiplies_as_the_assembled_matrix(shape, slope, turn, noise, seed, eps, eta, power):
+    u = _sloped_state(shape, slope, turn, noise, seed)
+    op = energy_mod._newton_operator(u, eps, eta, power)
+    H = op.matrix()
+    assert abs(H - H.T).max() <= 1e-14 * abs(H).max()
+    v = np.random.default_rng(seed).standard_normal(H.shape[0])
+    Hv = H @ v
+    assert np.max(np.abs(op @ v - Hv)) <= 1e-14 * np.max(np.abs(Hv))
 
 
 class _CountedSolves:
@@ -292,15 +268,14 @@ def test_preconditioned_cg_returns_a_descent_direction(seed, noise, other_noise,
         return ScalarField(grid, vals)
 
     u = state(noise)
-    H = energy_mod._newton_matrix(u, eps, eta, power)
+    H = energy_mod._newton_operator(u, eps, eta, power)
     g = energy_gradient(u, eps, eta, power).ravel()[idx]
-    pattern = energy_mod._newton_pattern(grid)
-    other = energy_mod._factor(energy_mod._newton_matrix(state(other_noise), 2 * eps, other_eta, power), pattern)
+    other = energy_mod._factor(energy_mod._newton_operator(state(other_noise), 2 * eps, other_eta, power).matrix())
     d, iterations = energy_mod._preconditioned_cg(H, g, other, rtol)
     if d is not None:
         assert np.linalg.norm(H @ d - g) <= rtol * np.linalg.norm(g)
         assert g @ d > 0
-    own = _CountedSolves(energy_mod._factor(H, pattern))
+    own = _CountedSolves(energy_mod._factor(H.matrix()))
     d, iterations = energy_mod._preconditioned_cg(H, g, own, rtol)
     assert d is not None and own.calls == 1 and iterations == 1
     assert np.linalg.norm(H @ d - g) <= 1e-10 * np.linalg.norm(g)
@@ -547,6 +522,29 @@ def test_benchmark_minimize_keeps_its_factor(ellipse):
     assert sum(lv.factors for lv in res.levels) <= 5
     # a factor whose CG runs get long is replaced before it stalls
     assert sum(lv.solves for lv in res.levels) <= 160
+
+
+def test_benchmark_minimize_assembles_h_only_to_factor_it(ellipse, monkeypatch):
+    # CG multiplies by H through the stacked operator, so the benchmark's
+    # job assembles H for its 3 factors alone and leaves no cache behind
+    matrix = energy_mod._NewtonOperator.matrix
+    assembled = []
+    monkeypatch.setattr(energy_mod._NewtonOperator, "matrix", lambda self: assembled.append(1) or matrix(self))
+    grid = Grid.cover(ellipse, h=1 / 40)
+    # every run on the grid builds these caches; build them before tracing
+    diff_ops(grid)
+    grid.nodes
+    tracemalloc.start()
+    try:
+        res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
+        factors = sum(lv.factors for lv in res.levels)
+        del res
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(assembled) == factors == 3
+    assert [key for key in vars(grid) if key.startswith("_")] == ["_diff_ops"]
+    assert kept < 0.1 * 2**20
 
 
 def test_benchmark_minimize_is_reproducible(ellipse):
