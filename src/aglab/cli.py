@@ -34,7 +34,7 @@ from . import kinetic as kinetic_mod
 from . import lagrangian as lagrangian_mod
 from .errors import ConfigError
 from .fields import dump_field, exact_limit_field, load_field
-from .geometry import Domain, Ellipse, Grid, Stadium, ridge_set
+from .geometry import RIDGE_SBAR, Domain, Ellipse, Grid, Stadium, ridge_set
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -299,10 +299,8 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
     lo, hi = ridge.lo, ridge.hi
     if hi > lo:
         xs = np.linspace(lo, hi, 129)[1:-1]
-        data = ridge.data(xs)
-        for i, x1 in enumerate(xs):
-            beta = data["beta"][i]
-            rows.append([x1, beta, data["sbar"][i], (2 * np.sin(beta)) ** 3 / 3.0])
+        for x1, beta in zip(xs, ridge.data(xs)["beta"]):
+            rows.append([x1, beta, RIDGE_SBAR, (2 * np.sin(beta)) ** 3 / 3.0])
     _write_table(out / "ridge_report.csv", ["x1", "beta", "sbar", "jump_density"], rows, _stamp(cfg))
     return EXIT_OK
 
@@ -351,13 +349,13 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     out = cfg.values["directory"]
     _write_json(out / "ensemble_report.json", {**_stamp(cfg), **asdict(report)})
     # a handful of individual curves for inspection, traced forward over [0, T]
-    pts, angs = lagrangian_mod._sample_chi_points(flow, 6, np.random.default_rng(seed))
+    pts, angs = lagrangian_mod.sample_chi_points(flow, 6, np.random.default_rng(seed))
     t_end, _, _, t_ref, x_ref, s_ref = lagrangian_mod._trace_batch(flow, pts, angs, np.full(6, T), +1)
     times = np.linspace(0.0, t_end, 33)  # one column per curve
     x, s = lagrangian_mod.curve_at(times, pts, 0.0, angs, (t_ref, x_ref, s_ref), (-np.inf, np.nan, np.nan))
     rows = [[k, times[j, k], x[j, k, 0], x[j, k, 1], s[j, k]] for k in range(6) for j in range(33)]
     s_minus = np.mod(angs, lagrangian_mod.TWO_PI)
-    ccw, arc = lagrangian_mod._arc_arrays(s_minus, s_ref)
+    ccw, arc = lagrangian_mod.arc_arrays(s_minus, s_ref)
     jrows = [[k, t_ref[k], x_ref[k, 0], x_ref[k, 1], s_minus[k], s_ref[k], ccw[k], arc[k]]
              for k in np.flatnonzero(np.isfinite(t_ref))]
     _write_table(out / "curves.csv", ["curve", "t", "x1", "x2", "s"], rows, _stamp(cfg))

@@ -112,6 +112,12 @@ class MinimizeResult:
     levels: list[LevelRecord]
 
 
+def _check_hessian_power(power: int) -> None:
+    """Raise ValueError unless the Hessian term's power is 1 or 2, the only two the energy knows."""
+    if power not in (1, 2):
+        raise ValueError("hessian_power must be 1 or 2")
+
+
 def energy(u: ScalarField, eps: float, eta: float, hessian_power: int = 1,
            region: np.ndarray | None = None) -> EnergySplit:
     """Split energy over all non-exterior nodes, or the active nodes of ``region``.
@@ -123,16 +129,12 @@ def energy(u: ScalarField, eps: float, eta: float, hessian_power: int = 1,
         raise ValueError("eps must be positive")
     if eta < 0:
         raise ValueError("eta must be nonnegative")
+    _check_hessian_power(hessian_power)
     grid = u.grid
     ops = diff_ops(grid)
     g1, g2, a, c, b = (ops.stacked @ u.values.ravel()).reshape(5, -1)
     q = a * a + 2.0 * b * b + c * c
-    if hessian_power == 1:
-        hess = np.sqrt(q + eta * eta) - eta
-    elif hessian_power == 2:
-        hess = q
-    else:
-        raise ValueError("hessian_power must be 1 or 2")
+    hess = np.sqrt(q + eta * eta) - eta if hessian_power == 1 else q
     pot = (1.0 - g1 * g1 - g2 * g2) ** 2
     if region is not None:
         keep = region.ravel()[ops.active_idx]
@@ -152,6 +154,7 @@ def energy_gradient(u: ScalarField, eps: float, eta: float, hessian_power: int =
     with its interior-restricted transpose maps the nodal weights back to
     interior slots.  Entries at collar and exterior slots are zero.
     """
+    _check_hessian_power(hessian_power)
     if hessian_power == 1 and eta <= 0:
         raise ValueError("hessian_power=1 requires eta > 0 for a smooth gradient")
     grid = u.grid
@@ -222,6 +225,7 @@ def _nodal_hessian(z: np.ndarray, eps: float, eta: float, power: int) -> np.ndar
     ``power=2`` it is 2 eps S.  Every entry of both blocks is set, so the
     off-diagonal ones appear exactly once on each side.
     """
+    _check_hessian_power(power)
     g, y = z[:2], z[2:]
     W = np.zeros((5, 5, z.shape[1]))
     W[:2, :2] = (8.0 / eps) * (g[:, None] * g[None, :])

@@ -216,7 +216,7 @@ def exact_limit_field(domain: Domain, grid: Grid) -> tuple[ScalarField, VectorFi
     Nodes near the ridge receive the one-sided value from their own side
     of it, and nodes on it (x2 == 0 exactly) the value from above.
     """
-    u, grad = geometry._signed_distance_grad(domain, grid.nodes)
+    u, grad = geometry.signed_distance_grad(domain, grid.nodes)
     return ScalarField(grid, u), VectorField(grid, geometry.rot90(grad))
 
 

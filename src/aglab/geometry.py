@@ -11,12 +11,15 @@ Conventions used throughout the package:
   and -dist(x, boundary) outside;
 * the reference vector field is ``m = rot90(grad u)`` with the
   counter-clockwise rotation ``rot90(v) = (-v2, v1)``;
+  ``signed_distance_grad`` is the one query for ``grad u`` (and with it
+  ``u``), so every caller builds m from it;
 * the ridge of both supported shapes is a horizontal segment on the
-  x-axis with normal n = (0, 1); its upper/lower traces satisfy
-  ``m+ = exp(i(sbar + beta))`` and ``m- = exp(i(sbar - beta))`` with
-  ``sbar = 3*pi/2`` and ``beta`` in (0, pi).  The angle between the
-  traces is ``2 * min(beta, pi - beta)``; beta exceeds pi/2 where the
-  field crosses the ridge upward (the left half of the ellipse ridge).
+  x-axis with normal ``RIDGE_NORMAL`` = (0, 1); its upper/lower traces
+  satisfy ``m+ = exp(i(sbar + beta))`` and ``m- = exp(i(sbar - beta))``
+  with the bisector ``sbar = RIDGE_SBAR = 3*pi/2`` and ``beta`` in
+  [0, pi].  The angle between the traces is ``2 * min(beta, pi - beta)``;
+  beta exceeds pi/2 where the field crosses the ridge upward (the left
+  half of the ellipse ridge).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ INTERIOR = 0
 COLLAR = 1
 EXTERIOR = 2
 
+RIDGE_NORMAL = (0.0, 1.0)
 RIDGE_SBAR = 1.5 * np.pi
 _ON_BOUNDARY_TOL = 1e-12
 
@@ -215,11 +219,12 @@ def _inward_normal(domain: Domain, x: np.ndarray) -> np.ndarray:
     return -v / np.where(nrm == 0, 1.0, nrm)
 
 
-def _signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
+def signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
     """Signed distance and its gradient from one closest-point query.
 
-    Equal bit for bit to ``signed_distance`` and ``grad_signed_distance``
-    (closed-form distance on the stadium, one-sided gradient on the ridge).
+    The distance is equal bit for bit to ``signed_distance`` (closed form
+    on the stadium); the gradient is one-sided on the ridge, the limit
+    from above where x2 == 0, and the reference field is its ``rot90``.
     """
     x = np.asarray(x, dtype=float)
     q, dist = _project_raw(domain, x)
@@ -238,16 +243,6 @@ def _signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
     return sd, g
 
 
-def grad_signed_distance(domain: Domain, x) -> np.ndarray:
-    """Analytic gradient of the signed distance (one-sided on the ridge)."""
-    return _signed_distance_grad(domain, x)[1]
-
-
-def limit_vector_field(domain: Domain, x) -> np.ndarray:
-    """The reference field m = rot90(grad u); one-sided on the ridge."""
-    return rot90(grad_signed_distance(domain, x))
-
-
 # ---------------------------------------------------------------------------
 # ridge
 
@@ -256,11 +251,11 @@ def limit_vector_field(domain: Domain, x) -> np.ndarray:
 class RidgeSet:
     """The jump segment [lo, hi] x {0} with per-point one-sided trace data.
 
-    ``data(x1)`` evaluates, for ridge abscissas x1 strictly inside the
-    segment, the normal ``n`` = (0, 1), the upper/lower traces ``m_plus``
-    and ``m_minus``, their angle ``beta`` in (0, pi) from the bisector, and
-    the bisector angle ``sbar`` = 3*pi/2.  A disk's ridge is the single
-    point lo == hi.
+    ``data(x1)`` evaluates, for ridge abscissas x1 in the closed segment,
+    the upper/lower traces ``m_plus`` and ``m_minus`` and their angle
+    ``beta`` from the bisector ``RIDGE_SBAR``; the normal is
+    ``RIDGE_NORMAL`` everywhere.  A disk's ridge is the single point
+    lo == hi.
     """
 
     domain: Domain
@@ -274,30 +269,23 @@ class RidgeSet:
     def data(self, x1) -> dict:
         """One-sided traces at the ridge points (x1, 0).
 
-        Returns the ridge normal ``n``, the traces ``m_plus`` and
-        ``m_minus``, their angle ``beta`` from ``sbar``, and ``sbar``
-        itself, as in the module docstring.  Scalars have x1's shape;
-        vectors add a trailing axis of 2.
+        Returns ``m_plus`` and ``m_minus``, the limits of m from above and
+        from below, and their angle ``beta`` from ``RIDGE_SBAR``, as in the
+        module docstring.  They hold at the ridge ends too, where the two
+        traces meet (beta is pi and 0 at the ellipse's evolute cusps); the
+        tracer reads its admissibility tests from them at every crossing.
+        Scalars have x1's shape; vectors add a trailing axis of 2.
         """
         x1 = np.asarray(x1, dtype=float)
         if self.length == 0.0:
             raise ValueError("degenerate ridge has no interior points")
-        pts = np.stack([x1, np.zeros_like(x1)], axis=-1)
-        q_up, dist = _project_raw(self.domain, pts)
-        m_plus = np.stack([q_up[..., 1], x1 - q_up[..., 0]], axis=-1) / dist[..., None]
+        _, grad = signed_distance_grad(self.domain, np.stack([x1, np.zeros_like(x1)], axis=-1))
+        m_plus = rot90(grad)
         m_minus = np.stack([-m_plus[..., 0], m_plus[..., 1]], axis=-1)
-        # beta in (0, pi) is pinned by m+ = e^{i(sbar + beta)}; it passes
+        # beta in [0, pi] is pinned by m+ = e^{i(sbar + beta)}; it passes
         # pi/2 where the normal flux through the ridge changes sign
         beta = np.mod(np.arctan2(m_plus[..., 1], m_plus[..., 0]) - RIDGE_SBAR, 2 * np.pi)
-        n = np.zeros_like(m_plus)
-        n[..., 1] = 1.0
-        return {
-            "n": n,
-            "m_plus": m_plus,
-            "m_minus": m_minus,
-            "beta": beta,
-            "sbar": np.full_like(x1, RIDGE_SBAR),
-        }
+        return {"m_plus": m_plus, "m_minus": m_minus, "beta": beta}
 
 
 def ridge_set(domain: Domain) -> RidgeSet:

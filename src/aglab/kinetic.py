@@ -27,7 +27,8 @@ import numpy as np
 from .entropy import TrigPoly, entropy_from_generator, frame_generator, jump_bracket, sigma_frame
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import GL_NODES, GL_WEIGHTS, Domain, Grid, integrate, ridge_set, signed_distance
+from .geometry import (GL_NODES, GL_WEIGHTS, RIDGE_NORMAL, RIDGE_SBAR, Domain, Grid, integrate, ridge_set,
+                       signed_distance)
 
 TWO_PI = 2.0 * np.pi
 _UNIT_TOL = 1e-10  # the normalization and minimality tolerance of unit-TV measures
@@ -319,8 +320,8 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     a, b = a[on], b[on]
     eps_in = 1e-9 * max(1.0, hi - lo)
     data = ridge.data(np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in))
-    bases = [gbar_beta(beta).shifted(sbar) for beta, sbar in zip(data["beta"].tolist(), data["sbar"].tolist())]
-    bracket = jump_bracket(partial(sigma_frame, 0.0), data["m_plus"], data["m_minus"], data["n"])
+    bases = [gbar_beta(beta).shifted(RIDGE_SBAR) for beta in data["beta"].tolist()]
+    bracket = jump_bracket(partial(sigma_frame, 0.0), data["m_plus"], data["m_minus"], RIDGE_NORMAL)
     r = -bracket / _pairings(bases, dpsi_e)
     keys = [(i, j0) for i in on.tolist()]
     rho = dict(zip(keys, r.tolist()))

@@ -5,9 +5,11 @@ between events.  At a ridge crossing the angle either carries over
 unchanged (when it is admissible on the far side) or is reflected
 across the ridge line, ``s -> 2*sbar - s + pi`` with the ridge bisector
 ``sbar``; for the horizontal ridge this is the mirror ``s -> -s`` and
-the curve re-enters its own side.  For the reference field the mirrored
-angle is admissible on the near side exactly when the crossing is
-blocked, so the rule is total away from ties.
+the curve re-enters its own side.  Admissibility on either side is read
+from the one-sided traces m+ and m- of the ridge record
+(``RidgeSet.data``) at the crossing point.  For the reference field the
+mirrored angle is admissible on the near side exactly when the crossing
+is blocked, so the rule is total away from ties.
 
 The tracer therefore has no time step: it moves each curve from event to
 event.  The ridge y = 0 is met at ``-y / v_y``, and the exit from the
@@ -47,7 +49,6 @@ TWO_PI = 2.0 * np.pi
 MIN_CURVES = 1000  # the smallest ensemble the representation check accepts
 _PROBE_FRACS = (0.2, 0.4, 0.6, 0.8)  # probe times of the pushforward test, as fractions of T
 _MIN_EXPECTED = 8.0  # a bin enters the chi-squared sum once it expects this many effective curves
-_SIDE_EPS = 1e-30
 _CHI_TOL = 1e-12
 _EXIT_MAX_ITER = 40
 
@@ -71,7 +72,7 @@ class DomainFlow:
         self.bbox = (x0, x1, y0, y1)
 
     def m(self, x: np.ndarray) -> np.ndarray:
-        return geometry.limit_vector_field(self.domain, x)
+        return geometry.rot90(geometry.signed_distance_grad(self.domain, x)[1])
 
     def inside(self, x: np.ndarray) -> np.ndarray:
         # in the domain sd >= 0 > level, so only the other points are projected
@@ -95,7 +96,7 @@ class DomainFlow:
         live = np.arange(t.size)
         for _ in range(_EXIT_MAX_ITER):
             x = p[live] + t[live, None] * v[live]
-            sd, grad = geometry._signed_distance_grad(self.domain, x)
+            sd, grad = geometry.signed_distance_grad(self.domain, x)
             g = sd - self.level
             out = g < -16 * np.finfo(float).eps * np.abs(x).max(axis=-1)
             live = live[out]
@@ -115,11 +116,14 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
     A curve moves at unit speed on a straight line.  It meets the ridge
     at ``-y / v_y`` when that time is within its budget and the crossing
     lies in the ridge span; there it crosses freely, reflects, or stops
-    (dead, counted as stuck).  A free crossing or a reflection leaves
-    y = 0 on a straight line that never meets it again, so one ridge test
-    and one ``flow.exit_time`` call, which takes every curve that is not
-    dead to the first of its exit from the flow's domain and the end of
-    its budget, trace the whole batch.
+    (dead, counted as stuck).  The traces of ``flow.ridge.data`` at the
+    crossing decide: the curve crosses when its angle is admissible for
+    the far side's trace, and reflects when the mirrored angle is
+    admissible for the near side's.  A free crossing or a reflection
+    leaves y = 0 on a straight line that never meets it again, so one
+    ridge test and one ``flow.exit_time`` call, which takes every curve
+    that is not dead to the first of its exit from the flow's domain and
+    the end of its budget, trace the whole batch.
 
     Raises ValueError when a start lies outside the flow's domain.
     Returns elapsed times, final positions and stuck flags, and per curve
@@ -146,13 +150,14 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
             xc = pos[:, 0] + tau * v[:, 0]
             c = np.flatnonzero((tau > 1e-14) & (tau <= budget) & (xc >= r_lo) & (xc <= r_hi))
         tau, xc, cur_ang = tau[c], xc[c], ang[c]
-        from_above = pos[c, 1] > 0
-        far_y = np.where(from_above, -_SIDE_EPS, _SIDE_EPS)
-        m_far = flow.m(np.stack([xc, far_y], axis=-1))
+        # the far side's trace decides the crossing, the near side's the reflection
+        traces = flow.ridge.data(xc)
+        from_above = (pos[c, 1] > 0)[:, None]
+        m_far = np.where(from_above, traces["m_minus"], traces["m_plus"])
         blocked = np.cos(cur_ang) * m_far[:, 0] + np.sin(cur_ang) * m_far[:, 1] <= _CHI_TOL
         # free crossers keep their angle; blocked ones reflect
         s_new = np.mod(2.0 * RIDGE_SBAR - cur_ang + np.pi, TWO_PI)
-        m_near = flow.m(np.stack([xc, -far_y], axis=-1))
+        m_near = np.where(from_above, traces["m_plus"], traces["m_minus"])
         dead = blocked & (np.cos(s_new) * m_near[:, 0] + np.sin(s_new) * m_near[:, 1] < -_CHI_TOL)
         bounce = blocked & ~dead
 
@@ -194,7 +199,8 @@ def curve_at(t, start, t0, s0, fwd, bwd) -> tuple[np.ndarray, np.ndarray]:
     return base_x + (t - base_t)[..., None] * np.stack([np.cos(s), np.sin(s)], axis=-1), s
 
 
-def _arc_arrays(s_minus: np.ndarray, s_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def arc_arrays(s_minus: np.ndarray, s_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation (True for counter-clockwise) and length of the shorter arc from s_minus to s_plus."""
     ccw_len = np.mod(s_plus - s_minus, TWO_PI)
     ccw = ccw_len <= np.pi + 1e-14
     length = np.where(ccw, ccw_len, TWO_PI - ccw_len)
@@ -243,7 +249,8 @@ class EnsembleReport:
     stationarity_ok: bool
 
 
-def _sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n phase points (position, angle) drawn uniformly from {chi = 1} in the flow's domain."""
     x0, x1, y0, y1 = flow.bbox
     pts = np.zeros((0, 2))
     angs = np.zeros(0)
@@ -289,7 +296,7 @@ def ensemble_representation_check(
     # spatial (x, y) and angular bins of the pushforward test
     nbx, nby, angular_bins = (10, 6, 8) if n_curves >= 50000 else (6, 4, 6)
     rng = np.random.default_rng(seed)
-    pts, angs = _sample_chi_points(flow, n_curves, rng)
+    pts, angs = sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
 
     fwd_elapsed, fwd_end, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, pts, angs, T - t0, direction=+1)
@@ -363,7 +370,7 @@ def ensemble_representation_check(
     jsm = np.concatenate([s0[fc], bwd_s[bc]])
     jsp = np.concatenate([fwd_s[fc], s0[bc]])
     n_jumps = int(jc.size)
-    ccw, arc_len = _arc_arrays(jsm, jsp)
+    ccw, arc_len = arc_arrays(jsm, jsp)
     jw = weights[jc]
 
     ridge_frac = 1.0

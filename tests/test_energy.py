@@ -333,6 +333,16 @@ def test_gradient_requires_smoothing():
         energy_gradient(u, 1.0, 0.0, hessian_power=1)
 
 
+@pytest.mark.parametrize("power", [0, 3])
+@pytest.mark.parametrize("query", [energy, energy_gradient, energy_mod._newton_operator],
+                         ids=["energy", "gradient", "newton_operator"])
+def test_unknown_hessian_power_raises(query, power):
+    g = unit_square_grid()
+    u = ScalarField(g, np.sin(g.nodes[..., 0]) * g.nodes[..., 1])
+    with pytest.raises(ValueError, match="hessian_power must be 1 or 2"):
+        query(u, 0.5, 0.1, power)
+
+
 @pytest.mark.parametrize("domain, h", [
     (Ellipse(1.0, 0.5), 1 / 40),  # the benchmark's minimize-ellipse grid
     (Ellipse(1.0, 0.5), 1 / 64),  # characteristics-ellipse

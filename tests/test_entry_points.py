@@ -7,7 +7,8 @@ rename fails here as well as in ``pytest perfbench``.
 
 The second check parses the package and fails on a function, class or
 method that no program code calls, and on an error that no program code
-raises.
+raises.  The third fails when a module names a ``_``-prefixed attribute
+of another module of the package, save the ones the benchmark patches.
 """
 
 import ast
@@ -21,12 +22,17 @@ from aglab.errors import AglabError
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_entry_point_resolves():
+def _entry_points():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.ENTRY_POINTS
-    for name, modname, path, _ in tracing.ENTRY_POINTS:
+    return tracing.ENTRY_POINTS
+
+
+def test_every_traced_entry_point_resolves():
+    entry_points = _entry_points()
+    assert entry_points
+    for name, modname, path, _ in entry_points:
         owner = importlib.import_module(modname)
         *classes, attr = path.split(".")
         for cls in classes:
@@ -104,3 +110,32 @@ def test_package_holds_no_dead_code():
     unused, unraised = _dead_code()
     assert unused == []
     assert unraised == []
+
+
+def _private_names_across_modules():
+    """(module, name) for each ``_``-prefixed attribute that a module of ``aglab`` takes from another.
+
+    A sibling module is reached as ``from . import mod [as alias]`` and then
+    ``alias._name``, or directly as ``from .mod import _name``.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    found.extend((path.stem, alias.name) for alias in node.names if alias.name.startswith("_"))
+        found.extend((path.stem, node.attr) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in siblings and node.attr.startswith("_")
+                     and not node.attr.startswith("__"))
+    return found
+
+
+def test_modules_use_no_private_name_of_another():
+    # the benchmark patches its entry points by name, so those may stay private
+    patched = {path.split(".")[-1] for _, _, path, _ in _entry_points()}
+    assert [use for use in _private_names_across_modules() if use[1] not in patched] == []

@@ -17,7 +17,7 @@ from aglab.fields import (
     w11_distance,
     weak_divergence,
 )
-from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, grad_signed_distance
+from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, signed_distance_grad
 
 RNG = np.random.default_rng(7)
 
@@ -101,7 +101,7 @@ def test_limit_gradient_consistency(ellipse, grid128, limit128):
         off &= np.hypot(pts[..., 0] - ex, pts[..., 1]) > 0.06
     err = np.abs(np.linalg.norm(g, axis=-1) - 1.0)[off].max()
     assert err < 40 * grid128.h**2
-    exact = grad_signed_distance(ellipse, grid128.nodes)
+    _, exact = signed_distance_grad(ellipse, grid128.nodes)
     assert np.max(np.linalg.norm((g - exact), axis=-1)[off]) < 60 * grid128.h**2
 
 
@@ -229,9 +229,9 @@ def test_exact_limit_field_projects_once(domain, monkeypatch):
     calls.clear()
     u, m = exact_limit_field(domain, grid)
     assert len(calls) == 1
-    # the same bits as the separate distance and field queries
+    # the same bits as the separate distance query and the one gradient query
     assert np.array_equal(u.values, geometry.signed_distance(domain, grid.nodes))
-    assert np.array_equal(m.values, geometry.limit_vector_field(domain, grid.nodes))
+    assert np.array_equal(m.values, geometry.rot90(geometry.signed_distance_grad(domain, grid.nodes)[1]))
 
 
 def test_dump_roundtrip(tmp_path, grid64, limit64):

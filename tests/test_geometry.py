@@ -11,15 +11,17 @@ from aglab.geometry import (
     COLLAR,
     EXTERIOR,
     INTERIOR,
+    RIDGE_NORMAL,
+    RIDGE_SBAR,
     Ellipse,
     Grid,
     Stadium,
-    grad_signed_distance,
-    limit_vector_field,
     offset_boundary,
     ridge_set,
+    rot90,
     _project_raw,
     signed_distance,
+    signed_distance_grad,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -98,7 +100,7 @@ def test_ridge_traces(ellipse):
     # tangential components opposite, normal components equal
     assert np.allclose(d["m_plus"][:, 0], -d["m_minus"][:, 0], atol=1e-14)
     assert np.allclose(d["m_plus"][:, 1], d["m_minus"][:, 1], atol=1e-14)
-    assert np.allclose(d["n"], [0.0, 1.0])
+    assert np.array_equal(RIDGE_NORMAL, [0.0, 1.0])
     assert np.all((d["beta"] > 0) & (d["beta"] < np.pi))
     half_angle = np.minimum(d["beta"], np.pi - d["beta"])
     assert np.all((half_angle > 0) & (half_angle <= np.pi / 2 + 1e-14))
@@ -106,7 +108,7 @@ def test_ridge_traces(ellipse):
     assert np.allclose(np.linalg.norm(d["m_plus"] - d["m_minus"], axis=-1),
                        2 * np.sin(half_angle), atol=1e-12)
     # exact trace parametrization from bisector and beta
-    sbar = d["sbar"]
+    sbar = RIDGE_SBAR
     expect_plus = np.stack([np.cos(sbar + d["beta"]), np.sin(sbar + d["beta"])], axis=-1)
     expect_minus = np.stack([np.cos(sbar - d["beta"]), np.sin(sbar - d["beta"])], axis=-1)
     assert np.allclose(d["m_plus"], expect_plus, atol=1e-12)
@@ -124,7 +126,7 @@ def test_gradient_is_unit_off_ridge(ellipse):
     gy = (signed_distance(ellipse, pts + [0, h]) - signed_distance(ellipse, pts - [0, h])) / (2 * h)
     assert np.max(np.abs(np.hypot(gx, gy) - 1.0)) < 1e-8
     # matches the analytic gradient
-    g = grad_signed_distance(ellipse, pts)
+    _, g = signed_distance_grad(ellipse, pts)
     assert np.max(np.abs(g[:, 0] - gx)) < 1e-7
     assert np.max(np.abs(g[:, 1] - gy)) < 1e-7
 
@@ -197,8 +199,8 @@ def test_offset_boundary_rough_integrand_fails_explicitly(ellipse):
 
 
 def test_limit_field_one_sided_on_ridge(ellipse):
-    m_up = limit_vector_field(ellipse, np.array([0.3, 0.0]))
-    m_up2 = limit_vector_field(ellipse, np.array([0.3, 1e-9]))
+    m_up = rot90(signed_distance_grad(ellipse, np.array([0.3, 0.0]))[1])
+    m_up2 = rot90(signed_distance_grad(ellipse, np.array([0.3, 1e-9]))[1])
     assert np.allclose(m_up, m_up2, atol=1e-6)
     assert m_up[0] > 0
 
@@ -265,6 +267,23 @@ def test_projection_ridge_limit_from_above(dom, data):
     # the centre, which every boundary point is closest to
     if y <= 1e-100 and dom.a > dom.b:
         assert q == pytest.approx(q0, abs=1e-14)
+
+
+@given(data=st.data())
+def test_ridge_traces_are_the_field_beside_the_ridge(data):
+    # the tracer reads its crossings from the ridge record, which must be the
+    # field's limit from either side
+    a = data.draw(st.floats(0.5, 2.0))
+    dom = data.draw(st.one_of(st.builds(lambda r: Ellipse(a, r * a), st.floats(0.1, 1.0, exclude_max=True)),
+                              st.just(Stadium(2.0, 1.0))))
+    r = ridge_set(dom)
+    x1 = r.lo + data.draw(st.floats(0.01, 0.99)) * r.length
+    delta = 10.0 ** data.draw(st.floats(-300.0, -30.0))
+    d = r.data(np.array([x1]))
+    above = rot90(signed_distance_grad(dom, np.array([[x1, delta]]))[1])
+    below = rot90(signed_distance_grad(dom, np.array([[x1, -delta]]))[1])
+    assert np.max(np.abs(above - d["m_plus"])) <= 1e-13
+    assert np.max(np.abs(below - d["m_minus"])) <= 1e-13
 
 
 def test_projection_subnormal_y_takes_axis_branch(ellipse):

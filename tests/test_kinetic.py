@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from aglab.entropy import entropy_from_generator, frame_generator, jump_bracket, sigma_frame
 from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
-from aglab.geometry import Ellipse, Grid, ridge_set
+from aglab.geometry import RIDGE_NORMAL, RIDGE_SBAR, Ellipse, Grid, ridge_set
 from aglab.kinetic import (
     PSI_COS2,
     PSI_COS4,
@@ -334,8 +334,8 @@ def test_ridge_sigma_field_matches_per_cell_loop(ellipse, grid64):
             continue
         data = ridge.data(np.asarray([np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in)]))
         beta = float(data["beta"][0])
-        base = gbar_beta(beta).shifted(float(data["sbar"][0]))
-        bracket = float(jump_bracket(phi_e, data["m_plus"][0], data["m_minus"][0], data["n"][0]))
+        base = gbar_beta(beta).shifted(RIDGE_SBAR)
+        bracket = float(jump_bracket(phi_e, data["m_plus"][0], data["m_minus"][0], RIDGE_NORMAL))
         rho[(i, j0)] = -bracket / integrate_against(base, dpsi_e)
         seg[(i, j0)] = b - a
         betas[(i, j0)] = beta

@@ -12,9 +12,9 @@ from aglab import geometry, lagrangian
 from aglab.geometry import Ellipse, Stadium, offset_boundary
 from aglab.lagrangian import (
     DomainFlow,
-    _arc_arrays,
     _trace_batch,
     _weighted_ks,
+    arc_arrays,
     curve_at,
     ensemble_flow,
     ensemble_representation_check,
@@ -47,7 +47,7 @@ def sigma_gamma(c) -> list[dict]:
     if not np.isfinite(t):
         return []
     s_minus = np.mod(c["s0"], 2 * np.pi)
-    ccw, length = _arc_arrays(np.array([s_minus]), np.array([s_plus]))
+    ccw, length = arc_arrays(np.array([s_minus]), np.array([s_plus]))
     return [{"t": t, "x": list(x), "s_from": s_minus, "s_to": s_plus,
              "sign": 1.0 if ccw[0] else -1.0, "length": float(length[0])}]
 
@@ -378,6 +378,21 @@ def test_curve_at_reflection_tie(flow, data):
     x, a = curve_at(np.array([np.nextafter(t_r, -np.inf), t_r]), start[0], t0, s, fwd, bwd)
     assert a.tolist() == ([s, s_ref[0]] if direction == 1 else [s_ref[0], s])
     assert np.abs(x[1] - x[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
+def test_trace_batch_reads_crossings_from_the_ridge_record(flow, monkeypatch):
+    """Admissibility at a crossing comes from ``flow.ridge.data``; the field is never probed."""
+    calls = []
+    m = DomainFlow.m
+    monkeypatch.setattr(DomainFlow, "m", lambda self, x: calls.append(len(x)) or m(self, x))
+    x = flow.ridge.lo + np.array([0.3, 0.3, 0.7, 0.7]) * flow.ridge.length
+    starts = np.stack([x, [0.1, 0.1, -0.1, -0.1]], axis=-1)
+    angles = np.array([-0.25, -0.75, 0.25, 0.75]) * np.pi
+    _, pos, stuck, t_ref, _, _ = _trace_batch(flow, starts, angles, np.full(4, 10.0), +1)
+    crossed = np.sign(pos[:, 1]) != np.sign(starts[:, 1])
+    assert np.isfinite(t_ref).any() and crossed.any() and not stuck.any()
+    assert calls == []
 
 
 def test_start_outside_domain_raises(ellipse):
