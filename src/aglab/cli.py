@@ -143,6 +143,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
+        if key in raw[section]:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} in [{section}] is already set on line {lines[key]}")
         raw[section][key] = value
         lines[key] = lineno
 

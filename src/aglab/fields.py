@@ -43,9 +43,6 @@ class VectorField:
         if self.values.shape != self.grid.shape + (2,):
             raise ValueError("field shape does not match grid")
 
-    def norm(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=-1)
-
 
 @dataclass
 class CellMeasure:
@@ -111,9 +108,9 @@ def _derivative(active: np.ndarray, h: float, axis: int, order: int) -> sp.csr_m
 
 @dataclass(frozen=True)
 class DiffOps:
-    """The five derivative operators of a grid, separately and stacked.
+    """The five derivative operators of a grid, stacked.
 
-    ``stacked`` holds the active rows of ``d1, d2, d11, d22, d12`` one
+    ``stacked`` holds the active rows of d1, d2, d11, d22 and d12 one
     block after the other (5 * n_active x N), so one product gives every
     derivative the energy needs; its rows follow ``active_idx`` within each
     block.  ``stacked_t`` is its transpose restricted to the interior
@@ -121,11 +118,6 @@ class DiffOps:
     on those rows back to interior slots in one product.
     """
 
-    d1: sp.csr_matrix
-    d2: sp.csr_matrix
-    d11: sp.csr_matrix
-    d22: sp.csr_matrix
-    d12: sp.csr_matrix
     active_idx: np.ndarray
     interior_idx: np.ndarray
     stacked: sp.csr_matrix
@@ -133,10 +125,11 @@ class DiffOps:
 
 
 def diff_ops(grid: Grid) -> DiffOps:
-    """Sparse derivative operators for the grid (cached on the grid object).
+    """Sparse derivative operators for the grid, stacked (cached on the grid object).
 
-    Besides the five operators this builds their stacked form and its
-    interior-restricted transpose (see :class:`DiffOps`) once per grid.
+    d1, d2, d11 and d22 come from ``_derivative`` and d12 = d1 d2; only
+    their stacked form and its interior-restricted transpose (see
+    :class:`DiffOps`) are kept.
     """
     cached = grid.__dict__.get("_diff_ops")
     if cached is not None:
@@ -144,16 +137,10 @@ def diff_ops(grid: Grid) -> DiffOps:
     active = grid.active()
     d1, d2 = (_derivative(active, grid.h, axis, 1) for axis in (0, 1))
     d11, d22 = (_derivative(active, grid.h, axis, 2) for axis in (0, 1))
-    d12 = (d1 @ d2).tocsr()
     active_idx = np.flatnonzero(active.ravel())
     interior_idx = np.flatnonzero(grid.interior().ravel())
-    stacked = sp.vstack([op[active_idx] for op in (d1, d2, d11, d22, d12)], format="csr")
+    stacked = sp.vstack([op[active_idx] for op in (d1, d2, d11, d22, (d1 @ d2).tocsr())], format="csr")
     ops = DiffOps(
-        d1=d1,
-        d2=d2,
-        d11=d11,
-        d22=d22,
-        d12=d12,
         active_idx=active_idx,
         interior_idx=interior_idx,
         stacked=stacked,
@@ -168,11 +155,12 @@ def diff_ops(grid: Grid) -> DiffOps:
 
 
 def fd_gradient(u: ScalarField) -> VectorField:
+    """Nodal gradient from the first two blocks of the stacked operator; zero at inactive nodes."""
     ops = diff_ops(u.grid)
-    flat = u.values.ravel()
-    g1 = (ops.d1 @ flat).reshape(u.grid.shape)
-    g2 = (ops.d2 @ flat).reshape(u.grid.shape)
-    return VectorField(u.grid, np.stack([g1, g2], axis=-1))
+    n = ops.active_idx.size
+    g = np.zeros((u.values.size, 2))
+    g[ops.active_idx] = (ops.stacked[:2 * n] @ u.values.ravel()).reshape(2, n).T
+    return VectorField(u.grid, g.reshape(u.grid.shape + (2,)))
 
 
 def w11_distance(u: ScalarField, v: ScalarField, region: np.ndarray) -> float:

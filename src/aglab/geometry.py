@@ -1,9 +1,12 @@
 """Exact geometry of ellipse and stadium domains.
 
-Provides signed distance (positive inside), closest-point projection,
-the ridge (medial axis) with per-point one-sided traces, node
+Provides the signed distance (positive inside) and its gradient, the
+ridge (medial axis) with per-point one-sided traces, node
 classification on a uniform grid covering the extended domain, and
 parametrized (offset) boundary curves, and the package's 1D quadrature.
+On the stadium the distance and gradient are closed form in the offset
+from the core segment; only the ellipse needs a closest-point
+projection (``_project_raw``).
 
 Conventions used throughout the package:
 
@@ -112,7 +115,7 @@ def core_distance(domain: Stadium, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closest-point projection (ellipse: monotone Newton on the Lagrange multiplier)
+# ellipse closest-point projection (monotone Newton on the Lagrange multiplier)
 
 _NEWTON_MAX_ITER = 30
 
@@ -168,31 +171,19 @@ def _ellipse_quadrant_point(a: float, b: float, px, py):
     return qx, qy
 
 
-def _project_raw(domain: Domain, x: np.ndarray):
-    """One-sided closest boundary point and distance for each query point.
+def _project_raw(domain: Ellipse, x: np.ndarray):
+    """Closest ellipse point and distance for each query point.
 
     Points with x2 == 0 are treated as lying on the upper side, so the
     returned projection is the limit from above; away from the ridge this
-    coincides with the unique projection.
+    coincides with the unique projection.  The stadium needs no projection:
+    its distance and gradient are closed form through the core offset.
     """
     x = np.asarray(x, dtype=float)
     sx = np.where(x[..., 0] < 0, -1.0, 1.0)
     sy = np.where(x[..., 1] < 0, -1.0, 1.0)
-    if isinstance(domain, Ellipse):
-        qx, qy = _ellipse_quadrant_point(domain.a, domain.b, np.abs(x[..., 0]), np.abs(x[..., 1]))
-        q = np.stack([sx * qx, sy * qy], axis=-1)
-        dist = np.hypot(x[..., 0] - q[..., 0], x[..., 1] - q[..., 1])
-        return q, dist
-    # stadium: closed-form case split through the core segment
-    q1 = np.clip(x[..., 0], 0.0, domain.L)
-    v1 = x[..., 0] - q1
-    v2 = x[..., 1]
-    r = np.hypot(v1, v2)
-    on_core = r == 0.0
-    safe_r = np.where(on_core, 1.0, r)
-    d1 = np.where(on_core, 0.0, v1 / safe_r)
-    d2 = np.where(on_core, sy, v2 / safe_r)
-    q = np.stack([q1 + domain.R * d1, domain.R * d2], axis=-1)
+    qx, qy = _ellipse_quadrant_point(domain.a, domain.b, np.abs(x[..., 0]), np.abs(x[..., 1]))
+    q = np.stack([sx * qx, sy * qy], axis=-1)
     dist = np.hypot(x[..., 0] - q[..., 0], x[..., 1] - q[..., 1])
     return q, dist
 
@@ -208,38 +199,34 @@ def signed_distance(domain: Domain, x) -> np.ndarray | float:
     return float(sd) if sd.ndim == 0 else sd
 
 
-def _inward_normal(domain: Domain, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if isinstance(domain, Ellipse):
-        v = np.stack([x[..., 0] / domain.a**2, x[..., 1] / domain.b**2], axis=-1)
-    else:
-        q1 = np.clip(x[..., 0], 0.0, domain.L)
-        v = np.stack([x[..., 0] - q1, x[..., 1]], axis=-1)
-    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return -v / np.where(nrm == 0, 1.0, nrm)
-
-
 def signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
-    """Signed distance and its gradient from one closest-point query.
+    """Signed distance and its gradient, one-sided on the ridge.
 
-    The distance is equal bit for bit to ``signed_distance`` (closed form
-    on the stadium); the gradient is one-sided on the ridge, the limit
-    from above where x2 == 0, and the reference field is its ``rot90``.
+    The distance is equal bit for bit to ``signed_distance``; the gradient
+    is the limit from above where x2 == 0, and the reference field is its
+    ``rot90``.  On the stadium both are closed form in the core offset
+    v = x - (clip(x1, 0, L), 0): sd = R - |v| and grad = -v/|v|, with
+    (0, -1) on the core.  On the ellipse they come from one closest-point
+    query q: grad = +-(x - q)/|x - q|, the inward normal on the boundary.
     """
     x = np.asarray(x, dtype=float)
+    if isinstance(domain, Stadium):
+        v = np.stack([x[..., 0] - np.clip(x[..., 0], 0.0, domain.L), x[..., 1]], axis=-1)
+        r = np.hypot(v[..., 0], v[..., 1])
+        on_core = (r == 0.0)[..., None]
+        return domain.R - r, np.where(on_core, (0.0, -1.0), -v / np.where(on_core, 1.0, r[..., None]))
     q, dist = _project_raw(domain, x)
     inside = domain.contains(x)
-    if isinstance(domain, Stadium):
-        sd = domain.R - core_distance(domain, x)
-    else:
-        sd = np.where(inside, dist, -dist)
+    sd = np.where(inside, dist, -dist)
     on_bdry = dist <= 1e-15
     safe = np.where(on_bdry, 1.0, dist)
     # outside, u = -dist so grad u keeps pointing from q toward the interior
     sign = np.where(inside, 1.0, -1.0)[..., None]
     g = sign * (x - q) / safe[..., None]
     if np.any(on_bdry):
-        g = np.where(on_bdry[..., None], _inward_normal(domain, x), g)
+        n = np.stack([x[..., 0] / domain.a**2, x[..., 1] / domain.b**2], axis=-1)
+        nrm = np.linalg.norm(n, axis=-1, keepdims=True)
+        g = np.where(on_bdry[..., None], -n / np.where(nrm == 0, 1.0, nrm), g)
     return sd, g
 
 

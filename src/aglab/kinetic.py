@@ -296,9 +296,6 @@ class RidgeSigmaField:
     seg_length: dict[tuple[int, int], float]
     beta: dict[tuple[int, int], float]
 
-    def total_variation(self) -> float:
-        return sum(m.total_variation() for m in self.cells.values())
-
 
 def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     """Calibrated minimal-measure candidate concentrated on the ridge row."""

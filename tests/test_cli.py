@@ -103,6 +103,23 @@ def test_config_bad_value_has_line(tmp_path):
     assert ":3:" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad, key, first, second", [
+    (("resolution = 48", "resolution = 48\nresolution = 32"), "'resolution' in [grid]", 8, 9),
+    (("seed = 99", "seed = 99\n\n[domain]\nb = 0.4"), "'b' in [domain]", 5, 28),
+], ids=["same-section", "reopened-section"])
+def test_repeated_key_is_a_config_error(tmp_path, bad, key, first, second):
+    # the last value would win silently, and only its text would enter config_hash
+    p = write_cfg(tmp_path, ELLIPSE_CFG.replace(*bad))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(p)
+    assert f":{second}: key {key} is already set on line {first}" in str(exc.value)
+    assert run("minimize", p) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    # a reopened section may set keys it has not set yet
+    p = write_cfg(tmp_path, ELLIPSE_CFG + "\n[domain]\ndelta = 0.04\n")
+    assert parse_config(p).domain.delta == 0.04
+
+
 def test_run_bad_config_exit_code(tmp_path):
     p = write_cfg(tmp_path, "[domain]\nkind = dodecahedron\n")
     assert run("entropy-report", p) == EXIT_CONFIG

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aglab import geometry
 from aglab.errors import QuadratureFailure
+from aglab.fields import exact_limit_field
 from aglab.geometry import (
     COLLAR,
     EXTERIOR,
@@ -23,6 +24,7 @@ from aglab.geometry import (
     signed_distance,
     signed_distance_grad,
 )
+from aglab.lagrangian import ensemble_flow, ensemble_representation_check
 
 RNG = np.random.default_rng(20240811)
 
@@ -51,7 +53,9 @@ def project(domain, x):
 
 def test_projection_trivials(ellipse, stadium):
     assert project(ellipse, [2.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert project(stadium, [1.0, 3.0]) == pytest.approx([1.0, 1.0], abs=1e-14)
+    x = np.array([1.0, 3.0])
+    sd, g = signed_distance_grad(stadium, x)
+    assert x - sd * g == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_projection_vs_sampling_oracle(ellipse, boundary_samples):
@@ -172,6 +176,51 @@ def test_stadium_signed_distance_closed_form(stadium):
     q1 = np.clip(pts[:, 0], 0.0, stadium.L)
     want = stadium.R - np.hypot(pts[:, 0] - q1, pts[:, 1])
     assert np.allclose(signed_distance(stadium, pts), want, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# stadium closed form on numerically hard inputs
+
+
+def stadium_points(dom):
+    """Points on and beside the core and its ends, within [1e-14, 1e-4] of the boundary, and far out."""
+    L, R = dom.L, dom.R
+    tiny_y = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                       st.builds(lambda k, s: s * 10.0**k, st.floats(-300.0, -30.0), st.sampled_from([1.0, -1.0])))
+    near_core = st.tuples(st.floats(0.0, L), tiny_y)
+    ends = st.tuples(st.one_of(st.sampled_from([0.0, L]), st.floats(-2 * R, 0.0), st.floats(L, L + 2 * R)),
+                     st.one_of(tiny_y, st.floats(-2 * R, 2 * R)))
+    off = st.builds(lambda k, s: s * 10.0**k, st.floats(-14.0, -4.0), st.sampled_from([1.0, -1.0]))
+    side = st.builds(lambda x1, s, e: (x1, s * (R + e)), st.floats(0.0, L), st.sampled_from([1.0, -1.0]), off)
+    cap = st.builds(lambda t, c, e: (c * L + (2 * c - 1) * (R + e) * np.cos(t), (R + e) * np.sin(t)),
+                    st.floats(-np.pi / 2, np.pi / 2), st.sampled_from([0, 1]), off)
+    far = st.builds(lambda r, t: (L / 2 + r * np.cos(t), r * np.sin(t)),
+                    st.floats(2 * (L + R), 1e3 * (L + R)), st.floats(0, 2 * np.pi))
+    return st.one_of(near_core, ends, side, cap, far)
+
+
+@given(data=st.data())
+def test_stadium_gradient_is_closed_form(data):
+    # against -v/|v| in extended precision, v = x - (clip(x1, 0, L), 0); a
+    # gradient through a closest point q loses digits to x - q near the boundary
+    dom = Stadium(data.draw(st.floats(0.5, 3.0)), data.draw(st.floats(0.2, 2.0)))
+    x = np.array(data.draw(stadium_points(dom)))
+    sd, g = signed_distance_grad(dom, x)
+    assert np.array_equal(sd, signed_distance(dom, x))
+    xl = x.astype(np.longdouble)
+    v = np.array([xl[0] - np.clip(xl[0], 0, dom.L), xl[1]])
+    r = np.hypot(v[0], v[1])
+    want = np.array([0.0, -1.0]) if r == 0 else -v / r  # on the core, the limit from above
+    assert np.max(np.abs(g - want)) <= 1e-15
+
+
+def test_stadium_queries_never_project(stadium, monkeypatch):
+    calls = []
+    project = geometry._project_raw
+    monkeypatch.setattr(geometry, "_project_raw", lambda d, x: calls.append(1) or project(d, x))
+    exact_limit_field(stadium, Grid.cover(stadium, h=1 / 32))
+    ensemble_representation_check(ensemble_flow(stadium, 1 / 64), 2000, 0.5, seed=1, h=1 / 64)
+    assert calls == []
 
 
 def test_offset_boundary_length(ellipse):

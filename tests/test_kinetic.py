@@ -238,7 +238,7 @@ def test_ridge_sigma_field_calibration(ellipse, grid64):
         beta = sig.beta[key]
         assert rho == pytest.approx(-1.0 / c_beta(beta), rel=1e-9)
     # total variation equals segment length / c(beta) summed
-    tv = sig.total_variation()
+    tv = sum(m.total_variation() for m in sig.cells.values())
     want = sum(l / c_beta(sig.beta[k]) for k, l in sig.seg_length.items())
     assert tv == pytest.approx(want, rel=1e-9)
 
