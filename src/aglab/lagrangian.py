@@ -32,6 +32,12 @@ sign convention that clockwise arcs contribute positively) into an
 empirical kinetic measure used for concentration, cancellation, and
 stationarity statistics.  The stationarity p-value is the asymptotic
 Kolmogorov tail (:func:`kolmogorov`) of the scaled two-sample statistic.
+
+The ensemble is sampled once and then traced, checked and binned
+``_CHUNK`` curves at a time: beyond one chunk, memory grows with the
+ensemble size only through the sampled phase points and the jump
+records.  Histograms sum over chunks, so chi^2 may move in its last
+bits with ``_CHUNK``; every other statistic is independent of it.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ _PROBE_FRACS = (0.2, 0.4, 0.6, 0.8)  # probe times of the pushforward test, as f
 _MIN_EXPECTED = 8.0  # a bin enters the chi-squared sum once it expects this many effective curves
 _CHI_TOL = 1e-12
 _EXIT_MAX_ITER = 40
+_CHUNK = 8192  # curves traced and binned at once; it, not the ensemble size, sets the working memory
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +218,7 @@ def arc_arrays(s_minus: np.ndarray, s_plus: np.ndarray) -> tuple[np.ndarray, np.
 # ensemble check
 
 
-def _circ_overlap(a0: np.ndarray, a_len: float, b0: np.ndarray, b_len: float) -> np.ndarray:
+def _circ_overlap(a0: np.ndarray, a_len: float, b0: float, b_len: float) -> np.ndarray:
     """Length of the overlap of circle arcs [a0, a0+a_len) and [b0, b0+b_len)."""
     s = np.mod(b0 - a0, TWO_PI)
     first = np.maximum(0.0, np.minimum(a_len, s + b_len) - s)
@@ -250,20 +257,29 @@ class EnsembleReport:
 
 
 def sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """n phase points (position, angle) drawn uniformly from {chi = 1} in the flow's domain."""
+    """n phase points (position, angle) drawn uniformly from {chi = 1} in the flow's domain.
+
+    Each round draws x, y and s for k candidates and tests them ``_CHUNK``
+    at a time, up to the chunk that brings the n-th kept point, so the
+    draws, and the points, do not depend on the chunk size.
+    """
     x0, x1, y0, y1 = flow.bbox
-    pts = np.zeros((0, 2))
-    angs = np.zeros(0)
-    while pts.shape[0] < n:
-        k = max(4 * (n - pts.shape[0]), 1024)
-        cand = np.stack([rng.uniform(x0, x1, k), rng.uniform(y0, y1, k)], axis=-1)
-        s = rng.uniform(0.0, TWO_PI, k)
-        keep = flow.inside(cand)
-        m = flow.m(cand[keep])
-        keep[keep] = (np.cos(s[keep]) * m[..., 0] + np.sin(s[keep]) * m[..., 1]) > _CHI_TOL
-        pts = np.vstack([pts, cand[keep]])
-        angs = np.concatenate([angs, s[keep]])
-    return pts[:n], angs[:n]
+    pts, angs, have = np.empty((n, 2)), np.empty(n), 0
+    while have < n:
+        k = max(4 * (n - have), 1024)
+        xs, ys, ss = rng.uniform(x0, x1, k), rng.uniform(y0, y1, k), rng.uniform(0.0, TWO_PI, k)
+        for i in range(0, k, _CHUNK):
+            if have >= n:
+                break
+            cand = np.stack([xs[i:i + _CHUNK], ys[i:i + _CHUNK]], axis=-1)
+            s = ss[i:i + _CHUNK]
+            keep = flow.inside(cand)
+            m = flow.m(cand[keep])
+            keep[keep] = (np.cos(s[keep]) * m[..., 0] + np.sin(s[keep]) * m[..., 1]) > _CHI_TOL
+            got = np.flatnonzero(keep)[:n - have]
+            pts[have:have + got.size], angs[have:have + got.size] = cand[got], s[got]
+            have += got.size
+    return pts, angs
 
 
 def ensemble_flow(domain: Domain, h: float) -> DomainFlow:
@@ -290,6 +306,12 @@ def ensemble_representation_check(
     two-window Kolmogorov-Smirnov test of angular stationarity; and the
     largest distance, over curves that are not stuck, between a traced
     end and the place ``curve_at`` gives it from the curve's records.
+
+    The phase points and start times are sampled once, then traced and
+    binned in chunks of ``_CHUNK`` curves; only the sampled points and
+    the jump records grow with ``n_curves``.  The jump records keep the
+    order of one pass, and chi^2 alone may move (in its last bits) with
+    ``_CHUNK``.
     """
     if n_curves < MIN_CURVES:
         raise ValueError(f"ensemble check needs at least {MIN_CURVES} curves")
@@ -299,24 +321,6 @@ def ensemble_representation_check(
     pts, angs = sample_chi_points(flow, n_curves, rng)
     t0 = rng.uniform(0.0, T, n_curves)
 
-    fwd_elapsed, fwd_end, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, pts, angs, T - t0, direction=+1)
-    bwd_elapsed, bwd_end, bwd_stuck, bwd_t, bwd_x, bwd_s = _trace_batch(flow, pts, angs, t0, direction=-1)
-
-    t_plus = t0 + fwd_elapsed
-    t_minus = t0 - bwd_elapsed
-    lifetime = np.maximum(t_plus - t_minus, 1e-12)
-    weights = T / lifetime
-    stuck_curves = int(np.sum(fwd_stuck | bwd_stuck))
-    after_t, before_t = t0 + fwd_t, t0 - bwd_t
-    fwd, bwd = (after_t, fwd_x, fwd_s), (before_t, bwd_x, bwd_s)
-
-    # every end that is not stuck must lie where the curve's records put it
-    live = ~(fwd_stuck | bwd_stuck)
-    miss = np.stack([curve_at(t_plus, pts, t0, angs, fwd, bwd)[0] - fwd_end,
-                     curve_at(t_minus, pts, t0, angs, fwd, bwd)[0] - bwd_end])
-    endpoint_error = float(np.sqrt(np.max(np.sum(miss * miss, axis=-1)[:, live], initial=0.0)))
-
-    probes = []
     x0b, x1b, y0b, y1b = flow.bbox
     xe = np.linspace(x0b, x1b, nbx + 1)
     ye = np.linspace(y0b, y1b, nby + 1)
@@ -336,42 +340,73 @@ def ensemble_representation_check(
     bin_vol = np.zeros((nbx, nby, angular_bins))
     cellarea = (xe[1] - xe[0]) * (ye[1] - ye[0]) / (gs * gs)
     for k in range(angular_bins):
-        ov = _circ_overlap(arc0, np.pi, np.full_like(arc0, se[k]), se[1] - se[0])
+        ov = _circ_overlap(arc0, np.pi, se[k], se[1] - se[0])
         contrib = np.where(sub_in, ov, 0.0) * cellarea
         bin_vol[:, :, k] = contrib.reshape(nbx, nby, gs, gs).sum(axis=(2, 3))
     p_bin = bin_vol / bin_vol.sum()
 
-    w2_ratio = float(np.sum(weights**2) / np.sum(weights))
+    # per probe time, the weighted histogram of the curves alive then and their total weight
+    probe_t = [f * T for f in _PROBE_FRACS]
+    H = np.zeros((len(probe_t), nbx, nby, angular_bins))
+    mass = np.zeros(len(probe_t))
+    stuck_curves, miss2, w_sum, w2_sum = 0, 0.0, 0.0, 0.0
+    # jump records (time, point, s-, s+, weight); forward and backward kept apart for their order
+    fwd_jumps, bwd_jumps = [], []
+    for i in range(0, n_curves, _CHUNK):
+        p, a, t0c = pts[i:i + _CHUNK], angs[i:i + _CHUNK], t0[i:i + _CHUNK]
+        fwd_elapsed, fwd_end, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, p, a, T - t0c, direction=+1)
+        bwd_elapsed, bwd_end, bwd_stuck, bwd_t, bwd_x, bwd_s = _trace_batch(flow, p, a, t0c, direction=-1)
+
+        t_plus = t0c + fwd_elapsed
+        t_minus = t0c - bwd_elapsed
+        lifetime = np.maximum(t_plus - t_minus, 1e-12)
+        weights = T / lifetime
+        live = ~(fwd_stuck | bwd_stuck)
+        stuck_curves += int(np.count_nonzero(~live))
+        w_sum += float(np.sum(weights))
+        w2_sum += float(np.sum(weights**2))
+        after_t, before_t = t0c + fwd_t, t0c - bwd_t
+        fwd, bwd = (after_t, fwd_x, fwd_s), (before_t, bwd_x, bwd_s)
+
+        # every end that is not stuck must lie where the curve's records put it
+        miss = np.stack([curve_at(t_plus, p, t0c, a, fwd, bwd)[0] - fwd_end,
+                         curve_at(t_minus, p, t0c, a, fwd, bwd)[0] - bwd_end])
+        miss2 = max(miss2, float(np.max(np.sum(miss * miss, axis=-1)[:, live], initial=0.0)))
+
+        for j, tp in enumerate(probe_t):
+            ids = np.flatnonzero((t_minus < tp) & (tp < t_plus))
+            x, s = curve_at(tp, p, t0c, a, fwd, bwd)
+            H[j] += np.histogramdd(np.column_stack([x[ids], np.mod(s[ids], TWO_PI)]),
+                                   bins=(xe, ye, se), weights=weights[ids])[0]
+            mass[j] += np.sum(weights[ids])
+
+        # a backward reflection runs from its outgoing angle to the start angle in forward time
+        fc, bc = np.flatnonzero(np.isfinite(fwd_t)), np.flatnonzero(np.isfinite(bwd_t))
+        s0 = np.mod(a, TWO_PI)
+        fwd_jumps.append((after_t[fc], fwd_x[fc], s0[fc], fwd_s[fc], weights[fc]))
+        bwd_jumps.append((before_t[bc], bwd_x[bc], bwd_s[bc], s0[bc], weights[bc]))
+    endpoint_error = math.sqrt(miss2)
+
+    probes = []
+    w2_ratio = w2_sum / w_sum
     pushforward_ok = True
-    for tp in (f * T for f in _PROBE_FRACS):
-        ids = np.flatnonzero((t_minus < tp) & (tp < t_plus))
-        x, s = curve_at(tp, pts, t0, angs, fwd, bwd)
-        H, _ = np.histogramdd(np.column_stack([x[ids], np.mod(s[ids], TWO_PI)]),
-                              bins=(xe, ye, se), weights=weights[ids])
-        expected = np.sum(weights[ids]) * p_bin
+    for tp, Hp, mp in zip(probe_t, H, mass):
+        expected = mp * p_bin
         sel = expected >= _MIN_EXPECTED * w2_ratio
         dof = int(np.sum(sel)) - 1
         if dof < 1:
             probes.append(ProbeStat(tp, 0.0, 0, 0.0, True))
             continue
-        chi2 = float(np.sum((H[sel] - expected[sel]) ** 2 / (expected[sel] * w2_ratio)))
+        chi2 = float(np.sum((Hp[sel] - expected[sel]) ** 2 / (expected[sel] * w2_ratio)))
         thresh = dof + 4.0 * math.sqrt(2.0 * dof)
         ok = chi2 <= thresh
         pushforward_ok &= ok
         probes.append(ProbeStat(tp, chi2, dof, thresh, ok))
 
     # --- aggregate kinetic measure from jump arcs ---
-    fc, bc = np.flatnonzero(np.isfinite(fwd_t)), np.flatnonzero(np.isfinite(bwd_t))
-    jc = np.concatenate([fc, bc])
-    jt = np.concatenate([after_t[fc], before_t[bc]])
-    jx = np.vstack([fwd_x[fc], bwd_x[bc]])
-    # a backward reflection runs from its outgoing angle to the start angle in forward time
-    s0 = np.mod(angs, TWO_PI)
-    jsm = np.concatenate([s0[fc], bwd_s[bc]])
-    jsp = np.concatenate([fwd_s[fc], s0[bc]])
-    n_jumps = int(jc.size)
+    jt, jx, jsm, jsp, jw = (np.concatenate(parts) for parts in zip(*fwd_jumps, *bwd_jumps))
+    n_jumps = int(jt.size)
     ccw, arc_len = arc_arrays(jsm, jsp)
-    jw = weights[jc]
 
     ridge_frac = 1.0
     cancellation = 1.0
@@ -390,12 +425,12 @@ def ensemble_representation_check(
         nsb = 64
         seb = np.linspace(0.0, TWO_PI, nsb + 1)
         cell = np.clip(((jx[:, 0] - r_lo) / (r_hi - r_lo + 1e-300) * ncell).astype(int), 0, ncell - 1)
-        start = np.where(ccw, jsm, jsp)
-        sgn_omega = np.where(ccw, -1.0, 1.0)  # aggregate sign flips the arc sign
+        start = np.mod(np.where(ccw, jsm, jsp), TWO_PI)
+        signed = np.where(ccw, -jw, jw)  # aggregate sign flips the arc sign
         agg = np.zeros((ncell, nsb))
         for k in range(nsb):
-            ov = _circ_overlap(np.mod(start, TWO_PI), arc_len, np.full(n_jumps, seb[k]), seb[1] - seb[0])
-            np.add.at(agg, (cell, np.full(n_jumps, k)), sgn_omega * jw * ov)
+            ov = _circ_overlap(start, arc_len, seb[k], seb[1] - seb[0])
+            agg[:, k] = np.bincount(cell, weights=signed * ov, minlength=ncell)
         tv_agg = float(np.sum(np.abs(agg)))
         tv_curves = float(np.sum(jw * arc_len))
         cancellation = tv_agg / tv_curves if tv_curves > 0 else 1.0
@@ -406,8 +441,7 @@ def ensemble_representation_check(
         cells2 = set(np.unique(cell[~w1]).tolist())
         shared = np.array(sorted(cells1 & cells2), dtype=int)
         use = np.isin(cell, shared)
-        ks_stat, ks_p = _weighted_ks(
-            np.mod(start, TWO_PI), arc_len * jw, w1 & use, ~w1 & use)
+        ks_stat, ks_p = _weighted_ks(start, arc_len * jw, w1 & use, ~w1 & use)
 
     report = EnsembleReport(
         n_curves=n_curves,
@@ -453,7 +487,7 @@ def _weighted_ks(values: np.ndarray, weights: np.ndarray, m1: np.ndarray, m2: np
         return 0.0, 1.0
     v1, w1 = values[m1], weights[m1]
     v2, w2 = values[m2], weights[m2]
-    grid = np.sort(np.unique(np.concatenate([v1, v2])))
+    grid = np.unique(np.concatenate([v1, v2]))
 
     def cdf(v, w):
         order = np.argsort(v)

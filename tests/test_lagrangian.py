@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -259,6 +261,55 @@ def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
     # no other verdict or statistic sees the mutation
     others = lambda rep: {k: v for k, v in asdict(rep).items() if not k.startswith("endpoint")}
     assert others(bad) == others(ref)
+
+
+DOMAINS = pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Stadium(2.0, 1.0)], ids=["ellipse", "stadium"])
+
+
+@pytest.mark.parametrize("chunk", [1000, 777])
+@DOMAINS
+def test_ensemble_is_chunk_invariant(domain, chunk, monkeypatch):
+    """The chunk size sets how many curves are held at once, not what is drawn or reported."""
+    n = 3000
+    flow = ensemble_flow(domain, 1 / 64)
+    inside, trace = flow.inside, lagrangian._trace_batch
+    tested, calls = [], []
+    monkeypatch.setattr(flow, "inside", lambda x: tested.append(len(x)) or inside(x))
+    monkeypatch.setattr(lagrangian, "_trace_batch", lambda *a, **k: calls.append(a) or trace(*a, **k))
+
+    def run(size):
+        monkeypatch.setattr(lagrangian, "_CHUNK", size)
+        tested.clear()
+        sample = lagrangian.sample_chi_points(flow, n, np.random.default_rng(5))
+        n_tested = sum(tested)
+        calls.clear()
+        rep = asdict(ensemble_representation_check(flow, n, 0.5, seed=5, h=1 / 64))
+        chi2 = [probe.pop("chi2") for probe in rep["probes"]]
+        return sample, n_tested, len(calls), rep, chi2
+
+    (pts_ref, angs_ref), tested_ref, _, ref, chi2_ref = run(10**9)
+    (pts, angs), n_tested, n_calls, rep, chi2 = run(chunk)
+    assert np.array_equal(pts, pts_ref) and np.array_equal(angs, angs_ref)
+    # one round of 4n candidates; chunks past the n-th kept point go untested
+    assert tested_ref == 4 * n and n_tested < 4 * n
+    assert n_calls == 2 * math.ceil(n / chunk)
+    assert ref["n_jumps"] > 0 and rep == ref
+    np.testing.assert_allclose(chi2, chi2_ref, rtol=1e-12, atol=0)
+
+
+@DOMAINS
+def test_ensemble_memory_grows_by_the_sample_not_the_trace(domain):
+    """Beyond one chunk the check holds, per curve, its sampled phase point, its draws and its jump records."""
+    flow = ensemble_flow(domain, 1 / 64)
+    peaks = []
+    for n in (10000, 40000):
+        tracemalloc.start()
+        try:
+            ensemble_representation_check(flow, n, 0.5, seed=1, h=1 / 64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 30000 <= 200  # bytes per curve
 
 
 def test_domain_flow_inset_guard(ellipse):
