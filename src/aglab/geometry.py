@@ -211,10 +211,12 @@ def signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     if isinstance(domain, Stadium):
-        v = np.stack([x[..., 0] - np.clip(x[..., 0], 0.0, domain.L), x[..., 1]], axis=-1)
-        r = np.hypot(v[..., 0], v[..., 1])
-        on_core = (r == 0.0)[..., None]
-        return domain.R - r, np.where(on_core, (0.0, -1.0), -v / np.where(on_core, 1.0, r[..., None]))
+        v0, v1 = x[..., 0] - np.clip(x[..., 0], 0.0, domain.L), x[..., 1]
+        r = np.hypot(v0, v1)
+        on_core = r == 0.0
+        safe = np.where(on_core, 1.0, r)
+        g = np.stack([np.where(on_core, 0.0, -v0 / safe), np.where(on_core, -1.0, -v1 / safe)], axis=-1)
+        return domain.R - r, g
     q, dist = _project_raw(domain, x)
     inside = domain.contains(x)
     sd = np.where(inside, dist, -dist)

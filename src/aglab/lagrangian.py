@@ -34,10 +34,12 @@ stationarity statistics.  The stationarity p-value is the asymptotic
 Kolmogorov tail (:func:`kolmogorov`) of the scaled two-sample statistic.
 
 The ensemble is sampled once and then traced, checked and binned
-``_CHUNK`` curves at a time: beyond one chunk, memory grows with the
-ensemble size only through the sampled phase points and the jump
-records.  Histograms sum over chunks, so chi^2 may move in its last
-bits with ``_CHUNK``; every other statistic is independent of it.
+``_CHUNK`` curves at a time, each chunk in one tracer call (both ways in
+time), one ``curve_at`` call and one ``np.bincount``: beyond one chunk,
+memory grows with the ensemble size only through the sampled phase
+points and the jump records.  Histograms sum over chunks, so chi^2 may
+move in its last bits with ``_CHUNK``; every other statistic is
+independent of it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ _MIN_EXPECTED = 8.0  # a bin enters the chi-squared sum once it expects this man
 _CHI_TOL = 1e-12
 _EXIT_MAX_ITER = 40
 _CHUNK = 8192  # curves traced and binned at once; it, not the ensemble size, sets the working memory
+_BOTH_WAYS = np.array([[1], [-1]])  # directions of a chunk's forward and backward traces
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +105,14 @@ class DomainFlow:
         t = np.array(t_end, dtype=float)
         live = np.arange(t.size)
         for _ in range(_EXIT_MAX_ITER):
-            x = p[live] + t[live, None] * v[live]
+            x = p + t[live, None] * v
             sd, grad = geometry.signed_distance_grad(self.domain, x)
             g = sd - self.level
-            out = g < -16 * np.finfo(float).eps * np.abs(x).max(axis=-1)
-            live = live[out]
+            out = g < -16 * np.finfo(float).eps * np.maximum(np.abs(x[:, 0]), np.abs(x[:, 1]))
+            live, p, v = live[out], p[out], v[out]
             if not live.size:
                 return t
-            t[live] -= g[out] / np.sum(grad[out] * v[live], axis=-1)
+            t[live] -= g[out] / (grad[out, 0] * v[:, 0] + grad[out, 1] * v[:, 1])
         raise NoConvergence("exit-time iteration did not converge")
 
 
@@ -117,8 +120,15 @@ class DomainFlow:
 # batched tracer
 
 
-def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, direction: int):
+def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, direction):
     """Trace a batch of curves to their exits, through at most one ridge event each.
+
+    ``pos0`` (n, 2) and ``ang0`` (n,) are n starts; ``budget`` (not
+    negative) and ``direction`` (+1 forward in time, -1 backward)
+    broadcast to a shape ending in n, one curve per entry, so (2, n)
+    budgets against directions [[1], [-1]] trace each start both ways.
+    Each start is tested against the domain once, and a backward velocity
+    is the exact negation of the forward one.
 
     A curve moves at unit speed on a straight line.  It meets the ridge
     at ``-y / v_y`` when that time is within its budget and the crossing
@@ -129,26 +139,29 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
     admissible for the near side's.  A free crossing or a reflection
     leaves y = 0 on a straight line that never meets it again, so one
     ridge test and one ``flow.exit_time`` call, which takes every curve
-    that is not dead to the first of its exit from the flow's domain and
-    the end of its budget, trace the whole batch.
+    to the first of its exit from the flow's domain and the end of its
+    budget (a dead curve has none left), trace the whole batch.
 
     Raises ValueError when a start lies outside the flow's domain.
-    Returns elapsed times, final positions and stuck flags, and per curve
-    the reflection record: its time (inf where the curve does not
-    reflect), its position (NaN where it does not) and the angle after
-    it, which is the curve's final angle.
+    Returns, in the broadcast shape, elapsed times, final positions and
+    stuck flags, and per curve the reflection record: its time (inf where
+    the curve does not reflect), its position (NaN where it does not) and
+    the angle after it, which is the curve's final angle.
     """
-    pos = np.array(pos0, dtype=float)
-    ang = np.array(ang0, dtype=float)
-    if not np.all(flow.inside(pos)):
+    if not np.all(flow.inside(pos0)):
         raise ValueError("a characteristic starts outside the traced domain")
+    budget, direction = np.broadcast_arrays(np.asarray(budget, dtype=float), direction)
+    shape = budget.shape
+    # motion is direction * e^{is}; admissibility always references e^{is}
+    v = (direction[..., None] * np.stack([np.cos(ang0), np.sin(ang0)], axis=-1)).reshape(-1, 2)
+    budget, direction = budget.ravel(), direction.ravel()
+    pos = np.array(np.broadcast_to(pos0, shape + (2,)), dtype=float).reshape(-1, 2)
+    ang = np.array(np.broadcast_to(ang0, shape), dtype=float).ravel()
     n = pos.shape[0]
     elapsed = np.zeros(n)
     stuck = np.zeros(n, dtype=bool)
     t_ref = np.full(n, np.inf)
     x_ref = np.full((n, 2), np.nan)
-    # motion is direction * e^{is}; admissibility always references e^{is}
-    v = direction * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     if flow.ridge is not None:
         r_lo, r_hi = flow.ridge.lo, flow.ridge.hi
         # a tiny or zero v_y gives an infinite or NaN tau, which fails every test below
@@ -169,20 +182,20 @@ def _trace_batch(flow, pos0: np.ndarray, ang0: np.ndarray, budget: np.ndarray, d
         bounce = blocked & ~dead
 
         elapsed[c] = tau
-        pos[c] = np.stack([xc, np.zeros(c.size)], axis=-1)
+        pos[c, 0], pos[c, 1] = xc, 0.0
         stuck[c[dead]] = True
         b = c[bounce]
         t_ref[b] = tau[bounce]
         x_ref[b] = pos[b]
         ang[b] = s_new[bounce]
-        v[b] = direction * np.stack([np.cos(ang[b]), np.sin(ang[b])], axis=-1)
+        v[b] = direction[b, None] * np.stack([np.cos(ang[b]), np.sin(ang[b])], axis=-1)
 
-    go = np.flatnonzero((budget > 0) & ~stuck)
-    t = flow.exit_time(pos[go], v[go], budget[go] - elapsed[go])
-    pos[go] += t[:, None] * v[go]
+    # a dead curve has no time left, and exit_time leaves a curve with none where it is
+    t = flow.exit_time(pos, v, np.where(stuck, 0.0, budget - elapsed))
+    pos += t[:, None] * v
     # after a ridge event, tau + (budget - tau) can round above the budget
-    elapsed[go] = np.minimum(elapsed[go] + t, budget[go])
-    return elapsed, pos, stuck, t_ref, x_ref, ang
+    elapsed = np.minimum(elapsed + t, budget)
+    return tuple(r.reshape(shape + r.shape[1:]) for r in (elapsed, pos, stuck, t_ref, x_ref, ang))
 
 
 def curve_at(t, start, t0, s0, fwd, bwd) -> tuple[np.ndarray, np.ndarray]:
@@ -196,14 +209,21 @@ def curve_at(t, start, t0, s0, fwd, bwd) -> tuple[np.ndarray, np.ndarray]:
     the curve runs on the forward record's line, strictly before the
     backward reflection time on the backward record's, and in between on
     the start's.  Times and angles broadcast against each other; points
-    carry a trailing axis of 2.
+    carry a trailing axis of 2, or are a scalar NaN in a missing record.
+    Cosine and sine are taken once per line, not once per time.
     """
     (t_f, x_f, s_f), (t_b, x_b, s_b) = fwd, bwd
     after, before = t >= t_f, t < t_b
-    base_t = np.where(after, t_f, np.where(before, t_b, t0))
-    base_x = np.where(after[..., None], x_f, np.where(before[..., None], x_b, start))
-    s = np.where(after, s_f, np.where(before, s_b, s0))
-    return base_x + (t - base_t)[..., None] * np.stack([np.cos(s), np.sin(s)], axis=-1), s
+
+    def line(f, b, s):  # the value on the line each curve runs on at t
+        return np.where(after, f, np.where(before, b, s))
+
+    def coord(i, trig):  # the line's base point plus the time run along it
+        base = line(*(p[..., i] if np.ndim(p) else p for p in (x_f, x_b, start)))
+        return base + dt * line(trig(s_f), trig(s_b), trig(s0))
+
+    dt = t - line(t_f, t_b, t0)
+    return np.stack([coord(0, np.cos), coord(1, np.sin)], axis=-1), line(s_f, s_b, s0)
 
 
 def arc_arrays(s_minus: np.ndarray, s_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +245,34 @@ def _circ_overlap(a0: np.ndarray, a_len: float, b0: float, b_len: float) -> np.n
     s2 = s - TWO_PI
     second = np.maximum(0.0, np.minimum(a_len, s2 + b_len) - np.maximum(0.0, s2))
     return first + second
+
+
+def _bin_index(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each value on the uniform ``edges`` where ``np.histogramdd`` puts it, -1 outside them.
+
+    Bins are [e_k, e_k+1), the last one closed.  The guess from the bin
+    width is off by at most one; the neighbouring edges correct it.
+    """
+    nb, lo, hi = edges.size - 1, edges[0], edges[-1]
+    # clamped before the cast, which NaN and inf would make warn
+    k = np.fmax(np.fmin((v - lo) * (nb / (hi - lo)), nb - 1), 0).astype(np.intp)
+    upper = np.append(edges[1:-1], np.inf)  # the last bin has no upper edge to leave by
+    return np.where(v <= hi, k - (v < edges[k]) + (v >= upper[k]), -1)
+
+
+def _histograms(x: np.ndarray, s: np.ndarray, alive: np.ndarray, weights: np.ndarray, edges) -> np.ndarray:
+    """Weighted histograms of the alive phase points (x, s mod 2 pi) on ``edges``, one per row.
+
+    One ``np.bincount`` bins every row, each bin summing in point order as
+    one ``np.histogramdd`` per row does, so the two agree bit for bit.
+    """
+    xe, ye, se = edges
+    ix, iy, js = _bin_index(x[..., 0], xe), _bin_index(x[..., 1], ye), _bin_index(np.mod(s, TWO_PI), se)
+    kept = alive & (ix >= 0) & (iy >= 0) & (js >= 0)
+    shape = (len(s), xe.size - 1, ye.size - 1, se.size - 1)
+    flat = ((np.arange(len(s))[:, None] * shape[1] + ix) * shape[2] + iy) * shape[3] + js
+    w = np.broadcast_to(weights, kept.shape)[kept]
+    return np.bincount(flat[kept], weights=w, minlength=math.prod(shape)).reshape(shape)
 
 
 @dataclass
@@ -309,9 +357,10 @@ def ensemble_representation_check(
 
     The phase points and start times are sampled once, then traced and
     binned in chunks of ``_CHUNK`` curves; only the sampled points and
-    the jump records grow with ``n_curves``.  The jump records keep the
-    order of one pass, and chi^2 alone may move (in its last bits) with
-    ``_CHUNK``.
+    the jump records grow with ``n_curves``.  Probes are binned exactly
+    as ``np.histogramdd`` bins them, and the jump records keep the order
+    of one pass, so chi^2 alone, summed over chunks, may move (in its
+    last bits) with ``_CHUNK``.
     """
     if n_curves < MIN_CURVES:
         raise ValueError(f"ensemble check needs at least {MIN_CURVES} curves")
@@ -347,6 +396,7 @@ def ensemble_representation_check(
 
     # per probe time, the weighted histogram of the curves alive then and their total weight
     probe_t = [f * T for f in _PROBE_FRACS]
+    t_probe = np.array(probe_t)[:, None]
     H = np.zeros((len(probe_t), nbx, nby, angular_bins))
     mass = np.zeros(len(probe_t))
     stuck_curves, miss2, w_sum, w2_sum = 0, 0.0, 0.0, 0.0
@@ -354,37 +404,33 @@ def ensemble_representation_check(
     fwd_jumps, bwd_jumps = [], []
     for i in range(0, n_curves, _CHUNK):
         p, a, t0c = pts[i:i + _CHUNK], angs[i:i + _CHUNK], t0[i:i + _CHUNK]
-        fwd_elapsed, fwd_end, fwd_stuck, fwd_t, fwd_x, fwd_s = _trace_batch(flow, p, a, T - t0c, direction=+1)
-        bwd_elapsed, bwd_end, bwd_stuck, bwd_t, bwd_x, bwd_s = _trace_batch(flow, p, a, t0c, direction=-1)
-
-        t_plus = t0c + fwd_elapsed
-        t_minus = t0c - bwd_elapsed
-        lifetime = np.maximum(t_plus - t_minus, 1e-12)
+        # row 0 runs forward in time to T, row 1 backward to 0
+        elapsed, end, stuck, t_ref, x_ref, s_ref = _trace_batch(flow, p, a, np.stack([T - t0c, t0c]), _BOTH_WAYS)
+        t_end = t0c + _BOTH_WAYS * elapsed
+        lifetime = np.maximum(t_end[0] - t_end[1], 1e-12)
         weights = T / lifetime
-        live = ~(fwd_stuck | bwd_stuck)
+        live = ~(stuck[0] | stuck[1])
         stuck_curves += int(np.count_nonzero(~live))
         w_sum += float(np.sum(weights))
         w2_sum += float(np.sum(weights**2))
-        after_t, before_t = t0c + fwd_t, t0c - bwd_t
-        fwd, bwd = (after_t, fwd_x, fwd_s), (before_t, bwd_x, bwd_s)
+        t_ref = t0c + _BOTH_WAYS * t_ref  # reflection times on the clock of t0
+        fwd, bwd = (t_ref[0], x_ref[0], s_ref[0]), (t_ref[1], x_ref[1], s_ref[1])
 
+        # one placement at both ends and at every probe time
+        x, s = curve_at(np.vstack([t_end, np.broadcast_to(t_probe, (len(probe_t), t0c.size))]), p, t0c, a, fwd, bwd)
         # every end that is not stuck must lie where the curve's records put it
-        miss = np.stack([curve_at(t_plus, p, t0c, a, fwd, bwd)[0] - fwd_end,
-                         curve_at(t_minus, p, t0c, a, fwd, bwd)[0] - bwd_end])
-        miss2 = max(miss2, float(np.max(np.sum(miss * miss, axis=-1)[:, live], initial=0.0)))
+        miss = x[:2] - end
+        miss2 = max(miss2, float(np.max((miss[..., 0] ** 2 + miss[..., 1] ** 2)[:, live], initial=0.0)))
 
-        for j, tp in enumerate(probe_t):
-            ids = np.flatnonzero((t_minus < tp) & (tp < t_plus))
-            x, s = curve_at(tp, p, t0c, a, fwd, bwd)
-            H[j] += np.histogramdd(np.column_stack([x[ids], np.mod(s[ids], TWO_PI)]),
-                                   bins=(xe, ye, se), weights=weights[ids])[0]
-            mass[j] += np.sum(weights[ids])
+        alive = (t_end[1] < t_probe) & (t_probe < t_end[0])
+        H += _histograms(x[2:], s[2:], alive, weights, (xe, ye, se))
+        mass += [np.sum(weights[al]) for al in alive]
 
         # a backward reflection runs from its outgoing angle to the start angle in forward time
-        fc, bc = np.flatnonzero(np.isfinite(fwd_t)), np.flatnonzero(np.isfinite(bwd_t))
+        fc, bc = np.flatnonzero(np.isfinite(t_ref[0])), np.flatnonzero(np.isfinite(t_ref[1]))
         s0 = np.mod(a, TWO_PI)
-        fwd_jumps.append((after_t[fc], fwd_x[fc], s0[fc], fwd_s[fc], weights[fc]))
-        bwd_jumps.append((before_t[bc], bwd_x[bc], bwd_s[bc], s0[bc], weights[bc]))
+        fwd_jumps.append((t_ref[0, fc], x_ref[0, fc], s0[fc], s_ref[0, fc], weights[fc]))
+        bwd_jumps.append((t_ref[1, bc], x_ref[1, bc], s_ref[1, bc], s0[bc], weights[bc]))
     endpoint_error = math.sqrt(miss2)
 
     probes = []

@@ -227,15 +227,15 @@ def test_warm_start_on_another_lattice_is_a_config_error(tmp_path, capsys, case,
     assert not (tmp_path / "out").exists()
 
 
-def test_characteristics_traces_three_batches(tmp_path, monkeypatch):
-    # forward and backward ensemble batches, and one batch for the six sample curves
+def test_characteristics_traces_two_batches(tmp_path, monkeypatch):
+    # one ensemble chunk, traced both ways in one call, and one batch for the six sample curves
     from aglab import lagrangian
 
     calls = []
     trace = lagrangian._trace_batch
     monkeypatch.setattr(lagrangian, "_trace_batch", lambda *a, **k: calls.append(a) or trace(*a, **k))
     assert run("characteristics", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_entropy_report_deterministic(tmp_path):
