@@ -181,7 +181,8 @@ def entropy_from_generator(psi: TrigPoly) -> EntropyMap:
 def jump_bracket(phi: Entropy, m_plus, m_minus, n) -> np.ndarray:
     """Geometric jump bracket n . (Phi(m+) - Phi(m-)), one per trailing vector."""
     d = phi(m_plus) - phi(m_minus)
-    return np.sum(np.asarray(n, dtype=float) * d, axis=-1)
+    n = np.asarray(n, dtype=float)
+    return n[..., 0] * d[..., 0] + n[..., 1] * d[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def boundary_flux(domain: Domain, theta: float) -> float:
     production inside, which for the reference field concentrates on the ridge.
     """
     def integrand(pt, n):
-        mbar = np.stack([n[..., 1], -n[..., 0]], axis=-1)
-        return np.sum(sigma_frame(theta, mbar) * n, axis=-1)
+        flux = sigma_frame(theta, np.stack([n[..., 1], -n[..., 0]], axis=-1))
+        return flux[..., 0] * n[..., 0] + flux[..., 1] * n[..., 1]
 
     return offset_boundary(domain, domain.delta).integrate(integrand)

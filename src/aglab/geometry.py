@@ -207,7 +207,8 @@ def signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
     ``rot90``.  On the stadium both are closed form in the core offset
     v = x - (clip(x1, 0, L), 0): sd = R - |v| and grad = -v/|v|, with
     (0, -1) on the core.  On the ellipse they come from one closest-point
-    query q: grad = +-(x - q)/|x - q|, the inward normal on the boundary.
+    query q: grad is the inward unit normal at q, -(qx/a^2, qy/b^2)/|...|,
+    inside, outside and on the boundary, with no cancellation in x - q.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(domain, Stadium):
@@ -218,18 +219,9 @@ def signed_distance_grad(domain: Domain, x) -> tuple[np.ndarray, np.ndarray]:
         g = np.stack([np.where(on_core, 0.0, -v0 / safe), np.where(on_core, -1.0, -v1 / safe)], axis=-1)
         return domain.R - r, g
     q, dist = _project_raw(domain, x)
-    inside = domain.contains(x)
-    sd = np.where(inside, dist, -dist)
-    on_bdry = dist <= 1e-15
-    safe = np.where(on_bdry, 1.0, dist)
-    # outside, u = -dist so grad u keeps pointing from q toward the interior
-    sign = np.where(inside, 1.0, -1.0)[..., None]
-    g = sign * (x - q) / safe[..., None]
-    if np.any(on_bdry):
-        n = np.stack([x[..., 0] / domain.a**2, x[..., 1] / domain.b**2], axis=-1)
-        nrm = np.linalg.norm(n, axis=-1, keepdims=True)
-        g = np.where(on_bdry[..., None], -n / np.where(nrm == 0, 1.0, nrm), g)
-    return sd, g
+    n0, n1 = q[..., 0] / domain.a**2, q[..., 1] / domain.b**2
+    r = np.hypot(n0, n1)
+    return np.where(domain.contains(x), dist, -dist), np.stack([-n0 / r, -n1 / r], axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -123,26 +123,32 @@ class CircleMeasure:
         return CircleMeasure(atoms, pieces)
 
 
-def _pairings(measures: list[CircleMeasure], f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Integral of f against each measure, with one call of f for the whole list.
+def _pairings(measures: list[CircleMeasure], fs: list[TrigPoly]) -> np.ndarray:
+    """Integral of each trig polynomial of fs against each measure, shape (len(fs), len(measures)).
 
     Atoms are weighted point values; each piece is integrated by one panel of
-    the 32-point Gauss-Legendre rule, exact to rounding for the trig
-    polynomials f paired here.  Per measure, atoms come first and pieces
-    follow in order, as a loop over the measure would add them.
+    the 32-point Gauss-Legendre rule, exact to rounding for the polynomials
+    paired here.  The atom and piece arrays, the density at the nodes, and
+    e^{is} at the atoms and at the nodes are built once for the whole list;
+    each f then costs one ``TrigPoly.at`` on them.  Per measure, atoms come
+    first and pieces follow in order, as a loop over the measure would add them.
     """
-    out = np.zeros(len(measures))
+    out = np.zeros((len(fs), len(measures)))
     atoms = [(i, s, w) for i, mu in enumerate(measures) for s, w in mu.atoms]
     if atoms:
         idx, s, w = (np.array(col) for col in zip(*atoms))
-        np.add.at(out, idx, w * f(s))
+        e = np.exp(1j * s)
+        for row, f in zip(out, fs):
+            np.add.at(row, idx, w * f.at(e))
     pieces = [(i, p.s0, p.s1, p.amp, p.phase, p.offset) for i, mu in enumerate(measures) for p in mu.pieces]
     if pieces:
         idx, s0, s1, amp, phase, offset = (np.array(col) for col in zip(*pieces))
         half = 0.5 * (s1 - s0)
         s = (0.5 * (s0 + s1))[:, None] + half[:, None] * GL_NODES
         density = amp[:, None] * np.sin(s - phase[:, None]) + offset[:, None]
-        np.add.at(out, idx, half * np.sum(GL_WEIGHTS * f(s) * density, axis=1))
+        e = np.exp(1j * s)
+        for row, f in zip(out, fs):
+            np.add.at(row, idx, half * np.sum(GL_WEIGHTS * f.at(e) * density, axis=1))
     return out
 
 
@@ -319,7 +325,7 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     data = ridge.data(np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in))
     bases = [gbar_beta(beta).shifted(RIDGE_SBAR) for beta in data["beta"].tolist()]
     bracket = jump_bracket(partial(sigma_frame, 0.0), data["m_plus"], data["m_minus"], RIDGE_NORMAL)
-    r = -bracket / _pairings(bases, dpsi_e)
+    r = -bracket / _pairings(bases, [dpsi_e])[0]
     keys = [(i, j0) for i in on.tolist()]
     rho = dict(zip(keys, r.tolist()))
     seg = dict(zip(keys, (b - a).tolist()))
@@ -409,19 +415,25 @@ def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure]
     """Max over the bank of |int Phi(m).grad(zeta) - int zeta psi' dsigma|, sigma given by its node cells.
 
     Phi is the entropy of the generator psi, evaluated at the angle of m.
+    Each input is evaluated once per call: w = e^{i arg m} at the active
+    nodes, each bump's gradient there and its value at the cell nodes, and
+    the table of every psi' paired with every cell.  A generator then costs
+    its two component polynomials at w, as ``EntropyMap`` evaluates them.
     """
     grid = m.grid
     active = grid.active()
     pts = grid.nodes
     cell_pts = pts[[i for i, _ in cells], [j for _, j in cells]].reshape(-1, 2)
-    grads = [bump.gradient(pts)[active] for bump in bank.bumps]
+    grads = [bump.gradient(pts[active]) for bump in bank.bumps]
     zetas = [bump.value(cell_pts) for bump in bank.bumps]
+    w = np.exp(1j * np.arctan2(m.values[..., 1][active], m.values[..., 0][active]))
+    table = _pairings(list(cells.values()), [psi.derivative() for psi in bank.generators])
     worst = without = 0.0
-    for psi in bank.generators:
-        phi_m = entropy_from_generator(psi)(m.values[active])
-        pairings = _pairings(list(cells.values()), psi.derivative())
+    for psi, pairings in zip(bank.generators, table):
+        phi = entropy_from_generator(psi)
+        p1, p2 = phi.phi1.at(w), phi.phi2.at(w)
         for gz, zeta in zip(grads, zetas):
-            lhs = grid.h**2 * float(np.sum(np.sum(phi_m * gz, axis=-1)))
+            lhs = grid.h**2 * float(np.sum(p1 * gz[:, 0] + p2 * gz[:, 1]))
             worst = max(worst, abs(lhs - float(zeta @ pairings)))
             without = max(without, abs(lhs))
     return KineticResidualReport(worst, without)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import aglab
 from aglab import cli
@@ -70,6 +73,12 @@ ensemble_dt = 0.01
 directory = disk_out
 seed = 5
 """
+
+STADIUM_CFG = ELLIPSE_CFG.replace("kind = ellipse\na = 1.0\nb = 0.5", "kind = stadium\nL = 2.0\nR = 1.0")
+
+# the golden digests of every report file `all` writes on these configs
+DIGEST_CONFIGS = {"ellipse": ELLIPSE_CFG, "disk": DISK_CFG, "stadium": STADIUM_CFG}
+REPORT_DIGESTS = Path(__file__).with_name("report_digests.json")
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -251,6 +260,33 @@ def test_entropy_report_deterministic(tmp_path):
     assert len(report["frames"]) == 2
     assert (out / "ridge_report.csv").exists()
     assert (out / "ridge_report.dat").exists()
+
+
+def software_stack() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def report_digests(root: Path) -> dict:
+    """sha256 of every file `all` writes on each config of DIGEST_CONFIGS, run in root/<name>, by path under root."""
+    cfgs = []
+    for name, text in DIGEST_CONFIGS.items():
+        (root / name).mkdir()
+        cfgs.append(write_cfg(root / name, text))
+        assert run("all", cfgs[-1]) == EXIT_OK
+    files = sorted(f for f in root.rglob("*") if f.is_file() and f not in cfgs)
+    return {f.relative_to(root).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+
+def test_reports_match_golden_digests(tmp_path):
+    """Every report is byte-identical to the committed table.  A change that
+    moves report bits on purpose rewrites it with
+    `PYTHONPATH=src python tests/test_cli.py` and says which files moved and why."""
+    golden = json.loads(REPORT_DIGESTS.read_text())
+    stack = software_stack()
+    assert golden["stack"] == stack, f"digests were made on {golden['stack']}, this stack is {stack}"
+    got, want = report_digests(tmp_path), golden["digests"]
+    moved = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+    assert not moved, f"reports moved against {REPORT_DIGESTS.name}: {moved}"
 
 
 @pytest.mark.parametrize("n_frames", [2, 3])
@@ -438,3 +474,11 @@ def test_module_entry_runs_without_warnings(tmp_path):
     assert done.returncode == EXIT_OK
     assert done.stderr == ""
     assert (tmp_path / "out" / "entropy_frames.json").exists()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {"stack": software_stack(), "digests": report_digests(Path(tmp))}
+    REPORT_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

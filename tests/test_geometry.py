@@ -214,6 +214,20 @@ def test_stadium_gradient_is_closed_form(data):
     assert np.max(np.abs(g - want)) <= 1e-15
 
 
+@given(t=st.floats(0.0, 2 * np.pi), depth=st.sampled_from([1e-6, 1e-9, 1e-12]), side=st.sampled_from([1, -1]))
+def test_ellipse_gradient_is_the_normal_near_the_boundary(ellipse, t, depth, side):
+    # against the inward unit normal at the closest point, in extended
+    # precision; a gradient through x - q loses digits to the cancellation there
+    a, b, tl = np.longdouble(ellipse.a), np.longdouble(ellipse.b), np.longdouble(t)
+    q = np.array([a * np.cos(tl), b * np.sin(tl)])
+    n = -np.array([q[0] / a**2, q[1] / b**2])
+    n /= np.hypot(n[0], n[1])
+    x = (q + side * np.longdouble(depth) * n).astype(float)
+    sd, g = signed_distance_grad(ellipse, x)
+    assert np.array_equal(sd, signed_distance(ellipse, x))
+    assert np.max(np.abs(g - n)) <= 1e-15
+
+
 def test_stadium_queries_never_project(stadium, monkeypatch):
     calls = []
     project = geometry._project_raw

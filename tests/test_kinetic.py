@@ -3,9 +3,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from aglab.entropy import entropy_from_generator, frame_generator, jump_bracket, sigma_frame
+from aglab.entropy import TrigPoly, entropy_from_generator, frame_generator, jump_bracket, sigma_frame
 from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
 from aglab.geometry import RIDGE_NORMAL, RIDGE_SBAR, Ellipse, Grid, ridge_set
@@ -310,16 +312,42 @@ def test_pairings_match_per_measure_integrals():
         CircleMeasure(),  # nothing to integrate
         minimal_disintegration(Jump(2.4, 1.0)).scaled(-0.3),
     ]
-    for psi in GENS:
-        f = psi.derivative()
-        want = np.array([integrate_against(mu, f) for mu in measures])
-        assert np.max(np.abs(_pairings(measures, f) - want)) <= 1e-14
-    assert _pairings([], GENS[0]).shape == (0,)
+    fs = [psi.derivative() for psi in GENS]
+    want = np.array([[integrate_against(mu, f) for mu in measures] for f in fs])
+    got = _pairings(measures, fs)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert _pairings([], fs).shape == (len(fs), 0)
 
 
-def test_ridge_sigma_field_matches_per_cell_loop(ellipse, grid64):
-    sig = ridge_sigma_field(ellipse, grid64)
-    ridge = ridge_set(ellipse)
+_JUMPS = st.builds(lambda beta, s, c: gbar_beta(beta).shifted(s).scaled(c),
+                   st.floats(0.01, np.pi - 0.01), st.floats(0.0, TWO_PI), st.floats(-2.0, 2.0))
+_ATOMS = st.builds(lambda s, sign: CircleMeasure(minimal_disintegration(NonJump(s, sign)).atoms),
+                   st.floats(0.0, TWO_PI), st.sampled_from([-1, 1]))
+_EVEN_GENERATORS = st.builds(lambda a, b, c, d: TrigPoly.from_harmonics(cos={2: a, 4: b}, sin={2: c, 4: d}),
+                             *[st.floats(-1.0, 1.0)] * 4)
+
+
+@given(measures=st.lists(st.one_of(_JUMPS, _ATOMS), max_size=6),
+       gens=st.lists(st.one_of(st.sampled_from(GENS), _EVEN_GENERATORS), min_size=1, max_size=5))
+def test_pairings_bank_matches_single_generator_calls(measures, gens):
+    fs = [psi.derivative() for psi in gens]
+    one_by_one = np.stack([_pairings(measures, [f])[0] for f in fs])
+    assert np.array_equal(_pairings(measures, fs), one_by_one)
+
+
+@pytest.fixture(scope="module", params=["ellipse", "stadium"])
+def field64(request):
+    """A domain, its h = 1/64 grid and the limit field on it."""
+    domain = request.getfixturevalue(request.param)
+    grid = Grid.cover(domain, h=1 / 64)
+    return domain, grid, exact_limit_field(domain, grid)[1]
+
+
+def test_ridge_sigma_field_matches_per_cell_loop(field64):
+    domain, grid64, _ = field64
+    sig = ridge_sigma_field(domain, grid64)
+    ridge = ridge_set(domain)
     lo, hi = ridge.lo, ridge.hi
     j0 = int(np.argmin(np.abs(grid64.nodes[0, :, 1])))
     xs, h = grid64.nodes[:, j0, 0], grid64.h
@@ -339,15 +367,15 @@ def test_ridge_sigma_field_matches_per_cell_loop(ellipse, grid64):
         rho[(i, j0)] = -bracket / integrate_against(base, dpsi_e)
         seg[(i, j0)] = b - a
         betas[(i, j0)] = beta
-    assert list(sig.cells) == list(rho)
+    assert rho and list(sig.cells) == list(rho)
     assert sig.beta == betas and sig.seg_length == seg
     assert max(abs(sig.rho[k] - rho[k]) for k in rho) <= 1e-13
 
 
-def test_kinetic_residual_matches_per_cell_loop(ellipse, grid64, limit64):
-    _, m = limit64
-    sigma = ridge_sigma_field(ellipse, grid64)
-    bank = default_test_bank(ellipse, grid64)
+def test_kinetic_residual_matches_per_cell_loop(field64):
+    domain, grid64, m = field64
+    sigma = ridge_sigma_field(domain, grid64)
+    bank = default_test_bank(domain, grid64)
     active, pts = grid64.active(), grid64.nodes
     angle = np.arctan2(m.values[..., 1], m.values[..., 0])
     worst = 0.0
