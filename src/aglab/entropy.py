@@ -21,7 +21,7 @@ entropy Sigma_theta is the map of the generator ``frame_generator(theta)``.
 
 The module also holds the two measures of the defect functional, the
 two-frame norm of a field's production and the jump integral along the
-ridge, and the boundary-flux quadrature.
+ridge, and the closed-form flux through the outer rim.
 
 A polynomial sum_{|k|<=n} c_k e^{iks} is evaluated through the point
 w = e^{is} on the unit circle: one complex exponential per point, then
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NonClosed
 from .fields import CellMeasure, VectorField, weak_divergence
-from .geometry import Domain, RidgeSet, integrate, offset_boundary
+from .geometry import Domain, RidgeSet, Stadium, integrate
 
 Entropy = Callable[[np.ndarray], np.ndarray]  # z -> Phi(z) on plane vectors of shape (..., 2)
 _CLOSURE_TOL = 1e-12  # largest mean or first harmonic that still counts as zero
@@ -222,15 +222,31 @@ def f0_jump(ridge: RidgeSet) -> float:
 
 
 def boundary_flux(domain: Domain, theta: float) -> float:
-    """Flux of Sigma_theta(m) through the outer rim {u = -delta}.
+    """Flux of Sigma_theta(m) through the outer rim {u = -delta}, in closed form.
 
-    On that curve m = (n2, -n1) for the outward normal n, so the flux is
-    a 1D integral in the curve parameter (the angle t of (a cos t, b sin t)
-    on the ellipse); by the divergence theorem it equals the total
-    production inside, which for the reference field concentrates on the ridge.
+    By the divergence theorem it equals the total production inside, which
+    for the reference field concentrates on the ridge.  On the rim m =
+    (n2, -n1) for the outward normal n = e^{i phi}, so
+
+        Sigma_theta(m) . n = -(4/3) cos 2(phi - theta),
+
+    and arc length is (rho(phi) + delta) dphi, where rho is the boundary's
+    radius of curvature at the normal angle phi.  Both domains are convex
+    and symmetric in the x-axis, so the delta part and the sin 2phi part
+    integrate to 0, and flux(theta) = cos 2theta * flux(0).  On the stadium
+    the arcs' rho = R integrates to 0 as well, and the two flat sides, of
+    length L at phi = +-pi/2, leave flux(0) = (8/3) L.  On the ellipse, in
+    the parameter t of (a cos t, b sin t), flux(0) is the integral over
+    [0, 2pi] of (4/3)(a^2 sin^2 t - b^2 cos^2 t) / sqrt(a^2 sin^2 t + b^2 cos^2 t).
     """
-    def integrand(pt, n):
-        flux = sigma_frame(theta, np.stack([n[..., 1], -n[..., 0]], axis=-1))
-        return flux[..., 0] * n[..., 0] + flux[..., 1] * n[..., 1]
+    if isinstance(domain, Stadium):
+        flux0 = 8.0 / 3.0 * domain.L
+    else:
+        a2, b2 = domain.a**2, domain.b**2
 
-    return offset_boundary(domain, domain.delta).integrate(integrand)
+        def integrand(t):
+            s2, c2 = np.sin(t) ** 2, np.cos(t) ** 2
+            return (4.0 / 3.0) * (a2 * s2 - b2 * c2) / np.sqrt(a2 * s2 + b2 * c2)
+
+        flux0 = integrate(integrand, (0.0, 2 * np.pi))
+    return float(np.cos(2 * theta) * flux0)

@@ -2,8 +2,8 @@
 
 Provides the signed distance (positive inside) and its gradient, the
 ridge (medial axis) with per-point one-sided traces, node
-classification on a uniform grid covering the extended domain, and
-parametrized (offset) boundary curves, and the package's 1D quadrature.
+classification on a uniform grid covering the extended domain, and the
+package's 1D quadrature.
 On the stadium the distance and gradient are closed form in the offset
 from the core segment; only the ellipse needs a closest-point
 projection (``_project_raw``).
@@ -336,18 +336,14 @@ class Grid:
         if h is None:
             h = max(wx, wy) / resolution
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        if angle != 0.0:
-            # lattice extents large enough that the rotated lattice box
-            # still contains the axis-aligned bounding box
-            c, s = np.cos(angle), np.sin(angle)
-            ex = abs(c) * wx / 2 + abs(s) * wy / 2
-            ey = abs(s) * wx / 2 + abs(c) * wy / 2
-        else:
-            ex, ey = wx / 2, wy / 2
+        # lattice extents large enough that the rotated lattice box still
+        # contains the axis-aligned bounding box (exactly wx/2, wy/2 at angle 0)
+        c, s = np.cos(angle), np.sin(angle)
+        ex = abs(c) * wx / 2 + abs(s) * wy / 2
+        ey = abs(s) * wx / 2 + abs(c) * wy / 2
         half_nx = int(np.ceil(ex / h)) + ghost
         half_ny = int(np.ceil(ey / h)) + ghost
-        e1 = np.array([np.cos(angle), np.sin(angle)])
-        e2 = np.array([-np.sin(angle), np.cos(angle)])
+        e1, e2 = np.array([c, s]), np.array([-s, c])
         origin = np.array([cx, cy]) - h * half_nx * e1 - h * half_ny * e2
         grid = Grid(origin=(origin[0], origin[1]), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle)
         grid.classify(domain)
@@ -371,7 +367,7 @@ class Grid:
 
 
 # ---------------------------------------------------------------------------
-# 1D quadrature; offset boundary curves (level sets of sd, outside variant)
+# 1D quadrature
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _QUAD_ABS, _QUAD_REL = 1e-12, 1e-10
@@ -397,87 +393,3 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], edges) -> float:
         if err <= max(_QUAD_ABS, _QUAD_REL * abs(val)):
             return val
     raise QuadratureFailure(f"sums at 32 and 64 panels per interval differ by {err:.3e}")
-
-
-@dataclass(frozen=True)
-class CurvePiece:
-    t0: float
-    t1: float
-    point: Callable[[np.ndarray], np.ndarray]
-    normal: Callable[[np.ndarray], np.ndarray]
-    speed: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Piecewise-smooth parametrization of an offset boundary {u = -d}."""
-
-    pieces: tuple[CurvePiece, ...]
-
-    def integrate(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-        """Integral of f(point, outward_normal) dH^1, by ``integrate`` on each piece."""
-        return sum(integrate(lambda t, p=p: f(p.point(t), p.normal(t)) * p.speed(t), (p.t0, p.t1))
-                   for p in self.pieces)
-
-
-def offset_boundary(domain: Domain, d: float) -> BoundaryCurve:
-    """The curve {signed_distance = -d} for d >= 0 (d = delta gives the outer rim)."""
-    if isinstance(domain, Ellipse):
-        a, b = domain.a, domain.b
-
-        def point(t):
-            t = np.atleast_1d(t)
-            g = np.sqrt((b * np.cos(t)) ** 2 + (a * np.sin(t)) ** 2)
-            nx, ny = b * np.cos(t) / g, a * np.sin(t) / g
-            return np.stack([a * np.cos(t) + d * nx, b * np.sin(t) + d * ny], axis=-1)
-
-        def normal(t):
-            t = np.atleast_1d(t)
-            g = np.sqrt((b * np.cos(t)) ** 2 + (a * np.sin(t)) ** 2)
-            return np.stack([b * np.cos(t) / g, a * np.sin(t) / g], axis=-1)
-
-        def speed(t):
-            t = np.atleast_1d(t)
-            gt = np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
-            kappa = a * b / gt**3
-            return gt * (1.0 + d * kappa)
-
-        return BoundaryCurve((CurvePiece(0.0, 2 * np.pi, point, normal, speed),))
-
-    L, R = domain.L, domain.R
-    r = R + d
-
-    def arc(center, phi0, phi1):
-        def point(t):
-            t = np.atleast_1d(t)
-            return np.stack([center[0] + r * np.cos(t), center[1] + r * np.sin(t)], axis=-1)
-
-        def normal(t):
-            t = np.atleast_1d(t)
-            return np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-        def speed(t):
-            return np.full(np.shape(np.atleast_1d(t)), r)
-
-        return CurvePiece(phi0, phi1, point, normal, speed)
-
-    def line(y, x0, x1, ny):
-        def point(t):
-            t = np.atleast_1d(t)
-            return np.stack([x0 + (x1 - x0) * t, np.full_like(t, y)], axis=-1)
-
-        def normal(t):
-            t = np.atleast_1d(t)
-            return np.stack([np.zeros_like(t), np.full_like(t, ny)], axis=-1)
-
-        def speed(t):
-            return np.full(np.shape(np.atleast_1d(t)), abs(x1 - x0))
-
-        return CurvePiece(0.0, 1.0, point, normal, speed)
-
-    return BoundaryCurve((
-        line(r, 0.0, L, 1.0),
-        arc((L, 0.0), -0.5 * np.pi, 0.5 * np.pi),
-        line(-r, L, 0.0, -1.0),
-        arc((0.0, 0.0), 0.5 * np.pi, 1.5 * np.pi),
-    ))

@@ -19,7 +19,7 @@ normalization checks honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -204,24 +204,14 @@ def _gbar_unnormalized(beta: float) -> CircleMeasure:
     return CircleMeasure([], out)
 
 
-@lru_cache(maxsize=4096)
-def c_beta(beta: float) -> float:
-    """Normalization constant: c(beta) scales the raw density to unit TV."""
-    if not (0.0 < beta < np.pi):
-        raise BetaOutOfRange(f"beta must lie in (0, pi), got {beta}")
-    if beta > np.pi / 2:
-        return c_beta(np.pi - beta)
-    tv = _gbar_unnormalized(beta).total_variation()
-    return 1.0 / tv
-
-
 def gbar_beta(beta: float) -> CircleMeasure:
-    """Normalized pi-periodic jump density (total variation exactly 1)."""
+    """Normalized pi-periodic jump density: the raw density scaled by c(beta) to total variation 1."""
     if not (0.0 < beta < np.pi):
         raise BetaOutOfRange(f"beta must lie in (0, pi), got {beta}")
     if beta > np.pi / 2:
         return gbar_beta(np.pi - beta)
-    return _gbar_unnormalized(beta).scaled(c_beta(beta))
+    raw = _gbar_unnormalized(beta)
+    return raw.scaled(1.0 / raw.total_variation())
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,8 @@ class CompactBump:
     center: tuple[float, float]
     radius: float
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def _eval(self, x: np.ndarray):
+        """Offsets (dx, dy), R^2, the support mask, R^2 - r^2 on it and the bump value."""
         x = np.asarray(x, dtype=float)
         dx = x[..., 0] - self.center[0]
         dy = x[..., 1] - self.center[1]
@@ -352,17 +343,13 @@ class CompactBump:
         R2 = self.radius**2
         inside = r2 < R2
         denom = np.where(inside, R2 - r2, 1.0)
-        return np.where(inside, np.exp(-r2 / denom), 0.0)
+        return dx, dy, R2, inside, denom, np.where(inside, np.exp(-r2 / denom), 0.0)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self._eval(x)[-1]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        dx = x[..., 0] - self.center[0]
-        dy = x[..., 1] - self.center[1]
-        r2 = dx * dx + dy * dy
-        R2 = self.radius**2
-        inside = r2 < R2
-        denom = np.where(inside, R2 - r2, 1.0)
-        f = np.where(inside, np.exp(-r2 / denom), 0.0)
+        dx, dy, R2, inside, denom, f = self._eval(x)
         fac = np.where(inside, -2.0 * R2 / denom**2, 0.0) * f
         return np.stack([fac * dx, fac * dy], axis=-1)
 

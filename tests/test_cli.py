@@ -481,4 +481,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {"stack": software_stack(), "digests": report_digests(Path(tmp))}
+    old = json.loads(REPORT_DIGESTS.read_text())["digests"] if REPORT_DIGESTS.exists() else {}
+    new = table["digests"]
+    for f in sorted(old.keys() | new.keys()):
+        if old.get(f) != new.get(f):
+            print("appeared" if f not in old else "vanished" if f not in new else "changed", f)
     REPORT_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -21,7 +21,7 @@ from aglab.entropy import (
 )
 from aglab.errors import NonClosed
 from aglab.fields import VectorField, exact_limit_field
-from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, offset_boundary, ridge_set
+from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
 from aglab.kinetic import jump_identity_check
 
 RNG = np.random.default_rng(11)
@@ -209,6 +209,28 @@ def test_two_frames_vs_jump_and_flux(ellipse, grid64, limit64):
     assert abs(boundary_flux(ellipse, np.pi / 4)) < 1e-10
 
 
+def rim_flux_by_quad(domain, theta: float) -> float:
+    """Flux of sigma_frame through the outer rim by adaptive quadrature in the normal angle phi.
+
+    Arc length is (rho(phi) + delta) dphi, rho the boundary's radius of
+    curvature; the stadium's flat sides add L at phi = +-pi/2.
+    """
+    def density(phi):
+        n = np.array([np.cos(phi), np.sin(phi)])
+        if isinstance(domain, Ellipse):
+            a2, b2 = domain.a**2, domain.b**2
+            rho = a2 * b2 / (a2 * n[0] ** 2 + b2 * n[1] ** 2) ** 1.5
+        else:
+            rho = domain.R
+        return float(sigma_frame(theta, np.array([n[1], -n[0]])) @ n) * (rho + domain.delta)
+
+    flux, _ = quad(density, -np.pi, np.pi, epsabs=1e-13, epsrel=1e-12, limit=400)
+    if isinstance(domain, Stadium):
+        flux += sum(float(sigma_frame(theta, np.array([n1, 0.0])) @ np.array([0.0, n1])) * domain.L
+                    for n1 in (1.0, -1.0))
+    return flux
+
+
 @pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Ellipse(1.0, 0.05), Stadium(2.0, 1.0)],
                          ids=["ellipse", "eccentric-ellipse", "stadium"])
 def test_jump_energy_and_flux_match_adaptive_quadrature(domain):
@@ -222,25 +244,27 @@ def test_jump_energy_and_flux_match_adaptive_quadrature(domain):
     ref, _ = quad(density, ridge.lo, ridge.hi, epsabs=1e-13, epsrel=1e-12, limit=400)
     assert f0_jump(ridge) == pytest.approx(ref, rel=1e-9)
     for theta in (0.0, np.pi / 8):
-        def flux_density(t, p):
-            n = p.normal(np.array([t]))[0]
-            return float(sigma_frame(theta, np.array([n[1], -n[0]])) @ n) * p.speed(np.array([t]))[0]
+        assert boundary_flux(domain, theta) == pytest.approx(rim_flux_by_quad(domain, theta), rel=1e-9)
 
-        ref = sum(quad(flux_density, p.t0, p.t1, args=(p,), epsabs=1e-13, epsrel=1e-12, limit=400)[0]
-                  for p in offset_boundary(domain, domain.delta).pieces)
-        assert boundary_flux(domain, theta) == pytest.approx(ref, rel=1e-9)
+
+@settings(max_examples=25, deadline=None)
+@given(theta=st.floats(0.0, 2 * np.pi), a=st.floats(0.2, 2.0), aspect=st.floats(0.05, 1.0),
+       collar=st.floats(0.01, 1.0))
+def test_ellipse_flux_matches_adaptive_quadrature(theta, a, aspect, collar):
+    b = a * aspect
+    domain = Ellipse(a, b, collar * 0.5 * b)
+    assert boundary_flux(domain, theta) == pytest.approx(rim_flux_by_quad(domain, theta), rel=1e-9, abs=1e-12)
 
 
 def test_boundary_flux_evaluates_the_entropy_once_per_round(ellipse, monkeypatch):
     # one array call per panel-doubling round, not one call per abscissa
     points = []
-    sigma = entropy.sigma_frame
+    integrate = entropy.integrate
 
-    def counted(theta, z):
-        points.append(np.asarray(z).size // 2)
-        return sigma(theta, z)
+    def counted(f, edges):
+        return integrate(lambda t: points.append(np.size(t)) or f(t), edges)
 
-    monkeypatch.setattr(entropy, "sigma_frame", counted)
+    monkeypatch.setattr(entropy, "integrate", counted)
     boundary_flux(ellipse, 0.0)
     assert 1 <= len(points) <= 3
     assert min(points) > 1

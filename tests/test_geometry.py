@@ -17,7 +17,6 @@ from aglab.geometry import (
     Ellipse,
     Grid,
     Stadium,
-    offset_boundary,
     ridge_set,
     rot90,
     _project_raw,
@@ -237,28 +236,11 @@ def test_stadium_queries_never_project(stadium, monkeypatch):
     assert calls == []
 
 
-def test_offset_boundary_length(ellipse):
-    # ellipse circumference plus 2*pi*d for the outward offset
-    curve = offset_boundary(ellipse, ellipse.delta)
-    length = curve.integrate(lambda p, n: np.ones(p.shape[:-1]))
-    from scipy.integrate import quad
-
-    base, _ = quad(lambda t: np.sqrt(np.sin(t) ** 2 + 0.25 * np.cos(t) ** 2), 0, 2 * np.pi)
-    assert length == pytest.approx(base + 2 * np.pi * ellipse.delta, rel=1e-9)
-
-
-def test_offset_boundary_stadium_length(stadium):
-    curve = offset_boundary(stadium, 0.0)
-    length = curve.integrate(lambda p, n: np.ones(p.shape[:-1]))
-    assert length == pytest.approx(2 * stadium.L + 2 * np.pi * stadium.R, rel=1e-12)
-
-
-def test_offset_boundary_rough_integrand_fails_explicitly(ellipse):
+def test_integrate_rough_integrand_fails_explicitly():
     # a sign wave with hundreds of jumps defeats panel doubling; the failure
     # surfaces as an exception instead of a wrong value
-    curve = offset_boundary(ellipse, ellipse.delta)
     with pytest.raises(QuadratureFailure):
-        curve.integrate(lambda p, n: np.sign(np.sin(300.0 * p[..., 0] + 0.3)))
+        geometry.integrate(lambda t: np.sign(np.sin(300.0 * np.cos(t) + 0.3)), (0.0, 2 * np.pi))
 
 
 def test_limit_field_one_sided_on_ridge(ellipse):

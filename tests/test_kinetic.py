@@ -22,7 +22,6 @@ from aglab.kinetic import (
     Piece,
     RidgeSigmaField,
     _pairings,
-    c_beta,
     default_test_bank,
     derivative_min_on_arcs,
     g_beta,
@@ -105,6 +104,11 @@ def test_g_beta_out_of_range():
         g_beta(3.5, 0.1)
     with pytest.raises(BetaOutOfRange):
         gbar_beta(0.0)
+
+
+def c_beta(beta: float) -> float:
+    """c(beta), the scale of gbar_beta's raw density: the amplitude of its sine pieces (raw amplitude 1)."""
+    return max(p.amp for p in gbar_beta(beta).pieces)
 
 
 def test_c_beta_half_pi():

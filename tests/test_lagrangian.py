@@ -11,7 +11,7 @@ from scipy.special import kolmogorov as kolmogorov_sf
 from scipy.stats import kstwobign
 
 from aglab import geometry, lagrangian
-from aglab.geometry import Ellipse, Stadium, offset_boundary
+from aglab.geometry import Ellipse, Stadium
 from aglab.lagrangian import (
     DomainFlow,
     _trace_batch,
@@ -363,21 +363,27 @@ def test_domain_flow_inset_guard(ellipse):
 HARD_FLOWS = [DomainFlow(Ellipse(1.0, 0.5), 0.025), DomainFlow(Stadium(2.0, 1.0), 0.03125)]
 
 
-def exit_curve(flow):
-    """Pieces of the curve {sd = level}, where traced curves exit."""
-    return offset_boundary(flow.domain, -flow.level).pieces
+def exit_curve(flow, t):
+    """Points of the curve {sd = level}, where traced curves exit, and their outward unit normals.
+
+    Each t in [0, 1] picks a point x of an elliptic ring inside the domain
+    and off the ridge; along x's normal line the gradient of sd is constant,
+    so x + (level - sd(x)) grad(x) lies on the exit curve, with normal -grad(x).
+    """
+    dom = flow.domain
+    if isinstance(dom, Ellipse):
+        cx, ax, ay = 0.0, 0.9 * dom.a, 0.9 * dom.b
+    else:
+        cx, ax, ay = 0.5 * dom.L, 0.5 * (dom.L + dom.R), 0.5 * dom.R
+    t = 2 * np.pi * np.asarray(t, dtype=float)
+    ring = np.stack([cx + ax * np.cos(t), ay * np.sin(t)], axis=-1)
+    sd, grad = geometry.signed_distance_grad(dom, ring)
+    return ring + (flow.level - sd)[..., None] * grad, -grad
 
 
 def on_exit_curve(flow):
     """A point of the exit curve and its outward unit normal."""
-    pieces = exit_curve(flow)
-
-    def point(k, f):
-        piece = pieces[k]
-        t = piece.t0 + f * (piece.t1 - piece.t0)
-        return piece.point(t)[0], piece.normal(t)[0]
-
-    return st.builds(point, st.integers(0, len(pieces) - 1), st.floats(0.0, 1.0))
+    return st.floats(0.0, 1.0).map(lambda t: exit_curve(flow, t))
 
 
 def hard_starts(flow, direction):
@@ -521,14 +527,12 @@ def test_exit_newton_steps_bounded(flow, monkeypatch):
     step: the slowest inputs found.
     """
     monkeypatch.setattr(lagrangian, "_EXIT_MAX_ITER", 30)
-    for piece in exit_curve(flow):
-        ts = np.linspace(piece.t0, piece.t1, 50)
-        e, n = piece.point(ts), piece.normal(ts)
-        for depth in (1e-6, 1e-10, 1e-13, 1e-15):
-            for side in (1.0, -1.0):
-                p = e - depth * n
-                v = side * np.stack([-n[:, 1], n[:, 0]], axis=-1)
-                keep = flow.inside(p)
-                t = flow.exit_time(p[keep], v[keep], np.full(keep.sum(), 10.0))
-                x = p[keep] + t[:, None] * v[keep]
-                assert np.abs(geometry.signed_distance(flow.domain, x) - flow.level).max() <= 1e-12
+    e, n = exit_curve(flow, np.linspace(0.0, 1.0, 200))
+    for depth in (1e-6, 1e-10, 1e-13, 1e-15):
+        for side in (1.0, -1.0):
+            p = e - depth * n
+            v = side * np.stack([-n[:, 1], n[:, 0]], axis=-1)
+            keep = flow.inside(p)
+            t = flow.exit_time(p[keep], v[keep], np.full(keep.sum(), 10.0))
+            x = p[keep] + t[:, None] * v[keep]
+            assert np.abs(geometry.signed_distance(flow.domain, x) - flow.level).max() <= 1e-12
