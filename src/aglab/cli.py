@@ -9,8 +9,13 @@ grid.  Rules that span several keys stay with the objects that enforce
 them, the domain constructors and ``energy.check_eps_schedule``, and
 their faults are config errors too.  So every check runs before any
 pipeline.  Relative paths resolve against the config file's directory.
-Every report carries the config hash and the seed, and a fixed (config,
-seed) pair reproduces the outputs byte for byte.
+Pipelines (``run_*``) return whether they converged and their reports by
+file name: a dict (JSON), a (header, rows) pair (a table) or a field to
+dump.  ``run`` alone stamps every report with the config hash and the
+seed and writes it.  A fixed (config, seed) pair reproduces the outputs
+byte for byte.  Exit status: 0; 2 when minimize's last eta level or any
+limit-table row is not converged; 3 for a config error.  A False ``_ok``
+flag in a report does not set the exit status yet (see ROADMAP.md).
 
 ``[diagnostics] ensemble_dt`` is accepted, because the benchmark's
 configs set it, but nothing reads it: the tracer moves from event to
@@ -185,12 +190,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 # report emission
 
 
-def _stamp(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.config_hash(), "seed": cfg.values["seed"]}
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1, default=_jsonify) + "\n")
 
 
@@ -206,7 +206,6 @@ def _jsonify(obj):
 
 def _write_table(path: Path, header: list[str], rows: list[list], stamp: dict) -> None:
     """The table as ``path`` (.csv) and its gnuplot-ready twin (.dat: whitespace, commented header)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     first = f"# config_hash={stamp['config_hash']} seed={stamp['seed']}"
     cells = [[_fmt(v) for v in row] for row in rows]
     for target, sep, head in ((path, ",", ""), (path.with_suffix(".dat"), " ", "# ")):
@@ -225,14 +224,11 @@ def _fmt(v) -> str:
 # pipelines
 
 
-def run_minimize(cfg: ExperimentConfig) -> int:
+def run_minimize(cfg: ExperimentConfig) -> tuple[dict, bool]:
     eps = cfg.values["eps_list"][0]
     res = energy_mod.minimize(cfg.domain, cfg.grid, eps, cfg.opts)
-    out = cfg.values["directory"]
-    dump_field(out / f"u_eps{eps:g}.txt", res.u)
     split = res.levels[-1].split
-    _write_json(out / "minimize_summary.json", {
-        **_stamp(cfg),
+    return {f"u_eps{eps:g}.txt": res.u, "minimize_summary.json": {
         "eps": eps,
         "total": split.total,
         "hessian_term": split.hessian_term,
@@ -242,32 +238,25 @@ def run_minimize(cfg: ExperimentConfig) -> int:
         "levels_converged": [lv.converged for lv in res.levels],
         "eta_final": res.eta_final,
         "grad_norm_final": res.levels[-1].grad_norm,
-    })
-    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+    }}, res.converged
 
 
-def run_limit_table(cfg: ExperimentConfig) -> int:
+def run_limit_table(cfg: ExperimentConfig) -> tuple[dict, bool]:
     table = energy_mod.energy_limit_table(cfg.domain, cfg.grid, cfg.values["eps_list"], cfg.opts)
-    out = cfg.values["directory"]
+    header = ["eps", "total", "hessian", "potential", "core_total", "w11", "converged", "iterations"]
     rows = [[r.eps, r.total, r.hessian_term, r.potential_term, r.core_total, r.w11, r.converged, r.iterations]
             for r in table.rows]
-    _write_table(out / "limit_table.csv",
-                 ["eps", "total", "hessian", "potential", "core_total", "w11", "converged", "iterations"],
-                 rows, _stamp(cfg))
-    _write_json(out / "limit_table.json", {
-        **_stamp(cfg),
+    return {"limit_table.csv": (header, rows), "limit_table.json": {
         "f0_reference": table.f0_reference,
         "w11_monotone": table.w11_monotone,
         "gap_monotone": table.gap_monotone,
         "rows": [{"eps": r.eps, "total": r.total, "w11": r.w11, "converged": r.converged,
                   "levels_converged": r.levels_converged}
                  for r in table.rows],
-    })
-    ok = all(r.converged for r in table.rows)
-    return EXIT_OK if ok else EXIT_NOT_CONVERGED
+    }}, all(r.converged for r in table.rows)
 
 
-def run_entropy_report(cfg: ExperimentConfig) -> int:
+def run_entropy_report(cfg: ExperimentConfig) -> tuple[dict, bool]:
     domain, grid = cfg.domain, cfg.grid
     _, m = exact_limit_field(domain, grid)
     ridge = ridge_set(domain)
@@ -290,30 +279,23 @@ def run_entropy_report(cfg: ExperimentConfig) -> int:
             "tv_near_ridge": prod.total_variation(grid.active() & near),
             "flux_boundary": entropy_mod.boundary_flux(domain, theta),
         })
-    out = cfg.values["directory"]
-    _write_json(out / "entropy_frames.json", {
-        **_stamp(cfg),
-        "f0_jump": entropy_mod.f0_jump(ridge),
-        "f0_two_frames": entropy_mod.two_frame_norm(*two.values()),
-        "frames": frames,
-    })
     rows = []
     lo, hi = ridge.lo, ridge.hi
     if hi > lo:
         xs = np.linspace(lo, hi, 129)[1:-1]
         for x1, beta in zip(xs, ridge.data(xs)["beta"]):
             rows.append([x1, beta, RIDGE_SBAR, (2 * np.sin(beta)) ** 3 / 3.0])
-    _write_table(out / "ridge_report.csv", ["x1", "beta", "sbar", "jump_density"], rows, _stamp(cfg))
-    return EXIT_OK
+    return {"entropy_frames.json": {"f0_jump": entropy_mod.f0_jump(ridge), "frames": frames,
+                                    "f0_two_frames": entropy_mod.two_frame_norm(*two.values())},
+            "ridge_report.csv": (["x1", "beta", "sbar", "jump_density"], rows)}, True
 
 
-def run_kinetic_check(cfg: ExperimentConfig) -> int:
+def run_kinetic_check(cfg: ExperimentConfig) -> tuple[dict, bool]:
     domain, grid = cfg.domain, cfg.grid
     betas = [np.pi / 8, np.pi / 4, np.pi / 3, 3 * np.pi / 8, np.pi / 2]
-    gens = (kinetic_mod.PSI_COS2, kinetic_mod.PSI_SIN2, kinetic_mod.PSI_COS4, kinetic_mod.PSI_SIN4)
     max_err = 0.0
     for beta in betas:
-        for psi in gens:
+        for psi in kinetic_mod.GENERATORS:
             lhs, rhs = kinetic_mod.jump_identity_check(beta, psi)
             max_err = max(max_err, abs(lhs - rhs))
     n_beta = cfg.values["beta_grid"]
@@ -329,27 +311,21 @@ def run_kinetic_check(cfg: ExperimentConfig) -> int:
     )
     _, m = exact_limit_field(domain, grid)
     sigma = kinetic_mod.ridge_sigma_field(domain, grid)
-    bank = kinetic_mod.default_test_bank(domain, grid)
-    res = kinetic_mod.kinetic_residual(m, sigma.cells, bank)
-    report = kinetic_mod.sign_structure_report(sigma.cells)
-    _write_json(cfg.values["directory"] / "kinetic_check.json", {
-        **_stamp(cfg),
+    res = kinetic_mod.kinetic_residual(m, sigma.cells, kinetic_mod.default_test_bank(domain, grid))
+    return {"kinetic_check.json": {
         "max_identity_error": max_err,
         "max_normalization_error": norm_err,
         "minimality_ok": minimal_ok,
         "residual_with_sigma": res.max_residual,
         "residual_without_sigma": res.without_sigma,
-        "sign_structure": asdict(report),
-    })
-    return EXIT_OK
+        "sign_structure": asdict(kinetic_mod.sign_structure_report(sigma.cells)),
+    }}, True
 
 
-def run_characteristics(cfg: ExperimentConfig) -> int:
+def run_characteristics(cfg: ExperimentConfig) -> tuple[dict, bool]:
     h, T, seed = cfg.grid.h, cfg.values["ensemble_T"], cfg.values["seed"]
     flow = lagrangian_mod.ensemble_flow(cfg.domain, h)
     report = lagrangian_mod.ensemble_representation_check(flow, cfg.values["ensemble_n"], T, seed, h)
-    out = cfg.values["directory"]
-    _write_json(out / "ensemble_report.json", {**_stamp(cfg), **asdict(report)})
     # a handful of individual curves for inspection, traced forward over [0, T]
     pts, angs = lagrangian_mod.sample_chi_points(flow, 6, np.random.default_rng(seed))
     t_end, _, _, t_ref, x_ref, s_ref = lagrangian_mod._trace_batch(flow, pts, angs, np.full(6, T), +1)
@@ -360,9 +336,8 @@ def run_characteristics(cfg: ExperimentConfig) -> int:
     ccw, arc = lagrangian_mod.arc_arrays(s_minus, s_ref)
     jrows = [[k, t_ref[k], x_ref[k, 0], x_ref[k, 1], s_minus[k], s_ref[k], ccw[k], arc[k]]
              for k in np.flatnonzero(np.isfinite(t_ref))]
-    _write_table(out / "curves.csv", ["curve", "t", "x1", "x2", "s"], rows, _stamp(cfg))
-    _write_table(out / "jumps.csv", ["curve", "t", "x1", "x2", "s_minus", "s_plus", "ccw", "arc"], jrows, _stamp(cfg))
-    return EXIT_OK
+    return {"ensemble_report.json": asdict(report), "curves.csv": (["curve", "t", "x1", "x2", "s"], rows),
+            "jumps.csv": (["curve", "t", "x1", "x2", "s_minus", "s_plus", "ccw", "arc"], jrows)}, True
 
 
 # subcommand -> the pipelines it runs, in order
@@ -378,7 +353,7 @@ SUBCOMMANDS = tuple(_STEPS)
 
 
 def run(subcommand: str, config_path: str | Path) -> int:
-    """Execute one pipeline; exit status 0 ok, 2 not converged, 3 config error."""
+    """Run the subcommand's pipelines in order, writing each one's reports before the next runs."""
     if subcommand not in SUBCOMMANDS:
         print(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}", file=sys.stderr)
         return EXIT_CONFIG
@@ -387,7 +362,22 @@ def run(subcommand: str, config_path: str | Path) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return max(step(cfg) for step in _STEPS[subcommand])
+    stamp = {"config_hash": cfg.config_hash(), "seed": cfg.values["seed"]}
+    status = EXIT_OK
+    for step in _STEPS[subcommand]:
+        reports, converged = step(cfg)
+        cfg.values["directory"].mkdir(parents=True, exist_ok=True)
+        for name, payload in reports.items():
+            path = cfg.values["directory"] / name
+            if isinstance(payload, dict):
+                _write_json(path, {**stamp, **payload})
+            elif isinstance(payload, tuple):
+                _write_table(path, *payload, stamp)
+            else:
+                dump_field(path, payload)
+        if not converged:
+            status = EXIT_NOT_CONVERGED
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

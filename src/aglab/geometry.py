@@ -328,9 +328,14 @@ class Grid:
         """Grid covering the delta-extended domain with >= `ghost` exterior layers.
 
         Exactly one of ``h`` (cell size) or ``resolution`` (cells across the
-        longer bounding-box side) must be given; see ``check_cover``.
+        longer bounding-box side) must be given, with h > 0 or resolution >= 1,
+        and ghost >= 0; otherwise ValueError.
         """
-        Grid.check_cover(h, resolution, ghost)
+        if (h is None) == (resolution is None):
+            raise ValueError("specify exactly one of h or resolution")
+        if not ((h is None or h > 0) and (resolution is None or resolution >= 1) and ghost >= 0):
+            raise ValueError(f"a grid needs h > 0, resolution >= 1 and ghost >= 0; got h={h}, "
+                             f"resolution={resolution}, ghost={ghost}")
         (x0, x1), (y0, y1) = domain.bounding_box()
         wx, wy = x1 - x0, y1 - y0
         if h is None:
@@ -348,15 +353,6 @@ class Grid:
         grid = Grid(origin=(origin[0], origin[1]), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle)
         grid.classify(domain)
         return grid
-
-    @staticmethod
-    def check_cover(h: float | None, resolution: int | None, ghost: int) -> None:
-        """Raise ValueError unless exactly one of h > 0 and resolution >= 1 is given and ghost >= 0."""
-        if (h is None) == (resolution is None):
-            raise ValueError("specify exactly one of h or resolution")
-        if not ((h is None or h > 0) and (resolution is None or resolution >= 1) and ghost >= 0):
-            raise ValueError(f"a grid needs h > 0, resolution >= 1 and ghost >= 0; got h={h}, "
-                             f"resolution={resolution}, ghost={ghost}")
 
     def classify(self, domain: Domain) -> None:
         sd = signed_distance(domain, self.nodes)

@@ -6,8 +6,8 @@ constant, minimal angular disintegrations, the jump identity relating
 entropies to the unnormalized density, total-variation minimality
 checks, the weak kinetic-identity residual against a bank of test
 functions, and the sign-structure report for quadrant arcs.  A circle
-generator is its trig polynomial psi, as in ``entropy``; the test bank
-holds low even harmonics.
+generator is its trig polynomial psi, as in ``entropy``; ``GENERATORS``
+holds the low even harmonics sin 2s, cos 2s, sin 4s and cos 4s.
 
 Angular measures are represented exactly: a finite atom list plus a
 piecewise density, every piece of the form A*sin(s - phase) + B on an
@@ -354,22 +354,15 @@ class CompactBump:
         return np.stack([fac * dx, fac * dy], axis=-1)
 
 
-@dataclass
-class TestBank:
-    """Test functions of the weak kinetic identity: spatial bumps zeta and generators psi."""
-
-    bumps: list[CompactBump]
-    generators: list[TrigPoly]
-
-
 PSI_SIN2 = TrigPoly.from_harmonics(sin={2: 1.0})
 PSI_COS2 = TrigPoly.from_harmonics(cos={2: 1.0})
 PSI_SIN4 = TrigPoly.from_harmonics(sin={4: 1.0})
 PSI_COS4 = TrigPoly.from_harmonics(cos={4: 1.0})
+GENERATORS = (PSI_SIN2, PSI_COS2, PSI_SIN4, PSI_COS4)  # the generators psi of the jump identity and the residual
 
 
-def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
-    """Ridge-centered and off-ridge bumps; generators sin 2s, cos 2s, sin 4s and cos 4s.
+def default_test_bank(domain: Domain, grid: Grid) -> list[CompactBump]:
+    """The spatial test functions zeta of the weak kinetic identity: ridge-centered and off-ridge bumps.
 
     Bump supports are sized from the signed distance so they stay inside
     the extended domain; otherwise the weak identity picks up boundary
@@ -388,35 +381,36 @@ def default_test_bank(domain: Domain, grid: Grid) -> TestBank:
     for c in centers:
         room = signed_distance(domain, np.asarray(c)) + domain.delta
         bumps.append(CompactBump(c, min(0.5 * span, 0.9 * room)))
-    return TestBank(bumps, [PSI_SIN2, PSI_COS2, PSI_SIN4, PSI_COS4])
+    return bumps
 
 
 @dataclass
 class KineticResidualReport:
     max_residual: float
-    without_sigma: float  # the residual of sigma = 0: max over the bank of |int Phi(m).grad(zeta)|
+    without_sigma: float  # the residual of sigma = 0: max over bumps and GENERATORS of |int Phi(m).grad(zeta)|
 
 
 def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure],
-                     bank: TestBank) -> KineticResidualReport:
-    """Max over the bank of |int Phi(m).grad(zeta) - int zeta psi' dsigma|, sigma given by its node cells.
+                     bumps: list[CompactBump]) -> KineticResidualReport:
+    """Max over the bumps zeta and GENERATORS psi of |int Phi(m).grad(zeta) - int zeta psi' dsigma|.
 
-    Phi is the entropy of the generator psi, evaluated at the angle of m.
-    Each input is evaluated once per call: w = e^{i arg m} at the active
-    nodes, each bump's gradient there and its value at the cell nodes, and
-    the table of every psi' paired with every cell.  A generator then costs
-    its two component polynomials at w, as ``EntropyMap`` evaluates them.
+    sigma is given by its node cells, and Phi is the entropy of the generator
+    psi, evaluated at the angle of m.  Each input is evaluated once per
+    call: w = e^{i arg m} at the active nodes, each bump's gradient there
+    and its value at the cell nodes, and the table of every psi' paired
+    with every cell.  A generator then costs its two component polynomials
+    at w, as ``EntropyMap`` evaluates them.
     """
     grid = m.grid
     active = grid.active()
     pts = grid.nodes
     cell_pts = pts[[i for i, _ in cells], [j for _, j in cells]].reshape(-1, 2)
-    grads = [bump.gradient(pts[active]) for bump in bank.bumps]
-    zetas = [bump.value(cell_pts) for bump in bank.bumps]
+    grads = [bump.gradient(pts[active]) for bump in bumps]
+    zetas = [bump.value(cell_pts) for bump in bumps]
     w = np.exp(1j * np.arctan2(m.values[..., 1][active], m.values[..., 0][active]))
-    table = _pairings(list(cells.values()), [psi.derivative() for psi in bank.generators])
+    table = _pairings(list(cells.values()), [psi.derivative() for psi in GENERATORS])
     worst = without = 0.0
-    for psi, pairings in zip(bank.generators, table):
+    for psi, pairings in zip(GENERATORS, table):
         phi = entropy_from_generator(psi)
         p1, p2 = phi.phi1.at(w), phi.phi2.at(w)
         for gz, zeta in zip(grads, zetas):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,7 +15,7 @@ import scipy
 
 import aglab
 from aglab import cli
-from aglab.cli import EXIT_CONFIG, EXIT_OK, main, parse_config, run
+from aglab.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main, parse_config, run
 from aglab.energy import MinimizeOptions
 from aglab.errors import ConfigError
 from aglab.fields import ScalarField, dump_field, load_field
@@ -79,6 +80,8 @@ STADIUM_CFG = ELLIPSE_CFG.replace("kind = ellipse\na = 1.0\nb = 0.5", "kind = st
 # the golden digests of every report file `all` writes on these configs
 DIGEST_CONFIGS = {"ellipse": ELLIPSE_CFG, "disk": DISK_CFG, "stadium": STADIUM_CFG}
 REPORT_DIGESTS = Path(__file__).with_name("report_digests.json")
+# the names of the 12 files `all` writes on ELLIPSE_CFG
+ALL_FILES = sorted(Path(f).name for f in json.loads(REPORT_DIGESTS.read_text())["digests"] if f.startswith("ellipse/"))
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -321,10 +324,46 @@ def test_limit_table_outputs(tmp_path):
     table = json.loads((out / "limit_table.json").read_text())
     assert len(table["rows"]) == 2
     assert table["w11_monotone"]
-    if all(r["converged"] for r in table["rows"]):
-        assert status == EXIT_OK
-    else:
-        assert status == 2
+    assert all(r["converged"] for r in table["rows"])
+    assert status == EXIT_OK
+
+
+def test_unconverged_runs_exit_2_and_write_every_report(tmp_path):
+    # max_iter = 0 leaves minimize's one eta level unconverged, max_iter = 1 every limit-table row
+    def capped(steps):
+        return write_cfg(tmp_path, ELLIPSE_CFG.replace("max_iter = 1500", f"max_iter = {steps}"))
+
+    out = tmp_path / "out"
+    assert run("minimize", capped(0)) == EXIT_NOT_CONVERGED
+    assert json.loads((out / "minimize_summary.json").read_text())["converged"] is False
+    assert (out / "u_eps0.5.txt").exists()
+    shutil.rmtree(out)
+    assert run("all", capped(1)) == EXIT_NOT_CONVERGED
+    assert sorted(f.name for f in out.iterdir()) == ALL_FILES
+
+
+def test_pipelines_return_their_reports_and_write_nothing(tmp_path, monkeypatch):
+    def refuse(path, *args):
+        raise AssertionError(f"wrote {path}")
+
+    for writer in ("_write_json", "_write_table", "dump_field"):
+        monkeypatch.setattr(cli, writer, refuse)
+    cfg = parse_config(write_cfg(tmp_path, ELLIPSE_CFG))
+    reports, converged = cli.run_minimize(cfg)
+    assert converged and list(reports) == ["u_eps0.5.txt", "minimize_summary.json"]
+    assert isinstance(reports["u_eps0.5.txt"], ScalarField) and reports["minimize_summary.json"]["converged"]
+    files = []
+    for step in (cli.run_entropy_report, cli.run_kinetic_check, cli.run_characteristics, cli.run_limit_table):
+        reports, converged = step(cfg)
+        assert converged
+        for name, payload in reports.items():
+            assert isinstance(payload, (dict, tuple))
+            files += [name, Path(name).with_suffix(".dat").name] if isinstance(payload, tuple) else [name]
+    assert not cfg.values["directory"].exists()
+    assert sorted(files) == ALL_FILES
+    # run writes through the module's writers, which the benchmark's tracer wraps by name
+    with pytest.raises(AssertionError, match="kinetic_check.json"):
+        run("kinetic-check", write_cfg(tmp_path, ELLIPSE_CFG))
 
 
 def test_minimize_dumps_field(tmp_path):
@@ -387,8 +426,8 @@ def test_kinetic_check_computes_the_residual_once(tmp_path, monkeypatch):
     assert run("kinetic-check", write_cfg(tmp_path, ELLIPSE_CFG)) == EXIT_OK
     assert len(calls) == 1
     report = json.loads((tmp_path / "out" / "kinetic_check.json").read_text())
-    m, _, bank = calls[0]
-    assert report["residual_without_sigma"] == residual(m, {}, bank).max_residual
+    m, _, bumps = calls[0]
+    assert report["residual_without_sigma"] == residual(m, {}, bumps).max_residual
 
 
 def test_characteristics_report(tmp_path):

@@ -12,6 +12,7 @@ from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
 from aglab.geometry import RIDGE_NORMAL, RIDGE_SBAR, Ellipse, Grid, ridge_set
 from aglab.kinetic import (
+    GENERATORS,
     PSI_COS2,
     PSI_COS4,
     PSI_SIN2,
@@ -259,9 +260,9 @@ def test_kinetic_residual_refines(ellipse):
     for h in (1 / 32, 1 / 64):
         g = Grid.cover(ellipse, h=h)
         _, m = exact_limit_field(ellipse, g)
-        bank = default_test_bank(ellipse, g)
-        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g).cells, bank).max_residual
-        without = kinetic_residual(m, {}, bank).max_residual
+        bumps = default_test_bank(ellipse, g)
+        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g).cells, bumps).max_residual
+        without = kinetic_residual(m, {}, bumps).max_residual
         assert with_sigma < 0.12 * without
         if prev is not None:
             assert with_sigma < prev * 0.75
@@ -272,8 +273,7 @@ def test_residual_zero_for_constant_field(grid64):
     # constant Phi(m) pairs against grad(zeta) of a compact bump: zero up
     # to the nodal quadrature error of the bump itself
     m = VectorField(grid64, np.broadcast_to([0.0, 1.0], grid64.shape + (2,)).copy())
-    bank = default_test_bank(Ellipse(1.0, 0.5), grid64)
-    rep = kinetic_residual(m, {}, bank)
+    rep = kinetic_residual(m, {}, default_test_bank(Ellipse(1.0, 0.5), grid64))
     assert rep.max_residual < 0.5 * grid64.h**2
 
 
@@ -379,22 +379,22 @@ def test_ridge_sigma_field_matches_per_cell_loop(field64):
 def test_kinetic_residual_matches_per_cell_loop(field64):
     domain, grid64, m = field64
     sigma = ridge_sigma_field(domain, grid64)
-    bank = default_test_bank(domain, grid64)
+    bumps = default_test_bank(domain, grid64)
     active, pts = grid64.active(), grid64.nodes
     angle = np.arctan2(m.values[..., 1], m.values[..., 0])
     worst = 0.0
-    for psi in bank.generators:
+    for psi in GENERATORS:
         phi = entropy_from_generator(psi)
         phi_m = np.stack([np.real(np.exp(1j * np.multiply.outer(angle, p.ks())) @ p.c)
                           for p in (phi.phi1, phi.phi2)], axis=-1)
         dpsi = psi.derivative()
         pairings = {key: integrate_against(mu, dpsi) for key, mu in sigma.cells.items()}
-        for bump in bank.bumps:
+        for bump in bumps:
             lhs = grid64.h**2 * float(np.sum(np.sum(phi_m * bump.gradient(pts), axis=-1)[active]))
             rhs = sum(float(bump.value(pts[key])) * pairings[key] for key in sigma.cells)
             worst = max(worst, abs(lhs - rhs))
-    rep = kinetic_residual(m, sigma.cells, bank)
+    rep = kinetic_residual(m, sigma.cells, bumps)
     assert abs(rep.max_residual - worst) <= 1e-13
-    assert rep.without_sigma == kinetic_residual(m, {}, bank).max_residual
-    empty = kinetic_residual(m, RidgeSigmaField(grid64, {}, {}, {}, {}).cells, bank)
+    assert rep.without_sigma == kinetic_residual(m, {}, bumps).max_residual
+    empty = kinetic_residual(m, RidgeSigmaField(grid64, {}, {}, {}, {}).cells, bumps)
     assert empty.max_residual == empty.without_sigma == rep.without_sigma
