@@ -7,7 +7,9 @@ as such.  Two families supply them.
 A cubic frame is its angle theta, the frame (e^{i theta}, e^{i(theta +
 pi/2)}), and its entropy Sigma_theta is ``partial(sigma_frame, theta)``.
 Sigma_theta is evaluated only in closed form, a cubic polynomial in z,
-which is valid off the circle too.
+which is valid off the circle too.  It has only the harmonics +-2 in
+theta: Sigma_theta = cos 2theta Sigma_0 + sin 2theta Sigma_{pi/4} at every
+z, so the productions of the two frames ``TWO_FRAMES`` give every frame's.
 
 A circle generator is its trig polynomial psi.  ``entropy_from_generator``
 integrates
@@ -38,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonClosed
-from .fields import CellMeasure, VectorField, weak_divergence
+from .fields import ScalarField, VectorField, weak_divergence
 from .geometry import Domain, RidgeSet, Stadium, integrate
 
 Entropy = Callable[[np.ndarray], np.ndarray]  # z -> Phi(z) on plane vectors of shape (..., 2)
@@ -189,18 +191,20 @@ def jump_bracket(phi: Entropy, m_plus, m_minus, n) -> np.ndarray:
 # production measures and the defect functionals
 
 
-def entropy_production(m: VectorField, phi: Entropy) -> CellMeasure:
-    """Weak divergence of Phi(m) as a dual-cell measure."""
+def entropy_production(m: VectorField, phi: Entropy) -> ScalarField:
+    """Weak divergence of Phi(m): each node's value is the mass of its dual cell."""
     return weak_divergence(VectorField(m.grid, phi(m.values)))
 
 
-TWO_FRAMES = (0.0, np.pi / 4)  # the axis and diagonal frame angles of two_frame_norm
+# The axis and diagonal frame angles of two_frame_norm.  Frame theta's
+# production is cos 2theta times the first one's plus sin 2theta times the second's.
+TWO_FRAMES = (0.0, np.pi / 4)
 
 
-def two_frame_norm(prod_e: CellMeasure, prod_eps: CellMeasure) -> float:
+def two_frame_norm(prod_e: ScalarField, prod_eps: ScalarField) -> float:
     """sqrt(TV_e^2 + TV_eps^2) over active cells, from the productions of the frames TWO_FRAMES."""
     active = prod_e.grid.active()
-    return float(np.hypot(prod_e.total_variation(active), prod_eps.total_variation(active)))
+    return float(np.hypot(*(np.sum(np.abs(p.values[active])) for p in (prod_e, prod_eps))))
 
 
 def f0_jump(ridge: RidgeSet) -> float:

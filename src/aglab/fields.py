@@ -6,7 +6,8 @@ second-order centered where both neighbours are active, second-order
 one-sided at mask edges, first-order as a last resort.  The weak
 divergence pairs a vector field against nodal hat functions, which on a
 uniform grid reduces to centered differences on stencil-complete nodes;
-its output is a signed measure on dual cells.
+its output is a scalar field whose value at a node is the signed mass of
+that node's dual cell.
 """
 
 from __future__ import annotations
@@ -42,18 +43,6 @@ class VectorField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape + (2,):
             raise ValueError("field shape does not match grid")
-
-
-@dataclass
-class CellMeasure:
-    """Signed mass per dual cell (one cell per node)."""
-
-    grid: Grid
-    masses: np.ndarray
-
-    def total_variation(self, region: np.ndarray | None = None) -> float:
-        m = self.masses if region is None else self.masses[region]
-        return float(np.sum(np.abs(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +163,8 @@ def w11_distance(u: ScalarField, v: ScalarField, region: np.ndarray) -> float:
     return float(u.grid.h**2 * np.sum(dens[region]))
 
 
-def weak_divergence(F: VectorField) -> CellMeasure:
-    """Distributional divergence against nodal hat functions.
+def weak_divergence(F: VectorField) -> ScalarField:
+    """Distributional divergence against nodal hat functions, as each dual cell's mass.
 
     Each stencil-complete active node carries the mass
     h^2 * (centered div F); rim nodes (incomplete stencil) carry zero, so
@@ -191,8 +180,7 @@ def weak_divergence(F: VectorField) -> CellMeasure:
     div[1:-1, :] += F1[2:, :] - F1[:-2, :]
     div[:, 1:-1] += F2[:, 2:] - F2[:, :-2]
     div /= 2.0 * grid.h
-    masses = np.where(ok, grid.h**2 * div, 0.0)
-    return CellMeasure(grid, masses)
+    return ScalarField(grid, np.where(ok, grid.h**2 * div, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -351,15 +351,11 @@ class Grid:
         e1, e2 = np.array([c, s]), np.array([-s, c])
         origin = np.array([cx, cy]) - h * half_nx * e1 - h * half_ny * e2
         grid = Grid(origin=(origin[0], origin[1]), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle)
-        grid.classify(domain)
+        sd = signed_distance(domain, grid.nodes)
+        grid.mask = np.full(grid.shape, EXTERIOR, dtype=np.uint8)
+        grid.mask[sd > -domain.delta] = COLLAR
+        grid.mask[sd >= -_ON_BOUNDARY_TOL] = INTERIOR
         return grid
-
-    def classify(self, domain: Domain) -> None:
-        sd = signed_distance(domain, self.nodes)
-        mask = np.full(self.shape, EXTERIOR, dtype=np.uint8)
-        mask[sd > -domain.delta] = COLLAR
-        mask[sd >= -_ON_BOUNDARY_TOL] = INTERIOR
-        self.mask = mask
 
 
 # ---------------------------------------------------------------------------

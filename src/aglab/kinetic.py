@@ -275,32 +275,23 @@ def jump_identity_check(beta: float, psi: TrigPoly) -> tuple[float, float]:
 # ridge sigma field
 
 
-@dataclass
-class RidgeSigmaField:
-    """Node-indexed angular measures supported on the ridge cells.
+def ridge_sigma_field(domain: Domain, grid: Grid) -> dict[tuple[int, int], CircleMeasure]:
+    """Calibrated minimal-measure candidate on the ridge row, as node cells {(i, j0): measure}.
 
-    ``rho`` holds the per-cell calibration factor: the scalar multiple of
-    the unit-TV jump density whose axis-frame pairing reproduces the
-    geometric jump bracket of the traces.  It is computed, not assumed,
-    and comes out negative for this field's jump orientation (the ridge
-    bisector sits a quarter turn from the density's reference axis).
+    Cell i covers the ridge segment [a, b] within h/2 of its node and holds
+    rho * (b - a) times the unit-TV jump density at the segment's beta,
+    shifted to the ridge angle.  The calibration factor rho is the multiple
+    of that density whose axis-frame pairing reproduces the geometric jump
+    bracket of the traces.  It is computed, not assumed, and comes out
+    negative for this field's jump orientation (the ridge bisector sits a
+    quarter turn from the density's reference axis).
     """
-
-    grid: Grid
-    cells: dict[tuple[int, int], CircleMeasure]
-    rho: dict[tuple[int, int], float]
-    seg_length: dict[tuple[int, int], float]
-    beta: dict[tuple[int, int], float]
-
-
-def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
-    """Calibrated minimal-measure candidate concentrated on the ridge row."""
     if grid.angle != 0.0:
         raise NotImplementedError("ridge sigma field expects an axis-aligned grid")
     ridge = ridge_set(domain)
     lo, hi = ridge.lo, ridge.hi
     if hi <= lo:
-        return RidgeSigmaField(grid, {}, {}, {}, {})
+        return {}
     pts = grid.nodes
     j0 = int(np.argmin(np.abs(pts[0, :, 1])))
     xs = pts[:, j0, 0]
@@ -315,12 +306,9 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> RidgeSigmaField:
     data = ridge.data(np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in))
     bases = [gbar_beta(beta).shifted(RIDGE_SBAR) for beta in data["beta"].tolist()]
     bracket = jump_bracket(partial(sigma_frame, 0.0), data["m_plus"], data["m_minus"], RIDGE_NORMAL)
-    r = -bracket / _pairings(bases, [dpsi_e])[0]
-    keys = [(i, j0) for i in on.tolist()]
-    rho = dict(zip(keys, r.tolist()))
-    seg = dict(zip(keys, (b - a).tolist()))
-    cells = {key: base.scaled(rho[key] * seg[key]) for key, base in zip(keys, bases)}
-    return RidgeSigmaField(grid, cells, rho, seg, dict(zip(keys, data["beta"].tolist())))
+    rho = -bracket / _pairings(bases, [dpsi_e])[0]
+    per_cell = zip(on.tolist(), bases, rho.tolist(), (b - a).tolist())
+    return {(i, j0): base.scaled(r * seg) for i, base, r, seg in per_cell}
 
 
 # ---------------------------------------------------------------------------
@@ -429,35 +417,29 @@ def derivative_min_on_arcs(mu: CircleMeasure) -> float:
 
     Atoms are ignored; only the piecewise-smooth density is examined.
     Candidate minimizers are arc/piece endpoints and interior extrema of
-    the shifted sine, so the minimum is exact.
+    the shifted sine, so the minimum is exact.  Pieces lie in [0, 2pi]
+    (``shifted`` wraps and splits there) and both arcs in [0, 3pi/2], so
+    no piece meets an arc shifted by 2pi.
     """
     arcs = ((0.0, np.pi / 2), (np.pi, 3 * np.pi / 2))
     best = np.inf
     for p in mu.pieces:
-        for copy in (0.0, TWO_PI):
-            s0, s1 = p.s0 + copy, p.s1 + copy
-            for a0, a1 in arcs:
-                lo, hi = max(s0, a0), min(s1, a1)
-                if hi <= lo:
-                    continue
-                cands = [lo, hi]
-                k0 = int(np.floor((lo - p.phase) / np.pi))
-                for k in range(k0, k0 + 3):
-                    z = p.phase + k * np.pi
-                    if lo < z < hi:
-                        cands.append(z)
-                vals = [p.amp * np.cos(c - p.phase) for c in cands]
-                best = min(best, min(vals))
+        for a0, a1 in arcs:
+            lo, hi = max(p.s0, a0), min(p.s1, a1)
+            if hi <= lo:
+                continue
+            cands = [lo, hi]
+            k0 = int(np.floor((lo - p.phase) / np.pi))
+            for k in range(k0, k0 + 3):
+                z = p.phase + k * np.pi
+                if lo < z < hi:
+                    cands.append(z)
+            vals = [p.amp * np.cos(c - p.phase) for c in cands]
+            best = min(best, min(vals))
     return float(best if np.isfinite(best) else 0.0)
 
 
-@dataclass
-class SignStructureReport:
-    min_margin: float
-    n_cells: int
-
-
-def sign_structure_report(cells: dict[tuple[int, int], CircleMeasure]) -> SignStructureReport:
+def sign_structure_report(cells: dict[tuple[int, int], CircleMeasure]) -> dict:
     """Nonnegativity margins of d/ds(sigma_x) on the two quadrant arcs, sigma given by its node cells."""
-    min_margin = min((derivative_min_on_arcs(mu) for mu in cells.values()), default=0.0)
-    return SignStructureReport(min_margin, len(cells))
+    return {"min_margin": min((derivative_min_on_arcs(mu) for mu in cells.values()), default=0.0),
+            "n_cells": len(cells)}

@@ -462,11 +462,9 @@ def ensemble_representation_check(
         near = np.abs(jx[:, 1]) <= 2.0 * h
         ridge_frac = float(np.sum(jw[near] * arc_len[near]) / np.sum(jw * arc_len))
 
-        # signed aggregation on (ridge cell, angular bin)
-        if flow.ridge is not None:
-            r_lo, r_hi = flow.ridge.lo, flow.ridge.hi
-        else:
-            r_lo, r_hi = x0b, x1b
+        # signed aggregation on (ridge cell, angular bin); a flow with no ridge
+        # records no reflection, so n_jumps > 0 implies flow.ridge is set
+        r_lo, r_hi = flow.ridge.lo, flow.ridge.hi
         ncell = max(int(np.ceil((r_hi - r_lo) / h)), 1)
         nsb = 64
         seb = np.linspace(0.0, TWO_PI, nsb + 1)

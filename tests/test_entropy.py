@@ -72,6 +72,17 @@ def test_sigma_frame_equivariance(theta, rot, zx, zy):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(-2 * np.pi, 2 * np.pi), r=st.floats(0, 2), arg=st.floats(0, 2 * np.pi))
+def test_sigma_frame_is_linear_in_the_two_frames(theta, r, arg):
+    # Sigma_theta has only the harmonics +-2 in theta, off the unit circle too;
+    # the entropy report reads every frame's production from the TWO_FRAMES ones by this
+    z = r * np.array([np.cos(arg), np.sin(arg)])
+    lhs = sigma_frame(theta, z)
+    rhs = np.cos(2 * theta) * sigma_frame(0.0, z) + np.sin(2 * theta) * sigma_frame(np.pi / 4, z)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * (1 + r**3)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_trig_poly_matches_exponential_sum(n, hermitian):
@@ -159,7 +170,7 @@ def test_jump_identity_check_rejects_odd_harmonics():
 def test_production_constant_field_zero(grid64):
     m = VectorField(grid64, np.broadcast_to([1.0, 0.0], grid64.shape + (2,)).copy())
     prod = entropy_production(m, partial(sigma_frame, 0.3))
-    assert prod.total_variation() == 0.0
+    assert np.max(np.abs(prod.values)) == 0.0
 
 
 def test_production_annulus_second_order():
@@ -172,7 +183,7 @@ def test_production_annulus_second_order():
         g.mask = np.where((r > 0.25) & (r < 0.7), INTERIOR, EXTERIOR).astype(np.uint8)
         m = VectorField(g, np.stack([-y, x], axis=-1) / np.where(r == 0, 1, r)[..., None])
         for phi in (partial(sigma_frame, 0.0), entropy_from_generator(TrigPoly.from_harmonics(cos={2: 1.0}))):
-            tvs.append(entropy_production(m, phi).total_variation(g.active()))
+            tvs.append(float(np.sum(np.abs(entropy_production(m, phi).values[g.active()]))))
     assert tvs[2] < tvs[0] / 3
     assert tvs[3] < tvs[1] / 3
 
@@ -191,7 +202,7 @@ def test_production_jump_bracket():
     m = np.where(x[..., None] > 0.7, m_plus, m_minus)
     prod = entropy_production(VectorField(g, m), phi)
     band = (np.abs(x - 0.7) < 4 * g.h) & (np.abs(g.nodes[..., 1] - 0.7) < 0.3)
-    assert np.sum(prod.masses[band]) / 0.6 == pytest.approx(bracket, rel=5 * g.h)
+    assert np.sum(prod.values[band]) / 0.6 == pytest.approx(bracket, rel=5 * g.h)
 
 
 def test_f0_jump_values(ellipse, stadium):

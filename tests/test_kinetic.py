@@ -21,7 +21,6 @@ from aglab.kinetic import (
     Jump,
     NonJump,
     Piece,
-    RidgeSigmaField,
     _pairings,
     default_test_bank,
     derivative_min_on_arcs,
@@ -238,16 +237,34 @@ def test_bracket_matches_g_quadrature():
             assert geom == pytest.approx(-val, abs=1e-8)
 
 
+def ridge_cells(domain, grid) -> dict:
+    """Per ridge-row node (i, j0), one at a time: its segment's length b - a, and beta, m+ and m- at its middle."""
+    ridge = ridge_set(domain)
+    lo, hi = ridge.lo, ridge.hi
+    j0 = int(np.argmin(np.abs(grid.nodes[0, :, 1])))
+    xs, h = grid.nodes[:, j0, 0], grid.h
+    eps_in = 1e-9 * max(1.0, hi - lo)
+    out = {}
+    for i in range(grid.nx):
+        a = max(xs[i] - h / 2, lo)
+        b = min(xs[i] + h / 2, hi)
+        if b - a > 0:
+            data = ridge.data(np.asarray([np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in)]))
+            out[(i, j0)] = b - a, float(data["beta"][0]), data["m_plus"][0], data["m_minus"][0]
+    return out
+
+
 def test_ridge_sigma_field_calibration(ellipse, grid64):
-    sig = ridge_sigma_field(ellipse, grid64)
-    assert sig.cells
-    for key, rho in sig.rho.items():
-        beta = sig.beta[key]
-        assert rho == pytest.approx(-1.0 / c_beta(beta), rel=1e-9)
-    # total variation equals segment length / c(beta) summed
-    tv = sum(m.total_variation() for m in sig.cells.values())
-    want = sum(l / c_beta(sig.beta[k]) for k, l in sig.seg_length.items())
-    assert tv == pytest.approx(want, rel=1e-9)
+    # each cell is rho (b - a) times the unit-TV density at its beta, with rho = -1/c(beta)
+    cells = ridge_sigma_field(ellipse, grid64)
+    segments = ridge_cells(ellipse, grid64)
+    assert cells and list(cells) == list(segments)
+    for key, mu in cells.items():
+        seg, beta, _, _ = segments[key]
+        assert mu.total_variation() == pytest.approx(seg / c_beta(beta), rel=1e-9)
+        base = gbar_beta(beta).shifted(RIDGE_SBAR)
+        rho = [p.amp / (seg * q.amp) for p, q in zip(mu.pieces, base.pieces) if q.amp]
+        assert rho and all(r == pytest.approx(-1.0 / c_beta(beta), rel=1e-9) for r in rho)
 
 
 def test_ridge_sigma_field_rejects_rotated_grid(ellipse):
@@ -261,7 +278,7 @@ def test_kinetic_residual_refines(ellipse):
         g = Grid.cover(ellipse, h=h)
         _, m = exact_limit_field(ellipse, g)
         bumps = default_test_bank(ellipse, g)
-        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g).cells, bumps).max_residual
+        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g), bumps).max_residual
         without = kinetic_residual(m, {}, bumps).max_residual
         assert with_sigma < 0.12 * without
         if prev is not None:
@@ -285,10 +302,10 @@ def test_sign_structure_margins():
 
 
 def test_sign_structure_report_on_reference(ellipse, grid64):
-    sig = ridge_sigma_field(ellipse, grid64)
-    rep = sign_structure_report(sig.cells)
-    assert rep.min_margin >= -1e-12
-    assert rep.n_cells == len(sig.cells)
+    cells = ridge_sigma_field(ellipse, grid64)
+    rep = sign_structure_report(cells)
+    assert rep["min_margin"] >= -1e-12
+    assert rep["n_cells"] == len(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -349,36 +366,27 @@ def field64(request):
 
 
 def test_ridge_sigma_field_matches_per_cell_loop(field64):
+    # each cell against base.scaled(rho (b - a)), rho = -bracket / pairing, to 1e-13 in rho
     domain, grid64, _ = field64
-    sig = ridge_sigma_field(domain, grid64)
-    ridge = ridge_set(domain)
-    lo, hi = ridge.lo, ridge.hi
-    j0 = int(np.argmin(np.abs(grid64.nodes[0, :, 1])))
-    xs, h = grid64.nodes[:, j0, 0], grid64.h
+    cells = ridge_sigma_field(domain, grid64)
     phi_e = partial(sigma_frame, 0.0)
     dpsi_e = frame_generator(0.0).derivative()
-    eps_in = 1e-9 * max(1.0, hi - lo)
-    rho, seg, betas = {}, {}, {}
-    for i in range(grid64.nx):
-        a = max(xs[i] - h / 2, lo)
-        b = min(xs[i] + h / 2, hi)
-        if b - a <= 0:
-            continue
-        data = ridge.data(np.asarray([np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in)]))
-        beta = float(data["beta"][0])
+    segments = ridge_cells(domain, grid64)
+    assert segments and list(cells) == list(segments)
+    for key, (seg, beta, m_plus, m_minus) in segments.items():
         base = gbar_beta(beta).shifted(RIDGE_SBAR)
-        bracket = float(jump_bracket(phi_e, data["m_plus"][0], data["m_minus"][0], RIDGE_NORMAL))
-        rho[(i, j0)] = -bracket / integrate_against(base, dpsi_e)
-        seg[(i, j0)] = b - a
-        betas[(i, j0)] = beta
-    assert rho and list(sig.cells) == list(rho)
-    assert sig.beta == betas and sig.seg_length == seg
-    assert max(abs(sig.rho[k] - rho[k]) for k in rho) <= 1e-13
+        bracket = float(jump_bracket(phi_e, m_plus, m_minus, RIDGE_NORMAL))
+        want, got = base.scaled(-bracket / integrate_against(base, dpsi_e) * seg), cells[key]
+        assert got.atoms == want.atoms
+        assert [(p.s0, p.s1, p.phase) for p in got.pieces] == [(p.s0, p.s1, p.phase) for p in want.pieces]
+        for p, q, b in zip(got.pieces, want.pieces, base.pieces):
+            assert abs(p.amp - q.amp) <= 1e-13 * seg * abs(b.amp)
+            assert abs(p.offset - q.offset) <= 1e-13 * seg * abs(b.offset)
 
 
 def test_kinetic_residual_matches_per_cell_loop(field64):
     domain, grid64, m = field64
-    sigma = ridge_sigma_field(domain, grid64)
+    cells = ridge_sigma_field(domain, grid64)
     bumps = default_test_bank(domain, grid64)
     active, pts = grid64.active(), grid64.nodes
     angle = np.arctan2(m.values[..., 1], m.values[..., 0])
@@ -388,13 +396,12 @@ def test_kinetic_residual_matches_per_cell_loop(field64):
         phi_m = np.stack([np.real(np.exp(1j * np.multiply.outer(angle, p.ks())) @ p.c)
                           for p in (phi.phi1, phi.phi2)], axis=-1)
         dpsi = psi.derivative()
-        pairings = {key: integrate_against(mu, dpsi) for key, mu in sigma.cells.items()}
+        pairings = {key: integrate_against(mu, dpsi) for key, mu in cells.items()}
         for bump in bumps:
             lhs = grid64.h**2 * float(np.sum(np.sum(phi_m * bump.gradient(pts), axis=-1)[active]))
-            rhs = sum(float(bump.value(pts[key])) * pairings[key] for key in sigma.cells)
+            rhs = sum(float(bump.value(pts[key])) * pairings[key] for key in cells)
             worst = max(worst, abs(lhs - rhs))
-    rep = kinetic_residual(m, sigma.cells, bumps)
+    rep = kinetic_residual(m, cells, bumps)
     assert abs(rep.max_residual - worst) <= 1e-13
-    assert rep.without_sigma == kinetic_residual(m, {}, bumps).max_residual
-    empty = kinetic_residual(m, RidgeSigmaField(grid64, {}, {}, {}, {}).cells, bumps)
+    empty = kinetic_residual(m, {}, bumps)
     assert empty.max_residual == empty.without_sigma == rep.without_sigma
