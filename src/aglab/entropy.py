@@ -1,8 +1,8 @@
 """Entropy calculus for unit divergence-free fields.
 
 An entropy is any callable z -> Phi(z) on plane vectors, arrays of shape
-(..., 2); entropy production, jump brackets and boundary fluxes take it
-as such.  Two families supply them.
+(..., 2); only entropy production takes one as such.  Two families
+supply them.
 
 A cubic frame is its angle theta, the frame (e^{i theta}, e^{i(theta +
 pi/2)}), and its entropy Sigma_theta is ``partial(sigma_frame, theta)``.
@@ -19,7 +19,7 @@ integrates
 to the component polynomials of an ``EntropyMap``, which is called on a
 vector through its angle.  The map closes around the circle iff psi has
 no first harmonic, which is checked on the coefficients.  The frame
-entropy Sigma_theta is the map of the generator ``frame_generator(theta)``.
+entropy Sigma_theta is the map of the generator sin 2(s - theta).
 
 The module also holds the two measures of the defect functional, the
 two-frame norm of a field's production and the jump integral along the
@@ -141,11 +141,6 @@ def sigma_frame(theta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def frame_generator(theta: float) -> TrigPoly:
-    """Circle generator of the cubic frame entropy: psi(t) = sin(2(t - theta))."""
-    return TrigPoly.from_harmonics(sin={2: 1.0}).shift(theta)
-
-
 # ---------------------------------------------------------------------------
 # generators and entropy maps
 
@@ -178,13 +173,6 @@ def entropy_from_generator(psi: TrigPoly) -> EntropyMap:
     comp1 = 2.0 * shifted * TrigPoly.from_harmonics(sin={1: -1.0})
     comp2 = 2.0 * shifted * TrigPoly.from_harmonics(cos={1: 1.0})
     return EntropyMap(comp1.antiderivative(), comp2.antiderivative())
-
-
-def jump_bracket(phi: Entropy, m_plus, m_minus, n) -> np.ndarray:
-    """Geometric jump bracket n . (Phi(m+) - Phi(m-)), one per trailing vector."""
-    d = phi(m_plus) - phi(m_minus)
-    n = np.asarray(n, dtype=float)
-    return n[..., 0] * d[..., 0] + n[..., 1] * d[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +213,8 @@ def f0_jump(ridge: RidgeSet) -> float:
     return integrate(integrand, (0.0, np.pi))
 
 
-def boundary_flux(domain: Domain, theta: float) -> float:
-    """Flux of Sigma_theta(m) through the outer rim {u = -delta}, in closed form.
+def boundary_flux(domain: Domain) -> float:
+    """Flux of Sigma_0(m) through the outer rim {u = -delta}, in closed form.
 
     By the divergence theorem it equals the total production inside, which
     for the reference field concentrates on the ridge.  On the rim m =
@@ -237,20 +225,19 @@ def boundary_flux(domain: Domain, theta: float) -> float:
     and arc length is (rho(phi) + delta) dphi, where rho is the boundary's
     radius of curvature at the normal angle phi.  Both domains are convex
     and symmetric in the x-axis, so the delta part and the sin 2phi part
-    integrate to 0, and flux(theta) = cos 2theta * flux(0).  On the stadium
-    the arcs' rho = R integrates to 0 as well, and the two flat sides, of
-    length L at phi = +-pi/2, leave flux(0) = (8/3) L.  On the ellipse, in
-    the parameter t of (a cos t, b sin t), flux(0) is the integral over
-    [0, 2pi] of (4/3)(a^2 sin^2 t - b^2 cos^2 t) / sqrt(a^2 sin^2 t + b^2 cos^2 t).
+    integrate to 0, and flux(theta) = cos 2theta * flux(0), so flux(0) is
+    all a report needs.  On the stadium the arcs' rho = R integrates to 0
+    as well, and the two flat sides, of length L at phi = +-pi/2, leave
+    flux(0) = (8/3) L.  On the ellipse, in the parameter t of (a cos t,
+    b sin t), flux(0) is the integral over [0, 2pi] of
+    (4/3)(a^2 sin^2 t - b^2 cos^2 t) / sqrt(a^2 sin^2 t + b^2 cos^2 t).
     """
     if isinstance(domain, Stadium):
-        flux0 = 8.0 / 3.0 * domain.L
-    else:
-        a2, b2 = domain.a**2, domain.b**2
+        return 8.0 / 3.0 * domain.L
+    a2, b2 = domain.a**2, domain.b**2
 
-        def integrand(t):
-            s2, c2 = np.sin(t) ** 2, np.cos(t) ** 2
-            return (4.0 / 3.0) * (a2 * s2 - b2 * c2) / np.sqrt(a2 * s2 + b2 * c2)
+    def integrand(t):
+        s2, c2 = np.sin(t) ** 2, np.cos(t) ** 2
+        return (4.0 / 3.0) * (a2 * s2 - b2 * c2) / np.sqrt(a2 * s2 + b2 * c2)
 
-        flux0 = integrate(integrand, (0.0, 2 * np.pi))
-    return float(np.cos(2 * theta) * flux0)
+    return integrate(integrand, (0.0, 2 * np.pi))

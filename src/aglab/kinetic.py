@@ -19,16 +19,14 @@ normalization checks honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable
 
 import numpy as np
 
-from .entropy import TrigPoly, entropy_from_generator, frame_generator, jump_bracket, sigma_frame
+from .entropy import TrigPoly, entropy_from_generator
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import (GL_NODES, GL_WEIGHTS, RIDGE_NORMAL, RIDGE_SBAR, Domain, Grid, integrate, ridge_set,
-                       signed_distance)
+from .geometry import GL_NODES, GL_WEIGHTS, RIDGE_SBAR, Domain, Grid, integrate, ridge_set, signed_distance
 
 TWO_PI = 2.0 * np.pi
 _UNIT_TOL = 1e-10  # the normalization and minimality tolerance of unit-TV measures
@@ -126,20 +124,17 @@ class CircleMeasure:
 def _pairings(measures: list[CircleMeasure], fs: list[TrigPoly]) -> np.ndarray:
     """Integral of each trig polynomial of fs against each measure, shape (len(fs), len(measures)).
 
-    Atoms are weighted point values; each piece is integrated by one panel of
-    the 32-point Gauss-Legendre rule, exact to rounding for the polynomials
-    paired here.  The atom and piece arrays, the density at the nodes, and
-    e^{is} at the atoms and at the nodes are built once for the whole list;
-    each f then costs one ``TrigPoly.at`` on them.  Per measure, atoms come
-    first and pieces follow in order, as a loop over the measure would add them.
+    The measures must be piecewise densities; one with atoms raises
+    ValueError.  Each piece is integrated by one panel of the 32-point
+    Gauss-Legendre rule, exact to rounding for the polynomials paired here.
+    The piece arrays, the density at the nodes and e^{is} at the nodes are
+    built once for the whole list; each f then costs one ``TrigPoly.at`` on
+    them.  Per measure, pieces are added in order, as a loop over the
+    measure would add them.
     """
+    if any(mu.atoms for mu in measures):
+        raise ValueError("pairings take piecewise densities only, not atoms")
     out = np.zeros((len(fs), len(measures)))
-    atoms = [(i, s, w) for i, mu in enumerate(measures) for s, w in mu.atoms]
-    if atoms:
-        idx, s, w = (np.array(col) for col in zip(*atoms))
-        e = np.exp(1j * s)
-        for row, f in zip(out, fs):
-            np.add.at(row, idx, w * f.at(e))
     pieces = [(i, p.s0, p.s1, p.amp, p.phase, p.offset) for i, mu in enumerate(measures) for p in mu.pieces]
     if pieces:
         idx, s0, s1, amp, phase, offset = (np.array(col) for col in zip(*pieces))
@@ -186,6 +181,8 @@ def g_beta(beta: float, s) -> np.ndarray | float:
 
 
 def _gbar_unnormalized(beta: float) -> CircleMeasure:
+    """The raw jump density as a measure; beta and pi - beta give the same one."""
+    beta = min(beta, np.pi - beta)
     if beta <= np.pi / 4:
         lo, hi = np.pi / 2 - beta, np.pi / 2 + beta
         pieces = [
@@ -208,8 +205,6 @@ def gbar_beta(beta: float) -> CircleMeasure:
     """Normalized pi-periodic jump density: the raw density scaled by c(beta) to total variation 1."""
     if not (0.0 < beta < np.pi):
         raise BetaOutOfRange(f"beta must lie in (0, pi), got {beta}")
-    if beta > np.pi / 2:
-        return gbar_beta(np.pi - beta)
     raw = _gbar_unnormalized(beta)
     return raw.scaled(1.0 / raw.total_variation())
 
@@ -276,15 +271,18 @@ def jump_identity_check(beta: float, psi: TrigPoly) -> tuple[float, float]:
 
 
 def ridge_sigma_field(domain: Domain, grid: Grid) -> dict[tuple[int, int], CircleMeasure]:
-    """Calibrated minimal-measure candidate on the ridge row, as node cells {(i, j0): measure}.
+    """Minimal kinetic measure on the ridge row, as node cells {(i, j0): measure}.
 
     Cell i covers the ridge segment [a, b] within h/2 of its node and holds
-    rho * (b - a) times the unit-TV jump density at the segment's beta,
-    shifted to the ridge angle.  The calibration factor rho is the multiple
-    of that density whose axis-frame pairing reproduces the geometric jump
-    bracket of the traces.  It is computed, not assumed, and comes out
-    negative for this field's jump orientation (the ridge bisector sits a
-    quarter turn from the density's reference axis).
+    -(b - a) times the raw jump density at the segment's beta, shifted to
+    the ridge angle.  By the jump identity, for every generator psi
+
+        int psi' dsigma_cell = -(b - a) n.(Phi_psi(m+) - Phi_psi(m-)),
+
+    with n = ``RIDGE_NORMAL`` and m+-, beta the traces and angle at the
+    segment's middle.  That is what the weak kinetic identity of
+    ``kinetic_residual`` asks of a jump across the ridge, so no cell is
+    calibrated: the density is explicit.
     """
     if grid.angle != 0.0:
         raise NotImplementedError("ridge sigma field expects an axis-aligned grid")
@@ -296,19 +294,15 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> dict[tuple[int, int], Circl
     j0 = int(np.argmin(np.abs(pts[0, :, 1])))
     xs = pts[:, j0, 0]
     h = grid.h
-    dpsi_e = frame_generator(0.0).derivative()
 
     a = np.maximum(xs - h / 2, lo)
     b = np.minimum(xs + h / 2, hi)
     on = np.flatnonzero(b - a > 0)
     a, b = a[on], b[on]
     eps_in = 1e-9 * max(1.0, hi - lo)
-    data = ridge.data(np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in))
-    bases = [gbar_beta(beta).shifted(RIDGE_SBAR) for beta in data["beta"].tolist()]
-    bracket = jump_bracket(partial(sigma_frame, 0.0), data["m_plus"], data["m_minus"], RIDGE_NORMAL)
-    rho = -bracket / _pairings(bases, [dpsi_e])[0]
-    per_cell = zip(on.tolist(), bases, rho.tolist(), (b - a).tolist())
-    return {(i, j0): base.scaled(r * seg) for i, base, r, seg in per_cell}
+    betas = ridge.data(np.clip(0.5 * (a + b), lo + eps_in, hi - eps_in))["beta"]
+    per_cell = zip(on.tolist(), betas.tolist(), (b - a).tolist())
+    return {(i, j0): _gbar_unnormalized(beta).shifted(RIDGE_SBAR).scaled(-seg) for i, beta, seg in per_cell}
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +366,13 @@ def default_test_bank(domain: Domain, grid: Grid) -> list[CompactBump]:
     return bumps
 
 
-@dataclass
-class KineticResidualReport:
-    max_residual: float
-    without_sigma: float  # the residual of sigma = 0: max over bumps and GENERATORS of |int Phi(m).grad(zeta)|
-
-
 def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure],
-                     bumps: list[CompactBump]) -> KineticResidualReport:
+                     bumps: list[CompactBump]) -> tuple[float, float]:
     """Max over the bumps zeta and GENERATORS psi of |int Phi(m).grad(zeta) - int zeta psi' dsigma|.
 
     sigma is given by its node cells, and Phi is the entropy of the generator
-    psi, evaluated at the angle of m.  Each input is evaluated once per
+    psi, evaluated at the angle of m.  Returns that maximum and the same
+    maximum for sigma = 0, the largest |int Phi(m).grad(zeta)|.  Each input is evaluated once per
     call: w = e^{i arg m} at the active nodes, each bump's gradient there
     and its value at the cell nodes, and the table of every psi' paired
     with every cell.  A generator then costs its two component polynomials
@@ -405,7 +394,7 @@ def kinetic_residual(m: VectorField, cells: dict[tuple[int, int], CircleMeasure]
             lhs = grid.h**2 * float(np.sum(p1 * gz[:, 0] + p2 * gz[:, 1]))
             worst = max(worst, abs(lhs - float(zeta @ pairings)))
             without = max(without, abs(lhs))
-    return KineticResidualReport(worst, without)
+    return worst, without
 
 
 # ---------------------------------------------------------------------------

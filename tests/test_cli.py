@@ -317,6 +317,27 @@ def test_entropy_report_computes_each_production_once(tmp_path, monkeypatch, n_f
     assert report["f0_two_frames"] == float(np.hypot(*tvs))
 
 
+@pytest.mark.parametrize("n_frames", [2, 3, 8])
+def test_entropy_report_computes_the_rim_flux_once(tmp_path, monkeypatch, n_frames):
+    # flux(theta) = cos 2theta flux(0), so one flux(0) serves every frame
+    from aglab import entropy
+
+    calls = []
+    flux = entropy.boundary_flux
+
+    def counted(domain):
+        calls.append(domain)
+        return flux(domain)
+
+    monkeypatch.setattr(entropy, "boundary_flux", counted)
+    p = write_cfg(tmp_path, ELLIPSE_CFG.replace("n_frames = 2", f"n_frames = {n_frames}"))
+    assert run("entropy-report", p) == EXIT_OK
+    assert len(calls) == 1
+    frames = json.loads((tmp_path / "out" / "entropy_frames.json").read_text())["frames"]
+    assert [f["flux_boundary"] for f in frames] == [float(np.cos(2 * f["frame_theta"]) * flux(calls[0]))
+                                                    for f in frames]
+
+
 def test_limit_table_outputs(tmp_path):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     status = run("limit-table", p)
@@ -429,7 +450,7 @@ def test_kinetic_check_computes_the_residual_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     report = json.loads((tmp_path / "out" / "kinetic_check.json").read_text())
     m, _, bumps = calls[0]
-    assert report["residual_without_sigma"] == residual(m, {}, bumps).max_residual
+    assert report["residual_without_sigma"] == residual(m, {}, bumps)[0]
 
 
 def test_characteristics_report(tmp_path):

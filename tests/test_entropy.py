@@ -14,8 +14,6 @@ from aglab.entropy import (
     entropy_from_generator,
     entropy_production,
     f0_jump,
-    frame_generator,
-    jump_bracket,
     sigma_frame,
     two_frame_norm,
 )
@@ -25,6 +23,16 @@ from aglab.geometry import EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
 from aglab.kinetic import jump_identity_check
 
 RNG = np.random.default_rng(11)
+
+
+def frame_generator(theta: float) -> TrigPoly:
+    """Circle generator of the cubic frame entropy: psi(s) = sin 2(s - theta)."""
+    return TrigPoly.from_harmonics(sin={2: 1.0}).shift(theta)
+
+
+def jump_bracket(phi, m_plus, m_minus, n) -> float:
+    """Geometric jump bracket n . (Phi(m+) - Phi(m-)) of one pair of traces."""
+    return float(np.dot(n, phi(m_plus) - phi(m_minus)))
 
 
 def max_defect(phi, n_samples: int = 1024) -> float:
@@ -215,9 +223,9 @@ def test_two_frames_vs_jump_and_flux(ellipse, grid64, limit64):
     _, m = limit64
     two = two_frames(m)
     assert two == pytest.approx(F0_ELLIPSE, rel=0.02)
-    flux = boundary_flux(ellipse, 0.0)
+    flux = boundary_flux(ellipse)
     assert flux == pytest.approx(F0_ELLIPSE, rel=1e-8)
-    assert abs(boundary_flux(ellipse, np.pi / 4)) < 1e-10
+    assert abs(np.cos(2 * np.pi / 4) * flux) < 1e-10
 
 
 def rim_flux_by_quad(domain, theta: float) -> float:
@@ -255,7 +263,7 @@ def test_jump_energy_and_flux_match_adaptive_quadrature(domain):
     ref, _ = quad(density, ridge.lo, ridge.hi, epsabs=1e-13, epsrel=1e-12, limit=400)
     assert f0_jump(ridge) == pytest.approx(ref, rel=1e-9)
     for theta in (0.0, np.pi / 8):
-        assert boundary_flux(domain, theta) == pytest.approx(rim_flux_by_quad(domain, theta), rel=1e-9)
+        assert np.cos(2 * theta) * boundary_flux(domain) == pytest.approx(rim_flux_by_quad(domain, theta), rel=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,7 +272,8 @@ def test_jump_energy_and_flux_match_adaptive_quadrature(domain):
 def test_ellipse_flux_matches_adaptive_quadrature(theta, a, aspect, collar):
     b = a * aspect
     domain = Ellipse(a, b, collar * 0.5 * b)
-    assert boundary_flux(domain, theta) == pytest.approx(rim_flux_by_quad(domain, theta), rel=1e-9, abs=1e-12)
+    flux = np.cos(2 * theta) * boundary_flux(domain)
+    assert flux == pytest.approx(rim_flux_by_quad(domain, theta), rel=1e-9, abs=1e-12)
 
 
 def test_boundary_flux_evaluates_the_entropy_once_per_round(ellipse, monkeypatch):
@@ -276,7 +285,7 @@ def test_boundary_flux_evaluates_the_entropy_once_per_round(ellipse, monkeypatch
         return integrate(lambda t: points.append(np.size(t)) or f(t), edges)
 
     monkeypatch.setattr(entropy, "integrate", counted)
-    boundary_flux(ellipse, 0.0)
+    boundary_flux(ellipse)
     assert 1 <= len(points) <= 3
     assert min(points) > 1
 

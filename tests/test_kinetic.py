@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from aglab.entropy import TrigPoly, entropy_from_generator, frame_generator, jump_bracket, sigma_frame
+from aglab import kinetic
+from aglab.entropy import TrigPoly, entropy_from_generator, sigma_frame
 from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
 from aglab.geometry import RIDGE_NORMAL, RIDGE_SBAR, Ellipse, Grid, ridge_set
@@ -37,6 +38,16 @@ from aglab.kinetic import (
 GENS = [PSI_COS2, PSI_SIN2, PSI_COS4, PSI_SIN4]
 ALPHAS = [-1.0, -0.1, -0.05, -0.01, 0.01, 0.05, 0.1, 1.0]
 TWO_PI = 2.0 * np.pi
+
+
+def frame_generator(theta: float) -> TrigPoly:
+    """Circle generator of the cubic frame entropy: psi(s) = sin 2(s - theta)."""
+    return TrigPoly.from_harmonics(sin={2: 1.0}).shift(theta)
+
+
+def jump_bracket(phi, m_plus, m_minus, n) -> float:
+    """Geometric jump bracket n . (Phi(m+) - Phi(m-)) of one pair of traces."""
+    return float(np.dot(n, phi(m_plus) - phi(m_minus)))
 
 
 def sigma_zero_disintegration(s_bar: float, sign: int = 1) -> CircleMeasure:
@@ -278,8 +289,7 @@ def test_kinetic_residual_refines(ellipse):
         g = Grid.cover(ellipse, h=h)
         _, m = exact_limit_field(ellipse, g)
         bumps = default_test_bank(ellipse, g)
-        with_sigma = kinetic_residual(m, ridge_sigma_field(ellipse, g), bumps).max_residual
-        without = kinetic_residual(m, {}, bumps).max_residual
+        with_sigma, without = kinetic_residual(m, ridge_sigma_field(ellipse, g), bumps)
         assert with_sigma < 0.12 * without
         if prev is not None:
             assert with_sigma < prev * 0.75
@@ -290,8 +300,8 @@ def test_residual_zero_for_constant_field(grid64):
     # constant Phi(m) pairs against grad(zeta) of a compact bump: zero up
     # to the nodal quadrature error of the bump itself
     m = VectorField(grid64, np.broadcast_to([0.0, 1.0], grid64.shape + (2,)).copy())
-    rep = kinetic_residual(m, {}, default_test_bank(Ellipse(1.0, 0.5), grid64))
-    assert rep.max_residual < 0.5 * grid64.h**2
+    residual, _ = kinetic_residual(m, {}, default_test_bank(Ellipse(1.0, 0.5), grid64))
+    assert residual < 0.5 * grid64.h**2
 
 
 def test_sign_structure_margins():
@@ -313,9 +323,9 @@ def test_sign_structure_report_on_reference(ellipse, grid64):
 
 
 def integrate_against(mu: CircleMeasure, f) -> float:
-    """Integral of f against one measure: atoms, then 32-point Gauss-Legendre per piece."""
+    """Integral of f against one piecewise density: 32-point Gauss-Legendre per piece."""
     nodes, weights = np.polynomial.legendre.leggauss(32)
-    total = sum(w * float(np.asarray(f(np.asarray(s)))) for s, w in mu.atoms)
+    total = 0.0
     for p in mu.pieces:
         half = 0.5 * (p.s1 - p.s0)
         mid = 0.5 * (p.s0 + p.s1)
@@ -326,12 +336,11 @@ def integrate_against(mu: CircleMeasure, f) -> float:
 
 def test_pairings_match_per_measure_integrals():
     measures = [
-        gbar_beta(0.4).shifted(1.3),  # pieces only
+        gbar_beta(0.4).shifted(1.3),
         gbar_beta(1.2),
-        minimal_disintegration(NonJump(0.7, -1)),  # atoms beside zero pieces
-        sigma_zero_disintegration(2.0, 1),  # atoms and a constant piece
         CircleMeasure(),  # nothing to integrate
         minimal_disintegration(Jump(2.4, 1.0)).scaled(-0.3),
+        CircleMeasure(pieces=[Piece(0.0, TWO_PI, 0.0, 0.0, 0.7)]),  # a constant piece
     ]
     fs = [psi.derivative() for psi in GENS]
     want = np.array([[integrate_against(mu, f) for mu in measures] for f in fs])
@@ -341,15 +350,20 @@ def test_pairings_match_per_measure_integrals():
     assert _pairings([], fs).shape == (len(fs), 0)
 
 
+@pytest.mark.parametrize("atomic", [minimal_disintegration(NonJump(0.7, -1)), sigma_zero_disintegration(2.0, 1)],
+                         ids=["atoms-beside-zero-pieces", "atoms-and-a-constant-piece"])
+def test_pairings_reject_atoms(atomic):
+    with pytest.raises(ValueError, match="atoms"):
+        _pairings([gbar_beta(0.4), atomic], [PSI_SIN2.derivative()])
+
+
 _JUMPS = st.builds(lambda beta, s, c: gbar_beta(beta).shifted(s).scaled(c),
                    st.floats(0.01, np.pi - 0.01), st.floats(0.0, TWO_PI), st.floats(-2.0, 2.0))
-_ATOMS = st.builds(lambda s, sign: CircleMeasure(minimal_disintegration(NonJump(s, sign)).atoms),
-                   st.floats(0.0, TWO_PI), st.sampled_from([-1, 1]))
 _EVEN_GENERATORS = st.builds(lambda a, b, c, d: TrigPoly.from_harmonics(cos={2: a, 4: b}, sin={2: c, 4: d}),
                              *[st.floats(-1.0, 1.0)] * 4)
 
 
-@given(measures=st.lists(st.one_of(_JUMPS, _ATOMS), max_size=6),
+@given(measures=st.lists(_JUMPS, max_size=6),
        gens=st.lists(st.one_of(st.sampled_from(GENS), _EVEN_GENERATORS), min_size=1, max_size=5))
 def test_pairings_bank_matches_single_generator_calls(measures, gens):
     fs = [psi.derivative() for psi in gens]
@@ -365,8 +379,33 @@ def field64(request):
     return domain, grid, exact_limit_field(domain, grid)[1]
 
 
+def test_ridge_sigma_field_satisfies_the_jump_identity(field64):
+    # for every generator, int psi' dsigma_cell = -(b - a) n.(Phi(m+) - Phi(m-)), cell by cell
+    domain, grid64, _ = field64
+    cells = ridge_sigma_field(domain, grid64)
+    segments = ridge_cells(domain, grid64)
+    assert segments and list(cells) == list(segments)
+    for psi in GENERATORS:
+        phi, dpsi = entropy_from_generator(psi), psi.derivative()
+        for key, (seg, _, m_plus, m_minus) in segments.items():
+            want = -seg * jump_bracket(phi, m_plus, m_minus, RIDGE_NORMAL)
+            assert abs(integrate_against(cells[key], dpsi) - want) <= 1e-12 * seg
+
+
+def test_ridge_sigma_field_uses_the_explicit_density(ellipse, grid64, monkeypatch):
+    # no cell is normalized or calibrated by a pairing
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(kinetic, "gbar_beta", refuse)
+    monkeypatch.setattr(kinetic, "_pairings", refuse)
+    assert ridge_sigma_field(ellipse, grid64)
+
+
 def test_ridge_sigma_field_matches_per_cell_loop(field64):
-    # each cell against base.scaled(rho (b - a)), rho = -bracket / pairing, to 1e-13 in rho
+    # cross-check against the calibration path: each cell against
+    # base.scaled(rho (b - a)), rho = -bracket / pairing of the unit-TV base,
+    # to 1e-13 in rho
     domain, grid64, _ = field64
     cells = ridge_sigma_field(domain, grid64)
     phi_e = partial(sigma_frame, 0.0)
@@ -375,7 +414,7 @@ def test_ridge_sigma_field_matches_per_cell_loop(field64):
     assert segments and list(cells) == list(segments)
     for key, (seg, beta, m_plus, m_minus) in segments.items():
         base = gbar_beta(beta).shifted(RIDGE_SBAR)
-        bracket = float(jump_bracket(phi_e, m_plus, m_minus, RIDGE_NORMAL))
+        bracket = jump_bracket(phi_e, m_plus, m_minus, RIDGE_NORMAL)
         want, got = base.scaled(-bracket / integrate_against(base, dpsi_e) * seg), cells[key]
         assert got.atoms == want.atoms
         assert [(p.s0, p.s1, p.phase) for p in got.pieces] == [(p.s0, p.s1, p.phase) for p in want.pieces]
@@ -401,7 +440,6 @@ def test_kinetic_residual_matches_per_cell_loop(field64):
             lhs = grid64.h**2 * float(np.sum(np.sum(phi_m * bump.gradient(pts), axis=-1)[active]))
             rhs = sum(float(bump.value(pts[key])) * pairings[key] for key in cells)
             worst = max(worst, abs(lhs - rhs))
-    rep = kinetic_residual(m, cells, bumps)
-    assert abs(rep.max_residual - worst) <= 1e-13
-    empty = kinetic_residual(m, {}, bumps)
-    assert empty.max_residual == empty.without_sigma == rep.without_sigma
+    residual, without = kinetic_residual(m, cells, bumps)
+    assert abs(residual - worst) <= 1e-13
+    assert kinetic_residual(m, {}, bumps) == (without, without)
