@@ -191,10 +191,18 @@ def exact_limit_field(domain: Domain, grid: Grid) -> tuple[ScalarField, VectorFi
     """Extended signed distance and its perp-gradient sampled at the nodes.
 
     Nodes near the ridge receive the one-sided value from their own side
-    of it, and nodes on it (x2 == 0 exactly) the value from above.
+    of it, and nodes on it (x2 == 0 exactly) the value from above.  On a
+    grid that ``Grid.cover`` built for an equal ellipse, the values are the
+    read-only arrays it kept, shared and not copied; any other grid or
+    domain, the stadium's included, is computed here.
     """
-    u, grad = geometry.signed_distance_grad(domain, grid.nodes)
-    return ScalarField(grid, u), VectorField(grid, geometry.rot90(grad))
+    kept = grid.__dict__.get("_limit_field")
+    if kept is not None and kept[0] == domain:
+        _, u, m = kept
+    else:
+        u, grad = geometry.signed_distance_grad(domain, grid.nodes)
+        m = geometry.rot90(grad)
+    return ScalarField(grid, u), VectorField(grid, m)
 
 
 # ---------------------------------------------------------------------------

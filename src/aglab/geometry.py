@@ -158,13 +158,15 @@ def _ellipse_quadrant_point(a: float, b: float, px, py):
 
     u = np.fmax(np.maximum(Y, X - c2), cusp)
     for _ in range(_NEWTON_MAX_ITER):
-        g0, g1 = X / (u + c2), Y / u
-        f = g0 * g0 + g1 * g1 - 1
+        w = u + c2
+        g0, g1 = X / w, Y / u
+        s0, s1 = g0 * g0, g1 * g1
+        f = s0 + s1 - 1
         live = f > 4 * np.finfo(float).eps
         if not live.any():
             break
         # Newton step -F/F', scaled by u so that no term overflows
-        u = u + np.where(live, 0.5 * u * f / (g0 * g0 * (u / (u + c2)) + g1 * g1), 0.0)
+        u = u + np.where(live, 0.5 * u * f / (s0 * (u / w) + s1), 0.0)
     else:
         raise NoConvergence("ellipse closest-point iteration did not converge")
     qx[~axis], qy[~axis] = a * g0, b * g1
@@ -330,6 +332,13 @@ class Grid:
         Exactly one of ``h`` (cell size) or ``resolution`` (cells across the
         longer bounding-box side) must be given, with h > 0 or resolution >= 1,
         and ghost >= 0; otherwise ValueError.
+
+        On the ellipse the nodes are classified from ``signed_distance_grad``,
+        whose distance equals ``signed_distance`` bit for bit, and the grid
+        keeps ``(domain, sd, rot90(grad))`` as ``_limit_field``, both arrays
+        read-only, so that ``fields.exact_limit_field`` returns them without
+        a second closest-point solve.  The stadium keeps nothing: its field
+        is closed form and costs about as much to recompute as to keep.
         """
         if (h is None) == (resolution is None):
             raise ValueError("specify exactly one of h or resolution")
@@ -351,7 +360,13 @@ class Grid:
         e1, e2 = np.array([c, s]), np.array([-s, c])
         origin = np.array([cx, cy]) - h * half_nx * e1 - h * half_ny * e2
         grid = Grid(origin=(origin[0], origin[1]), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle)
-        sd = signed_distance(domain, grid.nodes)
+        if isinstance(domain, Stadium):
+            sd = signed_distance(domain, grid.nodes)
+        else:
+            sd, grad = signed_distance_grad(domain, grid.nodes)
+            m = rot90(grad)
+            sd.flags.writeable = m.flags.writeable = False
+            grid.__dict__["_limit_field"] = (domain, sd, m)
         grid.mask = np.full(grid.shape, EXTERIOR, dtype=np.uint8)
         grid.mask[sd > -domain.delta] = COLLAR
         grid.mask[sd >= -_ON_BOUNDARY_TOL] = INTERIOR

@@ -184,6 +184,20 @@ def test_config_check_builds_no_grid(tmp_path, monkeypatch):
     assert len(covers) == 1
 
 
+@pytest.mark.parametrize("subcommand", ["entropy-report", "kinetic-check", "minimize", "all"])
+def test_one_run_projects_the_grid_once(tmp_path, monkeypatch, subcommand):
+    # the field of every pipeline is the one Grid.cover projected
+    from aglab import geometry
+
+    cfg_path = write_cfg(tmp_path, ELLIPSE_CFG)
+    nodes = parse_config(cfg_path).grid.nodes.size // 2
+    sizes = []
+    project = geometry._project_raw
+    monkeypatch.setattr(geometry, "_project_raw", lambda d, x: sizes.append(np.size(x) // 2) or project(d, x))
+    run(subcommand, cfg_path)
+    assert sizes.count(nodes) == 1
+
+
 def test_negative_eta_min_is_rejected_at_parse(tmp_path):
     # at hessian_power = 1 such a value would never end the eta schedule, so it is checked only here
     text = ELLIPSE_CFG.replace("hessian_power = 2", "hessian_power = 1\neta_min = -1")

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglab import fields, geometry
 from aglab.fields import (
@@ -222,17 +224,44 @@ def test_vortex_production_second_order():
 
 @pytest.mark.parametrize("domain, projections", [(Ellipse(1.0, 0.5), 1), (Stadium(2.0, 1.0), 0)],
                          ids=["ellipse", "stadium"])
-def test_exact_limit_field_projects_once(domain, projections, monkeypatch):
+def test_cover_and_limit_field_project_each_node_once(domain, projections, monkeypatch):
     calls = []
     project = geometry._project_raw
     monkeypatch.setattr(geometry, "_project_raw", lambda d, x: calls.append(1) or project(d, x))
     grid = Grid.cover(domain, h=1 / 32)
-    calls.clear()
     u, m = exact_limit_field(domain, grid)
-    assert len(calls) == projections  # the stadium is closed form
+    assert len(calls) == projections  # cover's projection serves the field; the stadium is closed form
     # the same bits as the separate distance query and the one gradient query
     assert np.array_equal(u.values, geometry.signed_distance(domain, grid.nodes))
     assert np.array_equal(m.values, geometry.rot90(geometry.signed_distance_grad(domain, grid.nodes)[1]))
+
+
+@settings(max_examples=30)
+@given(a=st.floats(0.5, 1.5), r=st.floats(0.1, 1.0, exclude_min=True), h=st.floats(1 / 48, 1 / 16),
+       angle=st.one_of(st.just(0.0), st.floats(0.0, 2 * np.pi)))
+def test_limit_field_is_what_cover_kept(a, r, h, angle):
+    domain = Ellipse(a, r * a)
+    grid = Grid.cover(domain, h=h, angle=angle)
+    u, m = exact_limit_field(domain, grid)
+    assert np.array_equal(u.values, geometry.signed_distance(domain, grid.nodes))
+    assert np.array_equal(m.values, geometry.rot90(signed_distance_grad(domain, grid.nodes)[1]))
+    again = exact_limit_field(domain, grid)
+    assert np.shares_memory(u.values, again[0].values) and np.shares_memory(m.values, again[1].values)
+    for values in (u.values, m.values):
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+    # a grid covered for another ellipse serves the queried domain's field
+    other = Grid.cover(Ellipse(a, 0.9 * r * a), h=h, angle=angle)
+    u, m = exact_limit_field(domain, other)
+    assert np.array_equal(u.values, geometry.signed_distance(domain, other.nodes))
+    assert np.array_equal(m.values, geometry.rot90(signed_distance_grad(domain, other.nodes)[1]))
+    # the stadium keeps nothing and computes its closed-form field
+    stadium = Stadium(a, r * a)
+    grid = Grid.cover(stadium, h=h, angle=angle)
+    assert not [key for key in vars(grid) if key.startswith("_")]
+    d, grad = signed_distance_grad(stadium, grid.nodes)
+    u, m = exact_limit_field(stadium, grid)
+    assert np.array_equal(u.values, d) and np.array_equal(m.values, geometry.rot90(grad))
 
 
 def test_dump_roundtrip(tmp_path, grid64, limit64):
