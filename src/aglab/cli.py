@@ -216,7 +216,7 @@ def _fmt(v) -> str:
 
 def run_minimize(cfg: ExperimentConfig) -> tuple[dict, bool]:
     eps = cfg.values["eps_list"][0]
-    res = energy_mod.minimize(cfg.domain, cfg.grid, eps, cfg.opts)
+    res = energy_mod.minimize(cfg.grid, eps, cfg.opts)
     split = res.levels[-1].split
     return {f"u_eps{eps:g}.txt": res.u, "minimize_summary.json": {
         "eps": eps,
@@ -232,7 +232,7 @@ def run_minimize(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 def run_limit_table(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    table = energy_mod.energy_limit_table(cfg.domain, cfg.grid, cfg.values["eps_list"], cfg.opts)
+    table = energy_mod.energy_limit_table(cfg.grid, cfg.values["eps_list"], cfg.opts)
     header = ["eps", "total", "hessian", "potential", "core_total", "w11", "converged", "iterations"]
     rows = [[r.eps, r.total, r.hessian_term, r.potential_term, r.core_total, r.w11, r.converged, r.iterations]
             for r in table.rows]
@@ -248,7 +248,7 @@ def run_limit_table(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 def run_entropy_report(cfg: ExperimentConfig) -> tuple[dict, bool]:
     domain, grid = cfg.domain, cfg.grid
-    _, m = exact_limit_field(domain, grid)
+    _, m = exact_limit_field(grid)
     ridge = ridge_set(domain)
     n_frames = cfg.values["n_frames"]
     # the productions of the two frames of two_frame_norm; every frame's is
@@ -279,7 +279,7 @@ def run_entropy_report(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 def run_kinetic_check(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    domain, grid = cfg.domain, cfg.grid
+    grid = cfg.grid
     betas = [np.pi / 8, np.pi / 4, np.pi / 3, 3 * np.pi / 8, np.pi / 2]
     max_err = 0.0
     for beta in betas:
@@ -297,9 +297,9 @@ def run_kinetic_check(cfg: ExperimentConfig) -> tuple[dict, bool]:
             kinetic_mod.Jump(np.pi / 3, np.pi / 2), kinetic_mod.Jump(np.pi / 6, 0.0),
         )
     )
-    _, m = exact_limit_field(domain, grid)
-    cells = kinetic_mod.ridge_sigma_field(domain, grid)
-    with_sigma, without_sigma = kinetic_mod.kinetic_residual(m, cells, kinetic_mod.default_test_bank(domain, grid))
+    _, m = exact_limit_field(grid)
+    cells = kinetic_mod.ridge_sigma_field(grid)
+    with_sigma, without_sigma = kinetic_mod.kinetic_residual(m, cells, kinetic_mod.default_test_bank(grid))
     return {"kinetic_check.json": {
         "max_identity_error": max_err,
         "max_normalization_error": norm_err,

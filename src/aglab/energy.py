@@ -51,7 +51,7 @@ import scipy.sparse.linalg as sla
 from . import entropy as entropy_mod
 from .errors import NonFiniteEnergy
 from .fields import DiffOps, ScalarField, diff_ops, exact_limit_field, w11_distance
-from .geometry import Domain, Grid, ridge_set
+from .geometry import Grid, ridge_set
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
 _MAX_BACKTRACKS = 60  # step halvings before a line search gives up
@@ -176,13 +176,13 @@ def grad_norm(grid: Grid, g: np.ndarray) -> float:
     return float(np.linalg.norm(g) / grid.h)
 
 
-def mollified_limit_field(domain: Domain, grid: Grid) -> ScalarField:
-    """Gaussian-blurred extended distance with the collar re-pinned.
+def mollified_limit_field(grid: Grid) -> ScalarField:
+    """Gaussian-blurred extended distance of the grid's domain with the collar re-pinned.
 
     The blur reproduces ``scipy.ndimage.gaussian_filter(v, _MOLLIFY_CELLS,
     mode="nearest")`` bit for bit (see :func:`_gaussian_blur_nearest`).
     """
-    u_exact, _ = exact_limit_field(domain, grid)
+    u_exact, _ = exact_limit_field(grid)
     blurred = _gaussian_blur_nearest(u_exact.values, _MOLLIFY_CELLS)
     vals = np.where(grid.interior(), blurred, u_exact.values)
     return ScalarField(grid, vals)
@@ -438,8 +438,8 @@ def _newton_level(u0: ScalarField, eps: float, eta: float, opts: MinimizeOptions
     return ScalarField(grid, u), record
 
 
-def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> MinimizeResult:
-    """Descend the energy over interior nodes with the collar pinned.
+def minimize(grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> MinimizeResult:
+    """Descend the energy over the interior of a covered grid, the collar pinned to its domain's distance.
 
     Starts from the mollified extended distance unless a warm start is
     supplied.  With ``hessian_power=1`` the smoothing parameter follows
@@ -452,12 +452,10 @@ def minimize(domain: Domain, grid: Grid, eps: float, opts: MinimizeOptions | Non
         raise ValueError("eps must be positive")
     if opts.hessian_power == 1 and not opts.resolved_eta_min(grid.h) > 0:  # else the schedule never ends
         raise ValueError(f"hessian_power=1 needs eta_min > 0, got {opts.eta_min}")
-    if opts.warm_start is not None:
-        u = ScalarField(grid, opts.warm_start.values.copy())
-        u_exact, _ = exact_limit_field(domain, grid)
-        u.values[~grid.interior()] = u_exact.values[~grid.interior()]
+    if opts.warm_start is not None:  # its interior values, the collar pinned as in the mollified start
+        u = ScalarField(grid, np.where(grid.interior(), opts.warm_start.values, exact_limit_field(grid)[0].values))
     else:
-        u = mollified_limit_field(domain, grid)
+        u = mollified_limit_field(grid)
 
     if opts.hessian_power == 1:
         eta_min = opts.resolved_eta_min(grid.h)
@@ -519,27 +517,26 @@ def check_eps_schedule(eps_list: list[float]) -> None:
         raise ValueError("eps_list must be strictly decreasing")
 
 
-def energy_limit_table(domain: Domain, grid: Grid, eps_list: list[float],
-                       opts: MinimizeOptions | None = None) -> LimitTable:
-    """Minimize along a decreasing eps schedule, warm-starting each run.
+def energy_limit_table(grid: Grid, eps_list: list[float], opts: MinimizeOptions | None = None) -> LimitTable:
+    """Minimize along a decreasing eps schedule on a covered grid, warm-starting each run.
 
     Rows carry the energy split and the W^{1,1} distance to the extended
-    distance over interior nodes; monotonicity of that distance and of
-    the relative gap of the core energy to ``f0_jump`` (each up to a rise
-    of ``_LIMIT_SLACK``) is recorded on the table.  ``f0_jump`` is the jump
+    distance of the grid's domain over interior nodes; monotonicity of that
+    distance and of the relative gap of the core energy to ``f0_jump``
+    (each up to a rise of ``_LIMIT_SLACK``) is recorded on the table.  ``f0_jump`` is the jump
     cost of the Aviles-Giga functional, ``hessian_power=2``, so
     ``gap_monotone`` is that functional's check: at ``hessian_power=1``
     the core energy tends to another limit, and the flag may read False.
     """
     check_eps_schedule(eps_list)
     opts = opts or MinimizeOptions()
-    u_exact, _ = exact_limit_field(domain, grid)
-    f0_ref = entropy_mod.f0_jump(ridge_set(domain))
+    u_exact, _ = exact_limit_field(grid)
+    f0_ref = entropy_mod.f0_jump(ridge_set(grid.domain))
     rows: list[LimitRow] = []
     warm = opts.warm_start
     for eps in eps_list:
         run_opts = replace(opts, warm_start=warm)
-        res = minimize(domain, grid, eps, run_opts)
+        res = minimize(grid, eps, run_opts)
         split = res.levels[-1].split
         core = energy(res.u, eps, res.eta_final, opts.hessian_power, region=grid.interior())
         rows.append(LimitRow(

@@ -7,7 +7,8 @@ one-sided at mask edges, first-order as a last resort.  The weak
 divergence pairs a vector field against nodal hat functions, which on a
 uniform grid reduces to centered differences on stencil-complete nodes;
 its output is a scalar field whose value at a node is the signed mass of
-that node's dual cell.
+that node's dual cell.  The reference field is that of the grid's
+domain, which only grids from ``Grid.cover`` have (a loaded dump's has none).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry
-from .geometry import Domain, Grid
+from .geometry import Grid
 
 
 @dataclass
@@ -187,21 +187,15 @@ def weak_divergence(F: VectorField) -> ScalarField:
 # analytic reference field
 
 
-def exact_limit_field(domain: Domain, grid: Grid) -> tuple[ScalarField, VectorField]:
-    """Extended signed distance and its perp-gradient sampled at the nodes.
+def exact_limit_field(grid: Grid) -> tuple[ScalarField, VectorField]:
+    """Extended signed distance of the grid's domain and its perp-gradient at the nodes.
 
     Nodes near the ridge receive the one-sided value from their own side
-    of it, and nodes on it (x2 == 0 exactly) the value from above.  On a
-    grid that ``Grid.cover`` built for an equal ellipse, the values are the
-    read-only arrays it kept, shared and not copied; any other grid or
-    domain, the stadium's included, is computed here.
+    of it, and nodes on it (x2 == 0 exactly) the value from above.  The
+    values are the read-only arrays of ``grid.limit_field``, shared and
+    not copied; a grid not from ``Grid.cover`` has no domain: ValueError.
     """
-    kept = grid.__dict__.get("_limit_field")
-    if kept is not None and kept[0] == domain:
-        _, u, m = kept
-    else:
-        u, grad = geometry.signed_distance_grad(domain, grid.nodes)
-        m = geometry.rot90(grad)
+    u, m = grid.limit_field
     return ScalarField(grid, u), VectorField(grid, m)
 
 

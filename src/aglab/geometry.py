@@ -3,7 +3,8 @@
 Provides the signed distance (positive inside) and its gradient, the
 ridge (medial axis) with per-point one-sided traces, node
 classification on a uniform grid covering the extended domain, and the
-package's 1D quadrature.
+package's 1D quadrature.  A covered grid carries its domain and that
+domain's limit field; a grid from a loaded dump has neither.
 On the stadium the distance and gradient are closed form in the offset
 from the core segment; only the ellipse needs a closest-point
 projection (``_project_raw``).
@@ -289,7 +290,8 @@ class Grid:
 
     Node (i, j) sits at ``origin + i*h*e1 + j*h*e2`` where (e1, e2) are
     the lattice axes (world axes rotated by ``angle``).  ``mask`` holds
-    the INTERIOR / COLLAR / EXTERIOR class per node.
+    the INTERIOR / COLLAR / EXTERIOR class per node.  Only ``Grid.cover``
+    sets ``domain``; other grids (``fields.load_field``'s) have none.
     """
 
     origin: tuple[float, float]
@@ -298,6 +300,7 @@ class Grid:
     ny: int
     angle: float = 0.0
     mask: np.ndarray | None = field(default=None, repr=False)
+    domain: Domain | None = None
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +316,16 @@ class Grid:
         x = self.origin[0] + self.h * (i * e1[0] + j * e2[0])
         y = self.origin[1] + self.h * (i * e1[1] + j * e2[1])
         return np.stack([np.broadcast_to(x, (self.nx, self.ny)), np.broadcast_to(y, (self.nx, self.ny))], axis=-1)
+
+    @cached_property
+    def limit_field(self) -> tuple[np.ndarray, np.ndarray]:
+        """The domain's read-only signed distance and m = rot90(grad) at the nodes; ValueError with no domain."""
+        if self.domain is None:
+            raise ValueError("the grid has no domain: only Grid.cover gives a grid one")
+        sd, grad = signed_distance_grad(self.domain, self.nodes)
+        m = rot90(grad)
+        sd.flags.writeable = m.flags.writeable = False
+        return sd, m
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -333,12 +346,11 @@ class Grid:
         longer bounding-box side) must be given, with h > 0 or resolution >= 1,
         and ghost >= 0; otherwise ValueError.
 
-        On the ellipse the nodes are classified from ``signed_distance_grad``,
-        whose distance equals ``signed_distance`` bit for bit, and the grid
-        keeps ``(domain, sd, rot90(grad))`` as ``_limit_field``, both arrays
-        read-only, so that ``fields.exact_limit_field`` returns them without
-        a second closest-point solve.  The stadium keeps nothing: its field
-        is closed form and costs about as much to recompute as to keep.
+        The grid's ``domain`` is the one covered.  On the ellipse the nodes
+        are classified from ``grid.limit_field``, whose distance equals
+        ``signed_distance`` bit for bit, so one closest-point solve per node
+        serves both.  The stadium classifies from its closed-form distance
+        and computes its field on first use.
         """
         if (h is None) == (resolution is None):
             raise ValueError("specify exactly one of h or resolution")
@@ -359,14 +371,8 @@ class Grid:
         half_ny = int(np.ceil(ey / h)) + ghost
         e1, e2 = np.array([c, s]), np.array([-s, c])
         origin = np.array([cx, cy]) - h * half_nx * e1 - h * half_ny * e2
-        grid = Grid(origin=(origin[0], origin[1]), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle)
-        if isinstance(domain, Stadium):
-            sd = signed_distance(domain, grid.nodes)
-        else:
-            sd, grad = signed_distance_grad(domain, grid.nodes)
-            m = rot90(grad)
-            sd.flags.writeable = m.flags.writeable = False
-            grid.__dict__["_limit_field"] = (domain, sd, m)
+        grid = Grid(origin=tuple(origin), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle, domain=domain)
+        sd = signed_distance(domain, grid.nodes) if isinstance(domain, Stadium) else grid.limit_field[0]
         grid.mask = np.full(grid.shape, EXTERIOR, dtype=np.uint8)
         grid.mask[sd > -domain.delta] = COLLAR
         grid.mask[sd >= -_ON_BOUNDARY_TOL] = INTERIOR

@@ -26,7 +26,7 @@ import numpy as np
 from .entropy import TrigPoly, entropy_from_generator
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import GL_NODES, GL_WEIGHTS, RIDGE_SBAR, Domain, Grid, integrate, ridge_set, signed_distance
+from .geometry import GL_NODES, GL_WEIGHTS, RIDGE_SBAR, Grid, integrate, ridge_set, signed_distance
 
 TWO_PI = 2.0 * np.pi
 _UNIT_TOL = 1e-10  # the normalization and minimality tolerance of unit-TV measures
@@ -270,8 +270,8 @@ def jump_identity_check(beta: float, psi: TrigPoly) -> tuple[float, float]:
 # ridge sigma field
 
 
-def ridge_sigma_field(domain: Domain, grid: Grid) -> dict[tuple[int, int], CircleMeasure]:
-    """Minimal kinetic measure on the ridge row, as node cells {(i, j0): measure}.
+def ridge_sigma_field(grid: Grid) -> dict[tuple[int, int], CircleMeasure]:
+    """Minimal kinetic measure on the ridge of a covered grid's domain, as node cells {(i, j0): measure}.
 
     Cell i covers the ridge segment [a, b] within h/2 of its node and holds
     -(b - a) times the raw jump density at the segment's beta, shifted to
@@ -286,7 +286,7 @@ def ridge_sigma_field(domain: Domain, grid: Grid) -> dict[tuple[int, int], Circl
     """
     if grid.angle != 0.0:
         raise NotImplementedError("ridge sigma field expects an axis-aligned grid")
-    ridge = ridge_set(domain)
+    ridge = ridge_set(grid.domain)
     lo, hi = ridge.lo, ridge.hi
     if hi <= lo:
         return {}
@@ -343,13 +343,14 @@ PSI_COS4 = TrigPoly.from_harmonics(cos={4: 1.0})
 GENERATORS = (PSI_SIN2, PSI_COS2, PSI_SIN4, PSI_COS4)  # the generators psi of the jump identity and the residual
 
 
-def default_test_bank(domain: Domain, grid: Grid) -> list[CompactBump]:
+def default_test_bank(grid: Grid) -> list[CompactBump]:
     """The spatial test functions zeta of the weak kinetic identity: ridge-centered and off-ridge bumps.
 
-    Bump supports are sized from the signed distance so they stay inside
-    the extended domain; otherwise the weak identity picks up boundary
-    flux that has nothing to do with the kinetic measure.
+    Bump supports are sized from the signed distance to the domain of the
+    (covered) grid so they stay inside the extended domain; otherwise the weak identity
+    picks up boundary flux that has nothing to do with the kinetic measure.
     """
+    domain = grid.domain
     ridge = ridge_set(domain)
     lo, hi = ridge.lo, ridge.hi
     span = max(hi - lo, 4 * grid.h)

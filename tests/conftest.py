@@ -32,12 +32,12 @@ def grid128(ellipse):
 
 @pytest.fixture(scope="session")
 def limit64(ellipse, grid64):
-    return exact_limit_field(ellipse, grid64)
+    return exact_limit_field(grid64)
 
 
 @pytest.fixture(scope="session")
 def limit128(ellipse, grid128):
-    return exact_limit_field(ellipse, grid128)
+    return exact_limit_field(grid128)
 
 
 @pytest.fixture(scope="session")

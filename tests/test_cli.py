@@ -198,6 +198,19 @@ def test_one_run_projects_the_grid_once(tmp_path, monkeypatch, subcommand):
     assert sizes.count(nodes) == 1
 
 
+def test_a_stadium_run_computes_its_limit_field_once(tmp_path, monkeypatch):
+    # every pipeline of `all` reads the one field the grid computed on first use
+    from aglab import geometry
+
+    cfg_path = write_cfg(tmp_path, STADIUM_CFG)
+    nodes = parse_config(cfg_path).grid.nodes.size // 2
+    sizes = []
+    grad = geometry.signed_distance_grad
+    monkeypatch.setattr(geometry, "signed_distance_grad", lambda d, x: sizes.append(np.size(x) // 2) or grad(d, x))
+    assert run("all", cfg_path) == EXIT_OK
+    assert sizes.count(nodes) == 1
+
+
 def test_negative_eta_min_is_rejected_at_parse(tmp_path):
     # at hessian_power = 1 such a value would never end the eta schedule, so it is checked only here
     text = ELLIPSE_CFG.replace("hessian_power = 2", "hessian_power = 1\neta_min = -1")

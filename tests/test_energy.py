@@ -21,7 +21,7 @@ from aglab.energy import (
     mollified_limit_field,
 )
 from aglab.errors import NonFiniteEnergy
-from aglab.fields import ScalarField, _derivative, diff_ops, exact_limit_field, fd_gradient
+from aglab.fields import ScalarField, _derivative, diff_ops, dump_field, exact_limit_field, fd_gradient, load_field
 from aglab.geometry import COLLAR, EXTERIOR, INTERIOR, Ellipse, Grid, Stadium, ridge_set
 
 RNG = np.random.default_rng(23)
@@ -142,7 +142,7 @@ def _five_operator_gradient(u, eps, eta, power):
 @pytest.mark.parametrize("power", [1, 2])
 def test_stacked_operator_matches_five_operators(ellipse, angle, power):
     grid = Grid.cover(ellipse, resolution=32, angle=angle)
-    vals = mollified_limit_field(ellipse, grid).values + 0.02 * RNG.standard_normal(grid.shape)
+    vals = mollified_limit_field(grid).values + 0.02 * RNG.standard_normal(grid.shape)
     u = ScalarField(grid, vals)
     for region in (None, grid.interior()):
         split = energy(u, 0.3, 0.1, power, region=region)
@@ -155,7 +155,7 @@ def test_stacked_operator_matches_five_operators(ellipse, angle, power):
 @pytest.mark.parametrize("power", [1, 2])
 def test_symmetric_metric_factor_solves(ellipse, power):
     grid = Grid.cover(ellipse, resolution=40)
-    u = mollified_limit_field(ellipse, grid)
+    u = mollified_limit_field(grid)
     op = energy_mod._newton_operator(u, 0.2, 0.05, power)
     H = op.matrix()
     assert abs(H - H.T).max() <= 1e-14 * abs(H).max()
@@ -253,7 +253,7 @@ class _CountedSolves:
 def _cg_start():
     ellipse = Ellipse(1.0, 0.5)
     grid = Grid.cover(ellipse, resolution=16)
-    return grid, mollified_limit_field(ellipse, grid)
+    return grid, mollified_limit_field(grid)
 
 
 # the preconditioner is a factor of another state, eps and eta, as when a
@@ -359,11 +359,11 @@ def test_unknown_hessian_power_raises(query, power):
 ])
 def test_blur_is_ndimage_nearest_gaussian(domain, h):
     grid = Grid.cover(domain, h=h)
-    u, _ = exact_limit_field(domain, grid)
+    u, _ = exact_limit_field(grid)
     for sigma in (0.5, 1.5, 2.0, 3.0):
         want = gaussian_filter(u.values, sigma, mode="nearest")
         assert np.array_equal(energy_mod._gaussian_blur_nearest(u.values, sigma), want)
-    start = mollified_limit_field(domain, grid)
+    start = mollified_limit_field(grid)
     want = gaussian_filter(u.values, 2.0, mode="nearest")
     assert np.array_equal(start.values, np.where(grid.interior(), want, u.values))
 
@@ -379,13 +379,13 @@ def test_blur_is_ndimage_nearest_gaussian_on_small_arrays(shape):
 def test_minimize_beats_mollified_start(ellipse):
     grid = Grid.cover(ellipse, resolution=48)
     opts = MinimizeOptions(max_iter=400, tol=5e-3, hessian_power=1)
-    res = minimize(ellipse, grid, 10.0, opts)
-    start = mollified_limit_field(ellipse, grid)
+    res = minimize(grid, 10.0, opts)
+    start = mollified_limit_field(grid)
     e_start = energy(start, 10.0, res.eta_final, 1).total
     e_final = energy(res.u, 10.0, res.eta_final, 1).total
     assert e_final <= e_start + 1e-12
     # pinned nodes never change, exactly
-    u_exact, _ = exact_limit_field(ellipse, grid)
+    u_exact, _ = exact_limit_field(grid)
     collar = grid.mask == COLLAR
     assert np.array_equal(res.u.values[collar], u_exact.values[collar])
 
@@ -395,7 +395,7 @@ def test_minimize_energy_nonincreasing_in_max_iter(ellipse):
     grid = Grid.cover(ellipse, resolution=40)
     totals = []
     for k in range(8):
-        res = minimize(ellipse, grid, 0.5, MinimizeOptions(max_iter=k, tol=1e-3, hessian_power=2))
+        res = minimize(grid, 0.5, MinimizeOptions(max_iter=k, tol=1e-3, hessian_power=2))
         assert len(res.levels) == 1 and res.iterations == k
         # k = 6 stops at a gradient norm of about 4 tol
         assert res.converged == (res.levels[-1].grad_norm <= 1e-3)
@@ -407,11 +407,11 @@ def test_minimize_energy_nonincreasing_in_max_iter(ellipse):
 def test_minimize_warm_start_fewer_iterations(ellipse):
     grid = Grid.cover(ellipse, resolution=48)
     opts = MinimizeOptions(max_iter=3000, tol=3e-3, hessian_power=2)
-    cold = minimize(ellipse, grid, 0.3, opts)
+    cold = minimize(grid, 0.3, opts)
     assert cold.converged
     opts_warm = MinimizeOptions(max_iter=3000, tol=3e-3, hessian_power=2, warm_start=cold.u)
-    res_next_cold = minimize(ellipse, grid, 0.25, MinimizeOptions(max_iter=3000, tol=3e-3, hessian_power=2))
-    res_next_warm = minimize(ellipse, grid, 0.25, MinimizeOptions(max_iter=3000, tol=3e-3, hessian_power=2, warm_start=cold.u))
+    res_next_cold = minimize(grid, 0.25, MinimizeOptions(max_iter=3000, tol=3e-3, hessian_power=2))
+    res_next_warm = minimize(grid, 0.25, MinimizeOptions(max_iter=3000, tol=3e-3, hessian_power=2, warm_start=cold.u))
     assert res_next_warm.iterations < res_next_cold.iterations
 
 
@@ -421,7 +421,7 @@ def test_minimize_rotation_covariance_disk():
     for angle in (0.0, 0.35):
         grid = Grid.cover(disk, resolution=48, angle=angle)
         opts = MinimizeOptions(max_iter=4000, tol=1e-3, hessian_power=2)
-        res = minimize(disk, grid, 0.3, opts)
+        res = minimize(grid, 0.3, opts)
         assert res.converged
         totals.append(res.levels[-1].split.total)
     assert abs(totals[1] - totals[0]) / totals[0] < 1e-3
@@ -443,20 +443,20 @@ def test_failed_line_search_keeps_its_iterations(ellipse, monkeypatch):
 
     monkeypatch.setattr(energy_mod, "energy_gradient", counted_gradient)
     grid = Grid.cover(ellipse, resolution=32)
-    res = minimize(ellipse, grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
+    res = minimize(grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
     # every level's budget is at least 400 // 11 = 36 steps
     assert any(0 < lv.iterations < 36 and not lv.converged for lv in res.levels)
     # one gradient per level start, one per accepted step
     assert res.iterations == len(calls) - len(res.levels)
     assert not res.converged
-    start = mollified_limit_field(ellipse, grid)
+    start = mollified_limit_field(grid)
     assert energy(res.u, 0.2, res.eta_final).total <= energy(start, 0.2, res.eta_final).total
 
 
 def test_max_iter_caps_every_level(ellipse):
     # 11 eta levels and 5 iterations: levels whose share rounds to 0 take no step
     grid = Grid.cover(ellipse, resolution=32)
-    res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=5, hessian_power=1))
+    res = minimize(grid, 0.3, MinimizeOptions(max_iter=5, hessian_power=1))
     assert len(res.levels) == 11
     assert res.iterations <= 5
 
@@ -480,7 +480,7 @@ def test_minimize_calls_the_traced_entry_points(ellipse, monkeypatch):
         monkeypatch.setattr(energy_mod, "_ARMIJO", armijo)
         monkeypatch.setattr(energy_mod, "_MAX_BACKTRACKS", max_backtracks)
         counts = {"energy": 0, "gradient": 0, "splu": 0}
-        res = minimize(ellipse, grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
+        res = minimize(grid, 0.2, MinimizeOptions(max_iter=400, hessian_power=1))
         # no level uses up its budget of at least 36 steps, so a level that
         # did not converge ended on a failed line search
         assert all(lv.iterations < 36 for lv in res.levels)
@@ -494,7 +494,7 @@ def test_minimize_calls_the_traced_entry_points(ellipse, monkeypatch):
 def test_level_records(ellipse):
     grid = Grid.cover(ellipse, resolution=24)
     opts = MinimizeOptions(max_iter=400, hessian_power=1)
-    res = minimize(ellipse, grid, 0.3, opts)
+    res = minimize(grid, 0.3, opts)
     assert len(res.levels) == 11
     assert sum(lv.iterations for lv in res.levels) == res.iterations
     assert res.levels[-1].converged == res.converged
@@ -510,7 +510,7 @@ def test_level_records(ellipse):
 @pytest.mark.parametrize("power, reference", [(1, 1.1262599591019906), (2, 4.492102977132873)])
 def test_newton_matches_previous_minimizer(ellipse, power, reference):
     grid = Grid.cover(ellipse, h=1 / 40)
-    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=power))
+    res = minimize(grid, 0.2, MinimizeOptions(hessian_power=power))
     assert all(lv.grad_norm <= 1e-3 for lv in res.levels)
     assert res.iterations <= 60
     assert abs(res.levels[-1].split.total - reference) <= 1e-9 * reference
@@ -520,7 +520,7 @@ def test_benchmark_minimize_trajectory(ellipse):
     # the benchmark's minimize-ellipse job: a solver change that moves any of
     # these numbers says so
     grid = Grid.cover(ellipse, h=1 / 40)
-    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
+    res = minimize(grid, 0.2, MinimizeOptions(hessian_power=1))
     assert [lv.iterations for lv in res.levels] == [12, 5, 5, 5, 3, 4, 3, 3, 2]
     assert [lv.backtracks for lv in res.levels] == [4, 0, 0, 0, 0, 0, 0, 0, 0]
     assert res.converged
@@ -533,7 +533,7 @@ def test_benchmark_minimize_keeps_its_factor(ellipse):
     # few of them factor H (3 factors and 116 solves; a fixed CG tolerance
     # of _CG_RTOL took 7 and 254)
     grid = Grid.cover(ellipse, h=1 / 40)
-    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
+    res = minimize(grid, 0.2, MinimizeOptions(hessian_power=1))
     assert res.levels[0].factors >= 1
     assert sum(lv.factors for lv in res.levels) <= 5
     # a factor whose CG runs get long is replaced before it stalls
@@ -553,7 +553,7 @@ def test_benchmark_minimize_assembles_h_only_to_factor_it(ellipse, monkeypatch):
     grid.nodes
     tracemalloc.start()
     try:
-        res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1))
+        res = minimize(grid, 0.2, MinimizeOptions(hessian_power=1))
         factors = sum(lv.factors for lv in res.levels)
         del res
         kept = tracemalloc.get_traced_memory()[0]
@@ -567,7 +567,7 @@ def test_benchmark_minimize_assembles_h_only_to_factor_it(ellipse, monkeypatch):
 def test_benchmark_minimize_is_reproducible(ellipse):
     # the solver's path reads iteration counts, never a clock, so two runs
     # on fresh grids take the same steps, factors and solves
-    runs = [minimize(ellipse, Grid.cover(ellipse, h=1 / 40), 0.2, MinimizeOptions(hessian_power=1))
+    runs = [minimize(Grid.cover(ellipse, h=1 / 40), 0.2, MinimizeOptions(hessian_power=1))
             for _ in range(2)]
     assert np.array_equal(runs[0].u.values, runs[1].u.values)
     for key in ("iterations", "factors", "solves"):
@@ -579,8 +579,8 @@ def test_an_ascent_direction_ends_the_level(ellipse, monkeypatch):
     solve = energy_mod._KeptFactor.solve
     monkeypatch.setattr(energy_mod._KeptFactor, "solve", lambda self, H, b, rtol: -solve(self, H, b, rtol))
     grid = Grid.cover(ellipse, resolution=24)
-    start = mollified_limit_field(ellipse, grid)
-    res = minimize(ellipse, grid, 0.3, MinimizeOptions(max_iter=400, hessian_power=1))
+    start = mollified_limit_field(grid)
+    res = minimize(grid, 0.3, MinimizeOptions(max_iter=400, hessian_power=1))
     assert np.array_equal(res.u.values, start.values)
     for lv in res.levels:
         assert not lv.converged
@@ -593,9 +593,9 @@ def test_minimize_leaves_a_fold_start_for_the_standard_minimizer(ellipse):
     # data, but its gradient flips on {d = 0.3}; from it the inexact Newton
     # steps still reach the minimizer of the mollified start
     grid = Grid.cover(ellipse, h=1 / 40)
-    d, _ = exact_limit_field(ellipse, grid)
+    d, _ = exact_limit_field(grid)
     fold = ScalarField(grid, 0.3 - np.abs(d.values - 0.3))
-    res = minimize(ellipse, grid, 0.2, MinimizeOptions(hessian_power=1, warm_start=fold))
+    res = minimize(grid, 0.2, MinimizeOptions(hessian_power=1, warm_start=fold))
     assert all(lv.converged for lv in res.levels)
     # loose CG on the first level's many steps keeps the factor (13 factors;
     # a fixed CG tolerance of _CG_RTOL took 67)
@@ -603,16 +603,23 @@ def test_minimize_leaves_a_fold_start_for_the_standard_minimizer(ellipse):
     assert abs(res.levels[-1].split.total - 1.1262599590928513) <= 1e-9 * 1.1262599590928513
 
 
+def test_minimize_needs_a_covered_grid(tmp_path, limit64):
+    # a loaded dump's grid has no domain to pin the collar to
+    dump_field(tmp_path / "u.txt", limit64[0])
+    with pytest.raises(ValueError, match="no domain"):
+        minimize(load_field(tmp_path / "u.txt").grid, 0.3)
+
+
 def test_limit_table_single_row(ellipse):
     grid = Grid.cover(ellipse, resolution=32)
-    table = energy_limit_table(ellipse, grid, [5.0], MinimizeOptions(max_iter=200, tol=1e-2, hessian_power=2))
+    table = energy_limit_table(grid, [5.0], MinimizeOptions(max_iter=200, tol=1e-2, hessian_power=2))
     assert len(table.rows) == 1
     assert table.w11_monotone and table.gap_monotone
 
 
 def test_limit_table_requires_decreasing(ellipse, grid64):
     with pytest.raises(ValueError):
-        energy_limit_table(ellipse, grid64, [0.1, 0.2])
+        energy_limit_table(grid64, [0.1, 0.2])
 
 
 @pytest.mark.parametrize("eta_min", [0.0, -1.0, np.nan])
@@ -620,7 +627,7 @@ def test_minimize_rejects_an_eta_min_the_schedule_never_reaches(ellipse, eta_min
     # at hessian_power = 1 eta halves from eta0 until it reaches eta_min; below 0 it never does
     grid = Grid.cover(ellipse, resolution=16)
     with pytest.raises(ValueError, match="needs eta_min > 0"):
-        minimize(ellipse, grid, 0.4, MinimizeOptions(eta_min=eta_min, hessian_power=1))
+        minimize(grid, 0.4, MinimizeOptions(eta_min=eta_min, hessian_power=1))
 
 
 def test_grad_norm_scale(grid64):

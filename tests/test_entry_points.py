@@ -9,6 +9,8 @@ The second check parses the package and fails on a function, class or
 method that no program code calls, and on an error that no program code
 raises.  The third fails when a module names a ``_``-prefixed attribute
 of another module of the package, save the ones the benchmark patches.
+The fourth fails on a function that takes a grid and, beside it, the
+domain that the grid already carries.
 """
 
 import ast
@@ -139,3 +141,16 @@ def test_modules_use_no_private_name_of_another():
     # the benchmark patches its entry points by name, so those may stay private
     patched = {path.split(".")[-1] for _, _, path, _ in _entry_points()}
     assert [use for use in _private_names_across_modules() if use[1] not in patched] == []
+
+
+def test_no_function_takes_a_grid_and_its_domain():
+    # a covered grid carries its domain, so a second argument could only disagree with it
+    both = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                if {"domain", "grid"} <= names:
+                    both.append(f"{path.stem}.{node.name}")
+    assert both == []

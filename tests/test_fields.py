@@ -229,7 +229,7 @@ def test_cover_and_limit_field_project_each_node_once(domain, projections, monke
     project = geometry._project_raw
     monkeypatch.setattr(geometry, "_project_raw", lambda d, x: calls.append(1) or project(d, x))
     grid = Grid.cover(domain, h=1 / 32)
-    u, m = exact_limit_field(domain, grid)
+    u, m = exact_limit_field(grid)
     assert len(calls) == projections  # cover's projection serves the field; the stadium is closed form
     # the same bits as the separate distance query and the one gradient query
     assert np.array_equal(u.values, geometry.signed_distance(domain, grid.nodes))
@@ -242,26 +242,26 @@ def test_cover_and_limit_field_project_each_node_once(domain, projections, monke
 def test_limit_field_is_what_cover_kept(a, r, h, angle):
     domain = Ellipse(a, r * a)
     grid = Grid.cover(domain, h=h, angle=angle)
-    u, m = exact_limit_field(domain, grid)
+    u, m = exact_limit_field(grid)
     assert np.array_equal(u.values, geometry.signed_distance(domain, grid.nodes))
     assert np.array_equal(m.values, geometry.rot90(signed_distance_grad(domain, grid.nodes)[1]))
-    again = exact_limit_field(domain, grid)
+    again = exact_limit_field(grid)
     assert np.shares_memory(u.values, again[0].values) and np.shares_memory(m.values, again[1].values)
     for values in (u.values, m.values):
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
-    # a grid covered for another ellipse serves the queried domain's field
-    other = Grid.cover(Ellipse(a, 0.9 * r * a), h=h, angle=angle)
-    u, m = exact_limit_field(domain, other)
-    assert np.array_equal(u.values, geometry.signed_distance(domain, other.nodes))
-    assert np.array_equal(m.values, geometry.rot90(signed_distance_grad(domain, other.nodes)[1]))
-    # the stadium keeps nothing and computes its closed-form field
+    # the stadium computes its closed-form field on first use, then shares it read-only like the ellipse
     stadium = Stadium(a, r * a)
     grid = Grid.cover(stadium, h=h, angle=angle)
-    assert not [key for key in vars(grid) if key.startswith("_")]
+    assert "limit_field" not in vars(grid)
     d, grad = signed_distance_grad(stadium, grid.nodes)
-    u, m = exact_limit_field(stadium, grid)
+    u, m = exact_limit_field(grid)
     assert np.array_equal(u.values, d) and np.array_equal(m.values, geometry.rot90(grad))
+    again = exact_limit_field(grid)
+    assert np.shares_memory(u.values, again[0].values) and np.shares_memory(m.values, again[1].values)
+    for values in (u.values, m.values):
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
 
 
 def test_dump_roundtrip(tmp_path, grid64, limit64):
@@ -279,6 +279,15 @@ def test_dump_roundtrip(tmp_path, grid64, limit64):
     assert (tmp_path / "again.txt").read_bytes() == p1.read_bytes()
     meta = json.loads((tmp_path / "u.txt.json").read_text())
     assert meta["nx"] == grid64.nx and meta["components"] == 1
+
+
+def test_a_loaded_grid_has_no_limit_field(tmp_path, limit64):
+    # only Grid.cover gives a grid its domain, and with it the field
+    dump_field(tmp_path / "u.txt", limit64[0])
+    grid = load_field(tmp_path / "u.txt").grid
+    assert grid.domain is None
+    with pytest.raises(ValueError, match="no domain"):
+        exact_limit_field(grid)
 
 
 def test_dump_field_matches_row_loop(tmp_path, grid64, limit64):

@@ -231,7 +231,7 @@ def test_stadium_queries_never_project(stadium, monkeypatch):
     calls = []
     project = geometry._project_raw
     monkeypatch.setattr(geometry, "_project_raw", lambda d, x: calls.append(1) or project(d, x))
-    exact_limit_field(stadium, Grid.cover(stadium, h=1 / 32))
+    exact_limit_field(Grid.cover(stadium, h=1 / 32))
     ensemble_representation_check(ensemble_flow(stadium, 1 / 64), 2000, 0.5, seed=1, h=1 / 64)
     assert calls == []
 

@@ -11,7 +11,7 @@ from aglab import kinetic
 from aglab.entropy import TrigPoly, entropy_from_generator, sigma_frame
 from aglab.errors import BetaOutOfRange
 from aglab.fields import VectorField, exact_limit_field
-from aglab.geometry import RIDGE_NORMAL, RIDGE_SBAR, Ellipse, Grid, ridge_set
+from aglab.geometry import RIDGE_NORMAL, RIDGE_SBAR, Grid, ridge_set
 from aglab.kinetic import (
     GENERATORS,
     PSI_COS2,
@@ -267,7 +267,7 @@ def ridge_cells(domain, grid) -> dict:
 
 def test_ridge_sigma_field_calibration(ellipse, grid64):
     # each cell is rho (b - a) times the unit-TV density at its beta, with rho = -1/c(beta)
-    cells = ridge_sigma_field(ellipse, grid64)
+    cells = ridge_sigma_field(grid64)
     segments = ridge_cells(ellipse, grid64)
     assert cells and list(cells) == list(segments)
     for key, mu in cells.items():
@@ -280,16 +280,16 @@ def test_ridge_sigma_field_calibration(ellipse, grid64):
 
 def test_ridge_sigma_field_rejects_rotated_grid(ellipse):
     with pytest.raises(NotImplementedError):
-        ridge_sigma_field(ellipse, Grid.cover(ellipse, resolution=16, angle=0.3))
+        ridge_sigma_field(Grid.cover(ellipse, resolution=16, angle=0.3))
 
 
 def test_kinetic_residual_refines(ellipse):
     prev = None
     for h in (1 / 32, 1 / 64):
         g = Grid.cover(ellipse, h=h)
-        _, m = exact_limit_field(ellipse, g)
-        bumps = default_test_bank(ellipse, g)
-        with_sigma, without = kinetic_residual(m, ridge_sigma_field(ellipse, g), bumps)
+        _, m = exact_limit_field(g)
+        bumps = default_test_bank(g)
+        with_sigma, without = kinetic_residual(m, ridge_sigma_field(g), bumps)
         assert with_sigma < 0.12 * without
         if prev is not None:
             assert with_sigma < prev * 0.75
@@ -300,7 +300,7 @@ def test_residual_zero_for_constant_field(grid64):
     # constant Phi(m) pairs against grad(zeta) of a compact bump: zero up
     # to the nodal quadrature error of the bump itself
     m = VectorField(grid64, np.broadcast_to([0.0, 1.0], grid64.shape + (2,)).copy())
-    residual, _ = kinetic_residual(m, {}, default_test_bank(Ellipse(1.0, 0.5), grid64))
+    residual, _ = kinetic_residual(m, {}, default_test_bank(grid64))
     assert residual < 0.5 * grid64.h**2
 
 
@@ -312,7 +312,7 @@ def test_sign_structure_margins():
 
 
 def test_sign_structure_report_on_reference(ellipse, grid64):
-    cells = ridge_sigma_field(ellipse, grid64)
+    cells = ridge_sigma_field(grid64)
     rep = sign_structure_report(cells)
     assert rep["min_margin"] >= -1e-12
     assert rep["n_cells"] == len(cells)
@@ -376,13 +376,13 @@ def field64(request):
     """A domain, its h = 1/64 grid and the limit field on it."""
     domain = request.getfixturevalue(request.param)
     grid = Grid.cover(domain, h=1 / 64)
-    return domain, grid, exact_limit_field(domain, grid)[1]
+    return domain, grid, exact_limit_field(grid)[1]
 
 
 def test_ridge_sigma_field_satisfies_the_jump_identity(field64):
     # for every generator, int psi' dsigma_cell = -(b - a) n.(Phi(m+) - Phi(m-)), cell by cell
     domain, grid64, _ = field64
-    cells = ridge_sigma_field(domain, grid64)
+    cells = ridge_sigma_field(grid64)
     segments = ridge_cells(domain, grid64)
     assert segments and list(cells) == list(segments)
     for psi in GENERATORS:
@@ -399,7 +399,7 @@ def test_ridge_sigma_field_uses_the_explicit_density(ellipse, grid64, monkeypatc
 
     monkeypatch.setattr(kinetic, "gbar_beta", refuse)
     monkeypatch.setattr(kinetic, "_pairings", refuse)
-    assert ridge_sigma_field(ellipse, grid64)
+    assert ridge_sigma_field(grid64)
 
 
 def test_ridge_sigma_field_matches_per_cell_loop(field64):
@@ -407,7 +407,7 @@ def test_ridge_sigma_field_matches_per_cell_loop(field64):
     # base.scaled(rho (b - a)), rho = -bracket / pairing of the unit-TV base,
     # to 1e-13 in rho
     domain, grid64, _ = field64
-    cells = ridge_sigma_field(domain, grid64)
+    cells = ridge_sigma_field(grid64)
     phi_e = partial(sigma_frame, 0.0)
     dpsi_e = frame_generator(0.0).derivative()
     segments = ridge_cells(domain, grid64)
@@ -425,8 +425,8 @@ def test_ridge_sigma_field_matches_per_cell_loop(field64):
 
 def test_kinetic_residual_matches_per_cell_loop(field64):
     domain, grid64, m = field64
-    cells = ridge_sigma_field(domain, grid64)
-    bumps = default_test_bank(domain, grid64)
+    cells = ridge_sigma_field(grid64)
+    bumps = default_test_bank(grid64)
     active, pts = grid64.active(), grid64.nodes
     angle = np.arctan2(m.values[..., 1], m.values[..., 0])
     worst = 0.0
