@@ -43,6 +43,7 @@ EXTERIOR = 2
 RIDGE_NORMAL = (0.0, 1.0)
 RIDGE_SBAR = 1.5 * np.pi
 _ON_BOUNDARY_TOL = 1e-12
+_NO_DOMAIN = "the grid has no domain: only Grid.cover gives a grid one"
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -272,8 +273,13 @@ class RidgeSet:
         return {"m_plus": m_plus, "m_minus": m_minus, "beta": beta}
 
 
-def ridge_set(domain: Domain) -> RidgeSet:
-    """The domain's ridge: |x1| <= (a^2 - b^2)/a, between the evolute's cusps, on the ellipse; the core on the stadium."""
+def ridge_set(domain: Domain | None) -> RidgeSet:
+    """The domain's ridge: |x1| <= (a^2 - b^2)/a, between the evolute's cusps, on the ellipse; the core on the stadium.
+
+    ValueError for None, the ``domain`` of a grid that ``Grid.cover`` did not build.
+    """
+    if domain is None:
+        raise ValueError(_NO_DOMAIN)
     if isinstance(domain, Ellipse):
         half = (domain.a**2 - domain.b**2) / domain.a
         return RidgeSet(domain, -half, half)
@@ -321,7 +327,7 @@ class Grid:
     def limit_field(self) -> tuple[np.ndarray, np.ndarray]:
         """The domain's read-only signed distance and m = rot90(grad) at the nodes; ValueError with no domain."""
         if self.domain is None:
-            raise ValueError("the grid has no domain: only Grid.cover gives a grid one")
+            raise ValueError(_NO_DOMAIN)
         sd, grad = signed_distance_grad(self.domain, self.nodes)
         m = rot90(grad)
         sd.flags.writeable = m.flags.writeable = False

@@ -14,14 +14,15 @@ is blocked, so the rule is total away from ties.
 The tracer therefore has no time step: it moves each curve from event to
 event.  The ridge y = 0 is met at ``-y / v_y``, and the exit from the
 convex domain {sd > level} is the root of sd - level along the ray,
-which Newton reaches monotonically from the far end of the segment.
-After a free crossing or a reflection a curve sits at y = 0 on a
-straight line that never returns to it, so every curve has at most one
-ridge event in each direction of time.  The tracer therefore returns
-one record per curve and direction (the reflection's time, point and
-outgoing angle) in place of a path: a curve is its start, its two
-records and its ends, and ``curve_at`` reads its position and angle at
-any time from them.
+which Newton reaches monotonically from the far end of the segment; a
+segment whose far end lies in the domain itself stays inside, and that
+end is frozen without a closest-point projection.  After a free
+crossing or a reflection a curve sits at y = 0 on a straight line that
+never returns to it, so every curve has at most one ridge event in each
+direction of time.  The tracer therefore returns one record per curve
+and direction (the reflection's time, point and outgoing angle) in
+place of a path: a curve is its start, its two records and its ends,
+and ``curve_at`` reads its position and angle at any time from them.
 
 The ensemble check samples phase points uniformly from {chi = 1} on an
 inset subdomain, attaches a uniform random time in (0, T), traces each
@@ -100,10 +101,14 @@ class DomainFlow:
         decreases t monotonically to the root, with no bracket and no
         bisection.  A point is frozen once g >= -16 eps max|x_i|, the
         rounding floor of sd at x; on the first step this means that the
-        segment end is inside.
+        segment end is inside.  A segment end in the domain itself, where
+        sd >= 0 > level, is frozen before the first step, unprojected.
         """
         t = np.array(t_end, dtype=float)
-        live = np.arange(t.size)
+        live = np.flatnonzero(~self.domain.contains(p + t[:, None] * v))
+        if not live.size:
+            return t
+        p, v = p[live], v[live]
         for _ in range(_EXIT_MAX_ITER):
             x = p + t[live, None] * v
             sd, grad = geometry.signed_distance_grad(self.domain, x)
@@ -208,22 +213,25 @@ def curve_at(t, start, t0, s0, fwd, bwd) -> tuple[np.ndarray, np.ndarray]:
     right-continuous in forward time: from the forward reflection time on
     the curve runs on the forward record's line, strictly before the
     backward reflection time on the backward record's, and in between on
-    the start's.  Times and angles broadcast against each other; points
-    carry a trailing axis of 2, or are a scalar NaN in a missing record.
-    Cosine and sine are taken once per line, not once per time.
+    the start's.  Each entry is placed on the start's line first, then
+    moved to the backward record's line and last to the forward record's
+    where those apply, so the forward line wins where both do.  Times and
+    angles broadcast against each other and the start; points carry a
+    trailing axis of 2, or are a scalar NaN in a missing record.  Cosine
+    and sine are taken once per curve on the start's line and once per
+    moved entry on a record's.
     """
-    (t_f, x_f, s_f), (t_b, x_b, s_b) = fwd, bwd
-    after, before = t >= t_f, t < t_b
-
-    def line(f, b, s):  # the value on the line each curve runs on at t
-        return np.where(after, f, np.where(before, b, s))
-
-    def coord(i, trig):  # the line's base point plus the time run along it
-        base = line(*(p[..., i] if np.ndim(p) else p for p in (x_f, x_b, start)))
-        return base + dt * line(trig(s_f), trig(s_b), trig(s0))
-
-    dt = t - line(t_f, t_b, t0)
-    return np.stack([coord(0, np.cos), coord(1, np.sin)], axis=-1), line(s_f, s_b, s0)
+    dt = t - t0
+    x = np.stack([start[..., 0] + dt * np.cos(s0), start[..., 1] + dt * np.sin(s0)], axis=-1)
+    s = np.array(np.broadcast_to(s0, x.shape[:-1]), dtype=float)
+    shape = s.shape or (1,)  # one time alone is moved as an array of one entry
+    xv, sv = x.reshape(shape + (2,)), s.reshape(shape)
+    for on, (t_r, x_r, s_r) in ((t < bwd[0], bwd), (t >= fwd[0], fwd)):
+        i = np.unravel_index(np.flatnonzero(np.broadcast_to(on, shape)), shape)
+        t_on, t_r, s_r = (np.broadcast_to(q, shape)[i] for q in (t, t_r, s_r))
+        xv[i] = np.broadcast_to(x_r, xv.shape)[i] + (t_on - t_r)[:, None] * np.stack([np.cos(s_r), np.sin(s_r)], -1)
+        sv[i] = s_r
+    return x, s
 
 
 def arc_arrays(s_minus: np.ndarray, s_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglab import fields, geometry
+from aglab import fields, geometry, kinetic
 from aglab.fields import (
     ScalarField,
     VectorField,
@@ -286,8 +286,9 @@ def test_a_loaded_grid_has_no_limit_field(tmp_path, limit64):
     dump_field(tmp_path / "u.txt", limit64[0])
     grid = load_field(tmp_path / "u.txt").grid
     assert grid.domain is None
-    with pytest.raises(ValueError, match="no domain"):
-        exact_limit_field(grid)
+    for needs_a_domain in (exact_limit_field, kinetic.ridge_sigma_field, kinetic.default_test_bank):
+        with pytest.raises(ValueError, match="no domain"):
+            needs_a_domain(grid)
 
 
 def test_dump_field_matches_row_loop(tmp_path, grid64, limit64):

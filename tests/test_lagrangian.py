@@ -498,6 +498,75 @@ def test_curve_at_reflection_tie(flow, data):
     assert np.abs(x[1] - x[0]).max() <= 1e-12
 
 
+def nested_where_curve_at(t, start, t0, s0, fwd, bwd):
+    """The placement rule of ``curve_at`` as two nested ``np.where`` over every entry and quantity."""
+    (t_f, x_f, s_f), (t_b, x_b, s_b) = fwd, bwd
+    after, before = t >= t_f, t < t_b
+
+    def line(f, b, s):
+        return np.where(after, f, np.where(before, b, s))
+
+    def coord(i, trig):
+        base = line(*(p[..., i] if np.ndim(p) else p for p in (x_f, x_b, start)))
+        return base + dt * line(trig(s_f), trig(s_b), trig(s0))
+
+    dt = t - line(t_f, t_b, t0)
+    return np.stack([coord(0, np.cos), coord(1, np.sin)], axis=-1), line(s_f, s_b, s0)
+
+
+def reflecting_starts(flow, direction, n):
+    """n starts whose lines meet the ridge after a drawn time when traced in ``direction``."""
+    lo, hi = flow.ridge.lo, flow.ridge.hi
+    one = st.builds(lambda s, xc, d: ((xc - direction * d * np.cos(s), -direction * d * np.sin(s)), s),
+                    st.floats(0.0, 2 * np.pi), st.floats(lo, hi), st.floats(1e-6, 0.5))
+    return st.lists(one, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
+@given(data=st.data())
+def test_curve_at_is_the_right_continuous_rule(flow, data):
+    """Times before, at and after both reflection instants land on the line the docstring names, bit for bit.
+
+    Curve k runs from its start on its own forward record and on the
+    backward record of another start traced backward (a real curve
+    reflects in one direction of time at most, but the rule takes any
+    two records); with ``overlap`` the backward instant follows the
+    forward one, where the forward line wins.
+    """
+    n = 4
+    recs = []
+    for direction in (1, -1):
+        pairs = data.draw(reflecting_starts(flow, direction, n))
+        starts, angles = np.array([p for p, _ in pairs]), np.array([a for _, a in pairs])
+        assume(flow.inside(starts).all())
+        rec = _trace_batch(flow, starts, angles, np.full(n, 10.0), direction)[3:]
+        first = np.argsort(~np.isfinite(rec[0]), kind="stable")  # reflecting curves first, so curve 0 has both
+        recs.append([r[first] for r in (starts, angles, *rec)])
+    (start, s0, tf_ref, x_f, s_f), (_, _, tb_ref, x_b, s_b) = recs
+    assume(np.isfinite(tf_ref[0]) and np.isfinite(tb_ref[0]))
+    t0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    t_f = t0 + tf_ref
+    if data.draw(st.booleans(), label="overlap"):
+        t_b = np.where(np.isfinite(tf_ref), t_f, t0) + np.array(data.draw(
+            st.lists(st.sampled_from([0.0, 1e-9, 0.25]), min_size=n, max_size=n)))
+    else:
+        t_b = t0 - tb_ref
+    t_b = np.where(np.isfinite(tb_ref), t_b, -np.inf)
+    # each instant, the floats either side of it, the start and a drawn time, per curve
+    instants = [np.where(np.isfinite(r), r, t0 + k) for r, k in ((t_f, 1.0), (t_b, -1.0))]
+    t = np.vstack([np.nextafter(r, side) for r in instants for side in (-np.inf, r, np.inf)]
+                  + [t0, np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))])
+    cases = [((t_f, x_f, s_f), (t_b, x_b, s_b)), ((t_f, x_f, s_f), NO_REFLECTION)]
+    for fwd, bwd in cases:
+        x, s = curve_at(t, start, t0, s0, fwd, bwd)
+        ref_x, ref_s = nested_where_curve_at(t, start, t0, s0, fwd, bwd)
+        assert x.tobytes() == ref_x.tobytes() and s.tobytes() == ref_s.tobytes()
+        # the angle is right-continuous: the forward line from its instant on, the backward strictly before its own
+        tb, sb = (np.broadcast_to(r, t0.shape) for r in (bwd[0], bwd[2]))
+        for (j, k), tk in np.ndenumerate(t):
+            assert s[j, k] == (s_f[k] if tk >= t_f[k] else sb[k] if tk < tb[k] else s0[k])
+
+
 @pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
 def test_trace_batch_reads_crossings_from_the_ridge_record(flow, monkeypatch):
     """Admissibility at a crossing comes from ``flow.ridge.data``; the field is never probed."""
@@ -516,6 +585,45 @@ def test_trace_batch_reads_crossings_from_the_ridge_record(flow, monkeypatch):
 def test_start_outside_domain_raises(ellipse):
     with pytest.raises(ValueError):
         trace(ellipse, (1.5, 0.1), np.pi, 1.0)
+
+
+def newton_from_every_end(flow, p, v, t_end):
+    """Exit times by Newton from every segment end, those in the domain included."""
+    t, live = np.array(t_end, dtype=float), np.arange(len(t_end))
+    while live.size:
+        x = p + t[live, None] * v
+        sd, grad = geometry.signed_distance_grad(flow.domain, x)
+        g = sd - flow.level
+        out = g < -16 * np.finfo(float).eps * np.maximum(np.abs(x[:, 0]), np.abs(x[:, 1]))
+        live, p, v = live[out], p[out], v[out]
+        t[live] -= g[out] / (grad[out, 0] * v[:, 0] + grad[out, 1] * v[:, 1])
+    return t
+
+
+@pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
+def test_exit_time_projects_no_end_in_the_domain(flow, monkeypatch):
+    """Segment ends in the domain never reach ``signed_distance_grad``; the exit times stay bit for bit."""
+    rng = np.random.default_rng(5)
+    x0, x1, y0, y1 = flow.bbox
+    p = np.stack([rng.uniform(x0, x1, 4000), rng.uniform(y0, y1, 4000)], axis=-1)
+    p = p[flow.inside(p)]
+    ang = rng.uniform(0.0, 2 * np.pi, len(p))
+    v = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    t_end = rng.uniform(0.0, 1.5, len(p))
+    reference = newton_from_every_end(flow, p, v, t_end)
+    queried = []
+    sdg = geometry.signed_distance_grad
+    monkeypatch.setattr(geometry, "signed_distance_grad", lambda dom, x: queried.append(x) or sdg(dom, x))
+
+    ends = p + t_end[:, None] * v
+    ins = flow.domain.contains(ends)
+    assert ins.any() and (~ins).any() and (~flow.inside(ends)).any()
+    t = flow.exit_time(p[ins], v[ins], t_end[ins])
+    assert queried == [] and t.tobytes() == t_end[ins].tobytes()
+
+    t = flow.exit_time(p, v, t_end)
+    assert queried[0].tobytes() == ends[~ins].tobytes()
+    assert t.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("flow", HARD_FLOWS, ids=["ellipse", "stadium"])
