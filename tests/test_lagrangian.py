@@ -2,13 +2,14 @@ import json
 import math
 import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import kolmogorov as kolmogorov_sf
-from scipy.stats import kstwobign
+from scipy.stats import ks_2samp, kstwobign
 
 from aglab import geometry, lagrangian
 from aglab.geometry import Ellipse, Stadium
@@ -330,8 +331,8 @@ def test_ensemble_is_chunk_invariant(domain, chunk, monkeypatch):
     (pts_ref, angs_ref), tested_ref, _, ref, chi2_ref = run(10**9)
     (pts, angs), n_tested, n_calls, rep, chi2 = run(chunk)
     assert np.array_equal(pts, pts_ref) and np.array_equal(angs, angs_ref)
-    # one round of 4n candidates; chunks past the n-th kept point go untested
-    assert tested_ref == 4 * n and n_tested < 4 * n
+    # one round of 2n candidates; chunks past the n-th kept point go untested
+    assert tested_ref == 2 * n and n_tested < 2 * n
     assert n_calls == math.ceil(n / chunk)
     assert ref["n_jumps"] > 0 and rep == ref
     np.testing.assert_allclose(chi2, chi2_ref, rtol=1e-12, atol=0)
@@ -349,7 +350,111 @@ def test_ensemble_memory_grows_by_the_sample_not_the_trace(domain):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / 30000 <= 200  # bytes per curve
+    # measured: 86 B per curve on the ellipse, 65 B on the stadium; the bound leaves 14 B
+    assert (peaks[1] - peaks[0]) / 30000 <= 100  # bytes per curve
+
+
+# ---------------------------------------------------------------------------
+# the sampler of {chi = 1}
+
+
+def rejection_sample_chi_points(flow, n, rng):
+    """Reference sampler: x, y and s drawn together, kept when inside and admissible.
+
+    Each round draws 4(n - have) candidates (at least 1024) and tests them
+    ``_CHUNK`` at a time up to the chunk that brings the n-th kept point;
+    ``flow.m`` is read at every candidate inside, kept or not.
+    """
+    x0, x1, y0, y1 = flow.bbox
+    pts, angs, have = np.empty((n, 2)), np.empty(n), 0
+    while have < n:
+        k = max(4 * (n - have), 1024)
+        xs, ys, ss = rng.uniform(x0, x1, k), rng.uniform(y0, y1, k), rng.uniform(0.0, 2 * np.pi, k)
+        for i in range(0, k, lagrangian._CHUNK):
+            if have >= n:
+                break
+            cand = np.stack([xs[i:i + lagrangian._CHUNK], ys[i:i + lagrangian._CHUNK]], axis=-1)
+            s = ss[i:i + lagrangian._CHUNK]
+            keep = flow.inside(cand)
+            m = flow.m(cand[keep])
+            keep[keep] = (np.cos(s[keep]) * m[..., 0] + np.sin(s[keep]) * m[..., 1]) > lagrangian._CHI_TOL
+            got = np.flatnonzero(keep)[:n - have]
+            pts[have:have + got.size], angs[have:have + got.size] = cand[got], s[got]
+            have += got.size
+    return pts, angs
+
+
+@DOMAINS
+def test_sampler_has_the_law_of_the_rejection_sampler(domain):
+    """Two-sample KS on x1, x2 and s - arg m(x), 200k points a side, independent seeds.
+
+    Each of the three p-values is tested at 1e-3, so two samplers with
+    one law fail it on a domain with probability under 0.3% over seeds.
+    At these seeds: 0.33, 0.61, 0.22 (ellipse) and 0.63, 0.59, 0.15 (stadium).
+    """
+    flow = ensemble_flow(domain, 1 / 64)
+    n = 200_000
+
+    def coordinates(pts, angs):
+        m = flow.m(pts)
+        relative = np.mod(angs - np.arctan2(m[:, 1], m[:, 0]) + np.pi, 2 * np.pi) - np.pi
+        return pts[:, 0], pts[:, 1], relative
+
+    two_stage = coordinates(*lagrangian.sample_chi_points(flow, n, np.random.default_rng(11)))
+    rejection = coordinates(*rejection_sample_chi_points(flow, n, np.random.default_rng(12)))
+    assert np.all(np.abs(two_stage[2]) < 0.5 * np.pi)
+    for a, b in zip(two_stage, rejection):
+        assert ks_2samp(a, b).pvalue > 1e-3
+
+
+def sampled_flows():
+    """Ellipses with b/a in [0.1, 1] (the disk too), the stadium, and uniform fields on a box."""
+    ellipse = st.one_of(st.just(1.0), st.floats(0.1, 1.0)).map(lambda r: ensemble_flow(Ellipse(1.0, r), 1 / 64))
+    constant = st.floats(0.0, 2 * np.pi).map(lambda d: ConstantFlow(1.0, 0.8, direction=d))
+    return st.one_of(ellipse, st.just(ensemble_flow(Stadium(2.0, 1.0), 1 / 64)), constant)
+
+
+@given(data=st.data())
+def test_every_sampled_start_is_inside_and_admissible(data):
+    flow = data.draw(sampled_flows())
+    chunk = data.draw(st.integers(7, 300))
+    n = data.draw(st.integers(1, 1023).filter(lambda n: n % chunk))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(lagrangian, "_CHUNK", chunk):
+        pts, angs = lagrangian.sample_chi_points(flow, n, rng)
+    m = flow.m(pts)
+    assert pts.shape == (n, 2) and angs.shape == (n,)
+    assert np.all(flow.inside(pts))
+    assert np.all(np.cos(angs) * m[:, 0] + np.sin(angs) * m[:, 1] > lagrangian._CHI_TOL)
+
+
+def test_sampler_redraws_the_sliver():
+    """Starts at the ends of the half circle, where e^{is}.m is not above _CHI_TOL, draw their angle again."""
+    flow, n = ConstantFlow(1.0, 0.8, direction=0.3), 2000
+    angle_draws = []
+
+    class EndsFirst:
+        """The first draw on [0, 1) puts every fourth start on each end of the half circle."""
+
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+
+        def uniform(self, lo, hi, size):
+            u = self.rng.uniform(lo, hi, size)
+            if (lo, hi) == (0.0, 1.0):
+                if not angle_draws:
+                    u[0::4], u[1::4] = 0.0, np.nextafter(1.0, 0.0)
+                angle_draws.append(size)
+            return u
+
+    pts, angs = lagrangian.sample_chi_points(flow, n, EndsFirst(4))
+    ref_pts, ref_angs = lagrangian.sample_chi_points(flow, n, np.random.default_rng(4))
+    m = flow.m(pts)
+    assert np.all(np.cos(angs) * m[:, 0] + np.sin(angs) * m[:, 1] > lagrangian._CHI_TOL)
+    # the 1000 starts on the ends, and only they, are drawn again
+    assert angle_draws == [n, n // 2]
+    untouched = np.arange(n) % 4 >= 2
+    assert np.array_equal(pts, ref_pts) and np.array_equal(angs[untouched], ref_angs[untouched])
 
 
 def test_domain_flow_inset_guard(ellipse):
