@@ -103,7 +103,6 @@ class LevelRecord:
 @dataclass
 class MinimizeResult:
     u: ScalarField
-    eps: float
     eta_final: float
     iterations: int  # Newton steps over all levels
     converged: bool  # of the last level
@@ -478,7 +477,6 @@ def minimize(grid: Grid, eps: float, opts: MinimizeOptions | None = None) -> Min
         levels.append(level)
     return MinimizeResult(
         u=u,
-        eps=eps,
         eta_final=etas[-1],
         iterations=sum(lv.iterations for lv in levels),
         converged=levels[-1].converged,

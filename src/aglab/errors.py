@@ -18,7 +18,7 @@ class QuadratureFailure(AglabError):
 
 
 class BetaOutOfRange(AglabError):
-    """Jump half-angle outside the open interval (0, pi)."""
+    """Jump half-angle outside (0, pi), or so near 0 or pi that the raw jump density's total variation rounds to 0."""
 
 
 class NonFiniteEnergy(AglabError):

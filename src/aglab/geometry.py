@@ -297,7 +297,9 @@ class Grid:
     Node (i, j) sits at ``origin + i*h*e1 + j*h*e2`` where (e1, e2) are
     the lattice axes (world axes rotated by ``angle``).  ``mask`` holds
     the INTERIOR / COLLAR / EXTERIOR class per node.  Only ``Grid.cover``
-    sets ``domain``; other grids (``fields.load_field``'s) have none.
+    sets ``mask`` and ``domain``; other grids (``fields.load_field``'s)
+    have neither, and ``active``, ``interior`` and ``limit_field`` raise
+    ValueError on them.
     """
 
     origin: tuple[float, float]
@@ -337,11 +339,16 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return self.nx, self.ny
 
+    def _node_classes(self) -> np.ndarray:
+        if self.mask is None:
+            raise ValueError("the grid has no INTERIOR / COLLAR / EXTERIOR node classes: only Grid.cover sets them")
+        return self.mask
+
     def active(self) -> np.ndarray:
-        return self.mask != EXTERIOR
+        return self._node_classes() != EXTERIOR
 
     def interior(self) -> np.ndarray:
-        return self.mask == INTERIOR
+        return self._node_classes() == INTERIOR
 
     @staticmethod
     def cover(domain: Domain, h: float | None = None, resolution: int | None = None,

@@ -147,21 +147,6 @@ def _pairings(measures: list[CircleMeasure], fs: list[TrigPoly]) -> np.ndarray:
     return out
 
 
-def _cover_with_zeros(pieces: list[Piece]) -> list[Piece]:
-    """Insert zero-density pieces so the circle is fully covered."""
-    pieces = sorted(pieces, key=lambda p: p.s0)
-    out = []
-    cursor = 0.0
-    for p in pieces:
-        if p.s0 > cursor + 1e-15:
-            out.append(Piece(cursor, p.s0, 0.0, 0.0, 0.0))
-        out.append(p)
-        cursor = max(cursor, p.s1)
-    if cursor < TWO_PI - 1e-15:
-        out.append(Piece(cursor, TWO_PI, 0.0, 0.0, 0.0))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # explicit jump densities
 
@@ -181,32 +166,40 @@ def g_beta(beta: float, s) -> np.ndarray | float:
 
 
 def _gbar_unnormalized(beta: float) -> CircleMeasure:
-    """The raw jump density as a measure; beta and pi - beta give the same one."""
+    """The raw jump density as a measure; beta and pi - beta give the same one.
+
+    Humps sin(s - phase) + hump on [pi/2 - beta, pi/2 + beta] and pi
+    later, constant gaps between them, empty ones (near beta = pi/2)
+    skipped.  Up to beta = pi/4 the hump offset is -cos(beta) and the gaps
+    0; beyond it, -sqrt(2)/2 and cos(beta) - sqrt(2)/2.
+    """
     beta = min(beta, np.pi - beta)
-    if beta <= np.pi / 4:
-        lo, hi = np.pi / 2 - beta, np.pi / 2 + beta
-        pieces = [
-            Piece(lo, hi, 1.0, 0.0, -np.cos(beta)),
-            Piece(lo + np.pi, hi + np.pi, 1.0, np.pi, -np.cos(beta)),
-        ]
-        return CircleMeasure([], _cover_with_zeros(pieces))
     lo, hi = np.pi / 2 - beta, np.pi / 2 + beta
-    base = np.cos(beta) - np.sqrt(2.0) / 2.0
-    pieces = [
-        Piece(max(lo, 0.0), min(hi, np.pi), 1.0, 0.0, -np.sqrt(2.0) / 2.0),
-        Piece(max(lo + np.pi, np.pi), min(hi + np.pi, TWO_PI), 1.0, np.pi, -np.sqrt(2.0) / 2.0),
-    ]
-    covered = _cover_with_zeros(pieces)
-    out = [Piece(p.s0, p.s1, p.amp, p.phase, p.offset if p.amp != 0 else base) for p in covered]
-    return CircleMeasure([], out)
+    if beta <= np.pi / 4:
+        hump, gap = -np.cos(beta), 0.0
+    else:
+        hump, gap = -np.sqrt(2.0) / 2.0, np.cos(beta) - np.sqrt(2.0) / 2.0
+    pieces = [Piece(lo, hi, 1.0, 0.0, hump), Piece(lo + np.pi, hi + np.pi, 1.0, np.pi, hump)]
+    gaps = [(0.0, lo, lo > 1e-15), (hi, lo + np.pi, lo + np.pi > hi + 1e-15),
+            (hi + np.pi, TWO_PI, hi + np.pi < TWO_PI - 1e-15)]
+    pieces += [Piece(a, b, 0.0, 0.0, gap) for a, b, wide in gaps if wide]
+    return CircleMeasure([], pieces)
 
 
 def gbar_beta(beta: float) -> CircleMeasure:
-    """Normalized pi-periodic jump density: the raw density scaled by c(beta) to total variation 1."""
+    """Normalized pi-periodic jump density: the raw density scaled by c(beta) to total variation 1.
+
+    BetaOutOfRange outside (0, pi), and where the raw total variation
+    rounds to 0: at every beta within 1.1e-6 of 0 or pi, and at some up
+    to 7.5e-6.
+    """
     if not (0.0 < beta < np.pi):
         raise BetaOutOfRange(f"beta must lie in (0, pi), got {beta}")
     raw = _gbar_unnormalized(beta)
-    return raw.scaled(1.0 / raw.total_variation())
+    tv = raw.total_variation()
+    if not tv > 0.0:
+        raise BetaOutOfRange(f"the raw jump density at beta = {beta} has total variation {tv}, not > 0")
+    return raw.scaled(1.0 / tv)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,7 @@ def minimal_disintegration(kind: Jump | NonJump) -> CircleMeasure:
         return gbar_beta(kind.beta).shifted(kind.s_bar)
     s, sgn = kind.s_bar, float(np.sign(kind.sign) or 1.0)
     atoms = [(s - np.pi / 2, 0.5 * sgn), (s + np.pi / 2, 0.5 * sgn)]
-    return CircleMeasure(atoms, _cover_with_zeros([]))
+    return CircleMeasure(atoms, [Piece(0.0, TWO_PI, 0.0, 0.0, 0.0)])
 
 
 def minimality_check(mu: CircleMeasure, alphas: Iterable[float]) -> bool:

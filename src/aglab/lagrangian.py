@@ -25,18 +25,19 @@ place of a path: a curve is its start, its two records and its ends,
 and ``curve_at`` reads its position and angle at any time from them.
 
 The ensemble check samples phase points uniformly from {chi = 1} on an
-inset subdomain in two stages: positions uniform on the subdomain by
-rejection from its bounding box, then each angle uniform on the half
-circle {s : e^{is}.m(x) > 0} around arg m(x).  Drawing (x, s) together
-and rejecting inadmissible angles gives the same law, since that test
-accepts with probability 1/2 at every x; the two stages read m only at
-kept positions.  The check attaches a uniform random time
-in (0, T) to each phase point, traces each curve forward and backward
-to exit or window edge, and reweights by T / lifetime, which makes the
-time-t pushforward an unbiased estimate of the chi density at every
-probe time.  Jump arcs aggregate (with the sign convention that
-clockwise arcs contribute positively) into an empirical kinetic measure
-used for concentration, cancellation, and stationarity statistics.
+inset subdomain in one pass: positions uniform on the subdomain by
+rejection from its bounding box, arg m read once at each, then each
+angle s = arg m(x) + pi (u - 1/2) uniform on the admissible half circle.
+That is the law of drawing (x, s) together and rejecting inadmissible
+angles, which accepts with probability 1/2 at every x; m is a unit
+field, so e^{is}.m(x) = sin(pi u) and the angle test reads u alone.
+The check attaches a uniform random time in (0, T) to each phase point,
+traces each curve forward and backward to exit or window edge, and
+reweights by T / lifetime, which makes the time-t pushforward an
+unbiased estimate of the chi density at every probe time.  Jump arcs
+aggregate (with the sign convention that clockwise arcs contribute
+positively) into an empirical kinetic measure used for concentration,
+cancellation, and stationarity statistics.
 The stationarity p-value is the asymptotic Kolmogorov tail
 (:func:`kolmogorov`) of the scaled two-sample statistic.
 
@@ -322,16 +323,26 @@ class EnsembleReport:
     stationarity_ok: bool
 
 
-def _inside_points(flow, n: int, rng) -> np.ndarray:
-    """n positions drawn uniformly from the flow's domain by rejection from its bounding box.
+def sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n phase points (position, angle) drawn uniformly from {chi = 1} in the flow's domain.
 
-    Each round draws x and y for k = max(2(n - have), 1024) candidates
-    and tests them ``_CHUNK`` at a time, up to the chunk that brings the
-    n-th kept point, so the draws, and the points, do not depend on the
-    chunk size.
+    One pass.  Each round draws x and y for k = max(2(n - have), 1024)
+    candidates and tests them ``_CHUNK`` at a time, up to the chunk that
+    brings the n-th kept point, so the draws do not depend on the chunk
+    size; arg m is read once, at each chunk's kept points.  Then one draw
+    of n uniforms u sets s = arg m(x) + pi (u - 1/2) mod 2 pi.  As m is a
+    unit field, e^{is}.m(x) = sin(pi u): a u with sin(pi u) not above
+    ``_CHI_TOL`` is drawn again, all such in one draw, until none is left.
+    Testing e^{is}.m(x) itself would keep the same draws but for u within
+    about 1e-16 of the sliver's edge, where rounding may split the two.
+
+    This is the law of the rejection sampler that keeps uniform (x, y, s)
+    inside with e^{is}.m > ``_CHI_TOL``: it accepts with probability 1/2
+    (less the sliver) at every x, so its positions are uniform on the
+    domain and its angles uniform on the admissible half circle given x.
     """
     x0, x1, y0, y1 = flow.bbox
-    pts, have = np.empty((n, 2)), 0
+    pts, arg_m, have = np.empty((n, 2)), np.empty(n), 0
     while have < n:
         k = max(2 * (n - have), 1024)
         xs, ys = rng.uniform(x0, x1, k), rng.uniform(y0, y1, k)
@@ -339,49 +350,21 @@ def _inside_points(flow, n: int, rng) -> np.ndarray:
             if have >= n:
                 break
             cand = np.stack([xs[i:i + _CHUNK], ys[i:i + _CHUNK]], axis=-1)
-            got = np.flatnonzero(flow.inside(cand))[:n - have]
-            pts[have:have + got.size] = cand[got]
-            have += got.size
-    return pts
-
-
-def _half_circle_angles(flow, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angles s = arg m(x) + pi (u - 1/2) mod 2 pi, and whether e^{is}.m(x) > ``_CHI_TOL``."""
-    m = flow.m(x)
-    s = np.mod(np.arctan2(m[:, 1], m[:, 0]) + np.pi * (u - 0.5), TWO_PI)
-    return s, np.cos(s) * m[:, 0] + np.sin(s) * m[:, 1] > _CHI_TOL
-
-
-def sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """n phase points (position, angle) drawn uniformly from {chi = 1} in the flow's domain.
-
-    Two stages.  The positions are uniform on the domain
-    (:func:`_inside_points`).  Then one draw of n uniforms u sets each
-    angle to s = arg m(x) + pi (u - 1/2) mod 2 pi, the half circle of
-    angles admissible at x, with m read by ``flow.m`` ``_CHUNK`` points
-    at a time.  A start whose e^{is}.m(x) is not above ``_CHI_TOL`` (u
-    within about 1e-12 / pi of 0 or 1) draws its u again, in one draw for
-    all such starts, until none is left.
-
-    This is the law of the rejection sampler that draws (x, y, s)
-    uniformly and keeps the points inside with e^{is}.m > ``_CHI_TOL``:
-    m is a unit field, so that sampler accepts with probability 1/2 (less
-    the sliver) at every x, its kept positions are uniform on the domain,
-    and its kept angles are uniform on the admissible half circle given
-    x.  It reads m only at kept positions, once each but for redrawn
-    angles.
-    """
-    pts = _inside_points(flow, n, rng)
+            got = cand[np.flatnonzero(flow.inside(cand))[:n - have]]
+            m = flow.m(got)
+            pts[have:have + len(got)] = got
+            arg_m[have:have + len(got)] = np.arctan2(m[:, 1], m[:, 0])
+            have += len(got)
     u = rng.uniform(0.0, 1.0, n)
-    angs, ok = np.empty(n), np.empty(n, dtype=bool)
-    for i in range(0, n, _CHUNK):
-        angs[i:i + _CHUNK], ok[i:i + _CHUNK] = _half_circle_angles(flow, pts[i:i + _CHUNK], u[i:i + _CHUNK])
-    redo = np.flatnonzero(~ok)
+    redo = np.flatnonzero(np.sin(np.pi * u) <= _CHI_TOL)
     while redo.size:
-        s, ok = _half_circle_angles(flow, pts[redo], rng.uniform(0.0, 1.0, redo.size))
-        angs[redo[ok]] = s[ok]
-        redo = redo[~ok]
-    return pts, angs
+        u[redo] = rng.uniform(0.0, 1.0, redo.size)
+        redo = redo[np.sin(np.pi * u[redo]) <= _CHI_TOL]
+    # s = arg m + pi (u - 1/2) mod 2 pi, formed in place in u, in that order of operations
+    u -= 0.5
+    u *= np.pi
+    u += arg_m
+    return pts, np.mod(u, TWO_PI, out=u)
 
 
 def ensemble_flow(domain: Domain, h: float) -> DomainFlow:
@@ -410,10 +393,10 @@ def ensemble_representation_check(
     end and the place ``curve_at`` gives it from the curve's records.
 
     The phase points are sampled once by :func:`sample_chi_points`, in
-    two stages with the law of rejection on (x, y, s), and the start
-    times after them; the curves are traced and binned in chunks of
-    ``_CHUNK``; only the sampled points and the jump records grow with
-    ``n_curves``.  Probes are binned exactly as ``np.histogramdd`` bins
+    one pass with the law of rejection on (x, y, s) and m read once per
+    kept position, and the start times after them; the curves are traced
+    and binned in chunks of ``_CHUNK``; only the sampled points and the
+    jump records grow with ``n_curves``.  Probes are binned exactly as ``np.histogramdd`` bins
     them, and the jump records keep the order of one pass, so chi^2
     alone, summed over chunks, may move (in its last bits) with
     ``_CHUNK``.

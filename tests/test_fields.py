@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglab import fields, geometry, kinetic
+from aglab import entropy, fields, geometry, kinetic
 from aglab.fields import (
     ScalarField,
     VectorField,
@@ -284,11 +284,18 @@ def test_dump_roundtrip(tmp_path, grid64, limit64):
 def test_a_loaded_grid_has_no_limit_field(tmp_path, limit64):
     # only Grid.cover gives a grid its domain, and with it the field
     dump_field(tmp_path / "u.txt", limit64[0])
-    grid = load_field(tmp_path / "u.txt").grid
+    u = load_field(tmp_path / "u.txt")
+    grid = u.grid
     assert grid.domain is None
     for needs_a_domain in (exact_limit_field, kinetic.ridge_sigma_field, kinetic.default_test_bank):
         with pytest.raises(ValueError, match="no domain"):
             needs_a_domain(grid)
+    # nor node classes, which every operator on the active nodes reads
+    F = VectorField(grid, np.zeros(grid.shape + (2,)))
+    for needs_node_classes in (grid.active, grid.interior, lambda: diff_ops(grid), lambda: fd_gradient(u),
+                               lambda: weak_divergence(F), lambda: entropy.two_frame_norm(u, u)):
+        with pytest.raises(ValueError, match="INTERIOR / COLLAR / EXTERIOR"):
+            needs_node_classes()
 
 
 def test_dump_field_matches_row_loop(tmp_path, grid64, limit64):

@@ -113,8 +113,10 @@ def test_g_beta_pi_periodic_and_zero_mean():
 def test_g_beta_out_of_range():
     with pytest.raises(BetaOutOfRange):
         g_beta(3.5, 0.1)
-    with pytest.raises(BetaOutOfRange):
-        gbar_beta(0.0)
+    # at and near the ends the raw density's total variation rounds to 0
+    for beta in (0.0, 1e-300, 1e-8, 1e-6, np.pi - 1e-8):
+        with pytest.raises(BetaOutOfRange):
+            gbar_beta(beta)
 
 
 def c_beta(beta: float) -> float:

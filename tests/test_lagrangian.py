@@ -384,6 +384,45 @@ def rejection_sample_chi_points(flow, n, rng):
     return pts, angs
 
 
+def two_stage_sample_chi_points(flow, n, rng):
+    """Reference sampler: positions first, then angles tested on e^{is}.m(x) itself.
+
+    The positions are drawn and kept as ``sample_chi_points`` keeps them.
+    Then m is read at the kept points ``_CHUNK`` at a time, each angle is
+    arg m(x) + pi (u - 1/2) mod 2 pi, and a start whose e^{is}.m(x) is not
+    above ``_CHI_TOL`` draws its u again, reading m again at its point.
+    """
+    x0, x1, y0, y1 = flow.bbox
+    chunk = lagrangian._CHUNK
+    pts, have = np.empty((n, 2)), 0
+    while have < n:
+        k = max(2 * (n - have), 1024)
+        xs, ys = rng.uniform(x0, x1, k), rng.uniform(y0, y1, k)
+        for i in range(0, k, chunk):
+            if have >= n:
+                break
+            cand = np.stack([xs[i:i + chunk], ys[i:i + chunk]], axis=-1)
+            got = np.flatnonzero(flow.inside(cand))[:n - have]
+            pts[have:have + got.size] = cand[got]
+            have += got.size
+
+    def half_circle(x, u):
+        m = flow.m(x)
+        s = np.mod(np.arctan2(m[:, 1], m[:, 0]) + np.pi * (u - 0.5), 2 * np.pi)
+        return s, np.cos(s) * m[:, 0] + np.sin(s) * m[:, 1] > lagrangian._CHI_TOL
+
+    u = rng.uniform(0.0, 1.0, n)
+    angs, ok = np.empty(n), np.empty(n, dtype=bool)
+    for i in range(0, n, chunk):
+        angs[i:i + chunk], ok[i:i + chunk] = half_circle(pts[i:i + chunk], u[i:i + chunk])
+    redo = np.flatnonzero(~ok)
+    while redo.size:
+        s, ok = half_circle(pts[redo], rng.uniform(0.0, 1.0, redo.size))
+        angs[redo[ok]] = s[ok]
+        redo = redo[~ok]
+    return pts, angs
+
+
 @DOMAINS
 def test_sampler_has_the_law_of_the_rejection_sampler(domain):
     """Two-sample KS on x1, x2 and s - arg m(x), 200k points a side, independent seeds.
@@ -400,10 +439,10 @@ def test_sampler_has_the_law_of_the_rejection_sampler(domain):
         relative = np.mod(angs - np.arctan2(m[:, 1], m[:, 0]) + np.pi, 2 * np.pi) - np.pi
         return pts[:, 0], pts[:, 1], relative
 
-    two_stage = coordinates(*lagrangian.sample_chi_points(flow, n, np.random.default_rng(11)))
+    sampled = coordinates(*lagrangian.sample_chi_points(flow, n, np.random.default_rng(11)))
     rejection = coordinates(*rejection_sample_chi_points(flow, n, np.random.default_rng(12)))
-    assert np.all(np.abs(two_stage[2]) < 0.5 * np.pi)
-    for a, b in zip(two_stage, rejection):
+    assert np.all(np.abs(sampled[2]) < 0.5 * np.pi)
+    for a, b in zip(sampled, rejection):
         assert ks_2samp(a, b).pvalue > 1e-3
 
 
@@ -419,13 +458,16 @@ def test_every_sampled_start_is_inside_and_admissible(data):
     flow = data.draw(sampled_flows())
     chunk = data.draw(st.integers(7, 300))
     n = data.draw(st.integers(1, 1023).filter(lambda n: n % chunk))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
     with mock.patch.object(lagrangian, "_CHUNK", chunk):
-        pts, angs = lagrangian.sample_chi_points(flow, n, rng)
+        pts, angs = lagrangian.sample_chi_points(flow, n, np.random.default_rng(seed))
+        ref_pts, ref_angs = two_stage_sample_chi_points(flow, n, np.random.default_rng(seed))
     m = flow.m(pts)
     assert pts.shape == (n, 2) and angs.shape == (n,)
     assert np.all(flow.inside(pts))
     assert np.all(np.cos(angs) * m[:, 0] + np.sin(angs) * m[:, 1] > lagrangian._CHI_TOL)
+    # testing sin(pi u) in place of e^{is}.m(x) keeps every draw and every bit
+    assert pts.tobytes() == ref_pts.tobytes() and angs.tobytes() == ref_angs.tobytes()
 
 
 def test_sampler_redraws_the_sliver():
@@ -447,7 +489,10 @@ def test_sampler_redraws_the_sliver():
                 angle_draws.append(size)
             return u
 
-    pts, angs = lagrangian.sample_chi_points(flow, n, EndsFirst(4))
+    with mock.patch.object(flow, "m", wraps=flow.m) as read_m:
+        pts, angs = lagrangian.sample_chi_points(flow, n, EndsFirst(4))
+    # m is read once per kept position, not again at a redrawn start
+    assert sum(len(call.args[0]) for call in read_m.call_args_list) == n
     ref_pts, ref_angs = lagrangian.sample_chi_points(flow, n, np.random.default_rng(4))
     m = flow.m(pts)
     assert np.all(np.cos(angs) * m[:, 0] + np.sin(angs) * m[:, 1] > lagrangian._CHI_TOL)
