@@ -4,18 +4,21 @@ Config files are key = value pairs grouped into [section] headers.  One
 table, ``_SCHEMA``, gives every key its parser, default and valid range.
 ``parse_config`` rejects unknown sections and keys, types, defaults and
 range-checks every key in one pass, then builds the domain and the
-minimizer options.  A warm start is loaded and must lie on the run's
-grid.  Rules that span several keys stay with the objects that enforce
-them, the domain constructors and ``energy.check_eps_schedule``, and
-their faults are config errors too.  So every check runs before any
+minimizer options.  A warm start is loaded; it must list every node of
+its grid once, hold a scalar field and lie on the run's grid.  Rules
+that span several keys stay with the objects that enforce them, the
+domain constructors and ``energy.check_eps_schedule``, and their faults
+are config errors too.  So every check runs before any
 pipeline.  Relative paths resolve against the config file's directory.
 Pipelines (``run_*``) return whether they converged and their reports by
 file name: a dict (JSON), a (header, rows) pair (a table) or a field to
 dump.  ``run`` alone stamps every report with the config hash and the
 seed and writes it.  A fixed (config, seed) pair reproduces the outputs
 byte for byte.  Exit status: 0; 2 when minimize's last eta level or any
-limit-table row is not converged; 3 for a config error.  A False ``_ok``
-flag in a report does not set the exit status yet (see ROADMAP.md).
+limit-table row is not converged; 3 for a config error or a usage error
+(arguments other than one subcommand and one config path, or an unknown
+subcommand), each reported in one line on stderr.  A False ``_ok`` flag
+in a report does not set the exit status yet (see ROADMAP.md).
 
 ``[diagnostics] ensemble_dt`` is accepted, because the benchmark's
 configs set it, but nothing reads it: the tracer moves from event to
@@ -38,8 +41,8 @@ from . import entropy as entropy_mod
 from . import kinetic as kinetic_mod
 from . import lagrangian as lagrangian_mod
 from .errors import ConfigError
-from .fields import dump_field, exact_limit_field, load_field
-from .geometry import RIDGE_SBAR, Domain, Ellipse, Grid, Stadium, ridge_set
+from .fields import ScalarField, dump_field, exact_limit_field, load_field
+from .geometry import RIDGE_SBAR, Domain, Ellipse, Grid, Stadium
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -64,7 +67,7 @@ _DOMAINS = {"ellipse": (Ellipse, ("a", "b")), "stadium": (Stadium, ("L", "R"))}
 _SCHEMA = {
     "domain": {"kind": (str, "ellipse", ("ellipse or stadium", _DOMAINS.__contains__)),
                "a": _number(), "b": _number(), "L": _number(), "R": _number(), "delta": _number()},
-    "grid": {"resolution": _count(1, "128"), "h": _number(), "ghost": _count(0, "2")},
+    "grid": {"resolution": _count(1, "128"), "h": _number()},
     "minimize": {
         "eps_list": (lambda text: [float(tok) for tok in text.replace(",", " ").split()], "0.4, 0.2, 0.1",
                      ("a list of finite numbers > 0", lambda v: bool(v) and all(map(_POSITIVE[1], v)))),
@@ -104,8 +107,7 @@ class ExperimentConfig:
     def grid(self) -> Grid:
         """The one grid of a run; h, when set, wins over resolution."""
         h = self.values["h"]
-        return Grid.cover(self.domain, h=h, resolution=None if h else self.values["resolution"],
-                          ghost=self.values["ghost"])
+        return Grid.cover(self.domain, h=h, resolution=None if h else self.values["resolution"])
 
     def serialize(self) -> str:
         lines = []
@@ -164,8 +166,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if values["warm_start"] is not None:
         try:
             values["warm_start"] = load_field(path.parent / values["warm_start"])
-        except (OSError, ValueError, KeyError, IndexError) as exc:
+        except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:  # TypeError: a mistyped sidecar value
             raise ConfigError(f"{path}:{lines['warm_start']}: cannot load warm_start: {exc}") from None
+        if not isinstance(values["warm_start"], ScalarField):
+            raise ConfigError(f"{path}:{lines['warm_start']}: warm_start must be a scalar field, not a vector field")
     values["directory"] = path.parent / values["directory"]
     cls, sizes = _DOMAINS[values["kind"]]
     try:
@@ -247,15 +251,14 @@ def run_limit_table(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 def run_entropy_report(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    domain, grid = cfg.domain, cfg.grid
+    grid, ridge = cfg.grid, cfg.grid.ridge
     _, m = exact_limit_field(grid)
-    ridge = ridge_set(domain)
     n_frames = cfg.values["n_frames"]
     # the productions of the two frames of two_frame_norm; every frame's is
     # linear in them (see the entropy module)
     two = [entropy_mod.entropy_production(m, partial(entropy_mod.sigma_frame, t)) for t in entropy_mod.TWO_FRAMES]
     p0, p1 = (prod.values for prod in two)
-    flux0 = entropy_mod.boundary_flux(domain)
+    flux0 = entropy_mod.boundary_flux(grid.domain)
     interior, near_ridge = grid.interior(), grid.active() & (np.abs(grid.nodes[..., 1]) <= 3 * grid.h)
     frames = []
     for k in range(n_frames):
@@ -311,9 +314,9 @@ def run_kinetic_check(cfg: ExperimentConfig) -> tuple[dict, bool]:
 
 
 def run_characteristics(cfg: ExperimentConfig) -> tuple[dict, bool]:
-    h, T, seed = cfg.grid.h, cfg.values["ensemble_T"], cfg.values["seed"]
-    flow = lagrangian_mod.ensemble_flow(cfg.domain, h)
-    report = lagrangian_mod.ensemble_representation_check(flow, cfg.values["ensemble_n"], T, seed, h)
+    T, seed = cfg.values["ensemble_T"], cfg.values["seed"]
+    flow = lagrangian_mod.DomainFlow(cfg.grid)
+    report = lagrangian_mod.ensemble_representation_check(flow, cfg.values["ensemble_n"], T, seed)
     # a handful of individual curves for inspection, traced forward over [0, T]
     pts, angs = lagrangian_mod.sample_chi_points(flow, 6, np.random.default_rng(seed))
     t_end, _, _, t_ref, x_ref, s_ref = lagrangian_mod._trace_batch(flow, pts, angs, np.full(6, T), +1)
@@ -369,13 +372,12 @@ def run(subcommand: str, config_path: str | Path) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="aglab", description="extended-domain functional laboratory")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("config", help="path to the experiment config")
-    args = parser.parse_args(argv)
-    return run(args.subcommand, args.config)
+    """``aglab SUBCOMMAND CONFIG``; other arguments are a usage error, exit status 3."""
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(f"usage: aglab {{{','.join(SUBCOMMANDS)}}} CONFIG; got {len(args)} argument(s)", file=sys.stderr)
+        return EXIT_CONFIG
+    return run(*args)
 
 
 if __name__ == "__main__":

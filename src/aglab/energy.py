@@ -51,7 +51,7 @@ import scipy.sparse.linalg as sla
 from . import entropy as entropy_mod
 from .errors import NonFiniteEnergy
 from .fields import DiffOps, ScalarField, diff_ops, exact_limit_field, w11_distance
-from .geometry import Grid, ridge_set
+from .geometry import Grid
 
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking test
 _MAX_BACKTRACKS = 60  # step halvings before a line search gives up
@@ -529,7 +529,7 @@ def energy_limit_table(grid: Grid, eps_list: list[float], opts: MinimizeOptions 
     check_eps_schedule(eps_list)
     opts = opts or MinimizeOptions()
     u_exact, _ = exact_limit_field(grid)
-    f0_ref = entropy_mod.f0_jump(ridge_set(grid.domain))
+    f0_ref = entropy_mod.f0_jump(grid.ridge)
     rows: list[LimitRow] = []
     warm = opts.warm_start
     for eps in eps_list:

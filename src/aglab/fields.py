@@ -230,15 +230,20 @@ def dump_field(path: str | Path, fld: ScalarField | VectorField) -> None:
 
 
 def load_field(path: str | Path) -> ScalarField | VectorField:
+    """The field of a ``dump_field`` dump; ValueError unless each node (i, j) has one row of finite values."""
     path = Path(path)
     meta = json.loads(Path(str(path) + ".json").read_text())
     grid = Grid(origin=tuple(meta["origin"]), h=meta["h"], nx=meta["nx"], ny=meta["ny"], angle=meta["angle"])
-    raw = np.loadtxt(path)
+    raw = np.loadtxt(path, ndmin=2)
     ncomp = meta["components"]
-    vals = np.zeros((grid.nx, grid.ny, ncomp))
-    ii = raw[:, 0].astype(int)
-    jj = raw[:, 1].astype(int)
-    vals[ii, jj, :] = raw[:, 4:4 + ncomp]
+    ij = raw[:, :2].astype(int)
+    # as many integer (i, j) rows as nodes, each on the grid and no two alike
+    if not (raw.shape == (grid.nx * grid.ny, 4 + ncomp) and np.array_equal(ij, raw[:, :2])
+            and np.all((ij >= 0) & (ij < grid.shape)) and np.unique(ij[:, 0] * grid.ny + ij[:, 1]).size == len(ij)
+            and np.isfinite(raw[:, 4:]).all()):
+        raise ValueError(f"{path} does not hold one row of {ncomp} finite value(s) per node (i, j) of its grid")
+    vals = np.empty((grid.nx, grid.ny, ncomp))
+    vals[ij[:, 0], ij[:, 1]] = raw[:, 4:]
     if ncomp == 1:
         return ScalarField(grid, vals[..., 0])
     return VectorField(grid, vals)

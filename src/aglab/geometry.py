@@ -3,8 +3,9 @@
 Provides the signed distance (positive inside) and its gradient, the
 ridge (medial axis) with per-point one-sided traces, node
 classification on a uniform grid covering the extended domain, and the
-package's 1D quadrature.  A covered grid carries its domain and that
-domain's limit field; a grid from a loaded dump has neither.
+package's 1D quadrature.  A covered grid carries its domain, that
+domain's limit field and its ridge; a grid from a loaded dump has none
+of them.
 On the stadium the distance and gradient are closed form in the offset
 from the core segment; only the ellipse needs a closest-point
 projection (``_project_raw``).
@@ -44,6 +45,7 @@ RIDGE_NORMAL = (0.0, 1.0)
 RIDGE_SBAR = 1.5 * np.pi
 _ON_BOUNDARY_TOL = 1e-12
 _NO_DOMAIN = "the grid has no domain: only Grid.cover gives a grid one"
+_GHOST = 2  # exterior node layers that Grid.cover adds beyond the collar on every side
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -273,13 +275,8 @@ class RidgeSet:
         return {"m_plus": m_plus, "m_minus": m_minus, "beta": beta}
 
 
-def ridge_set(domain: Domain | None) -> RidgeSet:
-    """The domain's ridge: |x1| <= (a^2 - b^2)/a, between the evolute's cusps, on the ellipse; the core on the stadium.
-
-    ValueError for None, the ``domain`` of a grid that ``Grid.cover`` did not build.
-    """
-    if domain is None:
-        raise ValueError(_NO_DOMAIN)
+def ridge_set(domain: Domain) -> RidgeSet:
+    """The domain's ridge: |x1| <= (a^2 - b^2)/a between the evolute's cusps on the ellipse, the core on the stadium."""
     if isinstance(domain, Ellipse):
         half = (domain.a**2 - domain.b**2) / domain.a
         return RidgeSet(domain, -half, half)
@@ -298,8 +295,8 @@ class Grid:
     the lattice axes (world axes rotated by ``angle``).  ``mask`` holds
     the INTERIOR / COLLAR / EXTERIOR class per node.  Only ``Grid.cover``
     sets ``mask`` and ``domain``; other grids (``fields.load_field``'s)
-    have neither, and ``active``, ``interior`` and ``limit_field`` raise
-    ValueError on them.
+    have neither, and ``active``, ``interior``, ``limit_field`` and
+    ``ridge`` raise ValueError on them.
     """
 
     origin: tuple[float, float]
@@ -335,6 +332,13 @@ class Grid:
         sd.flags.writeable = m.flags.writeable = False
         return sd, m
 
+    @cached_property
+    def ridge(self) -> RidgeSet:
+        """The domain's ridge record, built once per grid; ValueError with no domain."""
+        if self.domain is None:
+            raise ValueError(_NO_DOMAIN)
+        return ridge_set(self.domain)
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.nx, self.ny
@@ -351,13 +355,12 @@ class Grid:
         return self._node_classes() == INTERIOR
 
     @staticmethod
-    def cover(domain: Domain, h: float | None = None, resolution: int | None = None,
-              ghost: int = 2, angle: float = 0.0) -> "Grid":
-        """Grid covering the delta-extended domain with >= `ghost` exterior layers.
+    def cover(domain: Domain, h: float | None = None, resolution: int | None = None, angle: float = 0.0) -> "Grid":
+        """Grid covering the delta-extended domain with at least ``_GHOST`` exterior layers.
 
         Exactly one of ``h`` (cell size) or ``resolution`` (cells across the
-        longer bounding-box side) must be given, with h > 0 or resolution >= 1,
-        and ghost >= 0; otherwise ValueError.
+        longer bounding-box side) must be given, with h > 0 or resolution >= 1;
+        otherwise ValueError.
 
         The grid's ``domain`` is the one covered.  On the ellipse the nodes
         are classified from ``grid.limit_field``, whose distance equals
@@ -367,9 +370,8 @@ class Grid:
         """
         if (h is None) == (resolution is None):
             raise ValueError("specify exactly one of h or resolution")
-        if not ((h is None or h > 0) and (resolution is None or resolution >= 1) and ghost >= 0):
-            raise ValueError(f"a grid needs h > 0, resolution >= 1 and ghost >= 0; got h={h}, "
-                             f"resolution={resolution}, ghost={ghost}")
+        if not ((h is None or h > 0) and (resolution is None or resolution >= 1)):
+            raise ValueError(f"a grid needs h > 0 or resolution >= 1; got h={h}, resolution={resolution}")
         (x0, x1), (y0, y1) = domain.bounding_box()
         wx, wy = x1 - x0, y1 - y0
         if h is None:
@@ -380,8 +382,8 @@ class Grid:
         c, s = np.cos(angle), np.sin(angle)
         ex = abs(c) * wx / 2 + abs(s) * wy / 2
         ey = abs(s) * wx / 2 + abs(c) * wy / 2
-        half_nx = int(np.ceil(ex / h)) + ghost
-        half_ny = int(np.ceil(ey / h)) + ghost
+        half_nx = int(np.ceil(ex / h)) + _GHOST
+        half_ny = int(np.ceil(ey / h)) + _GHOST
         e1, e2 = np.array([c, s]), np.array([-s, c])
         origin = np.array([cx, cy]) - h * half_nx * e1 - h * half_ny * e2
         grid = Grid(origin=tuple(origin), h=h, nx=2 * half_nx + 1, ny=2 * half_ny + 1, angle=angle, domain=domain)

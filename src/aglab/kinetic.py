@@ -26,7 +26,7 @@ import numpy as np
 from .entropy import TrigPoly, entropy_from_generator
 from .errors import BetaOutOfRange
 from .fields import VectorField
-from .geometry import GL_NODES, GL_WEIGHTS, RIDGE_SBAR, Grid, integrate, ridge_set, signed_distance
+from .geometry import GL_NODES, GL_WEIGHTS, RIDGE_SBAR, Grid, integrate, signed_distance
 
 TWO_PI = 2.0 * np.pi
 _UNIT_TOL = 1e-10  # the normalization and minimality tolerance of unit-TV measures
@@ -279,7 +279,7 @@ def ridge_sigma_field(grid: Grid) -> dict[tuple[int, int], CircleMeasure]:
     """
     if grid.angle != 0.0:
         raise NotImplementedError("ridge sigma field expects an axis-aligned grid")
-    ridge = ridge_set(grid.domain)
+    ridge = grid.ridge
     lo, hi = ridge.lo, ridge.hi
     if hi <= lo:
         return {}
@@ -343,8 +343,7 @@ def default_test_bank(grid: Grid) -> list[CompactBump]:
     (covered) grid so they stay inside the extended domain; otherwise the weak identity
     picks up boundary flux that has nothing to do with the kinetic measure.
     """
-    domain = grid.domain
-    ridge = ridge_set(domain)
+    domain, ridge = grid.domain, grid.ridge
     lo, hi = ridge.lo, ridge.hi
     span = max(hi - lo, 4 * grid.h)
     if hi > lo:

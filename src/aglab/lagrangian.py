@@ -59,7 +59,7 @@ import numpy as np
 
 from . import geometry
 from .errors import NoConvergence
-from .geometry import RIDGE_SBAR, Domain, ridge_set
+from .geometry import RIDGE_SBAR, Grid
 
 TWO_PI = 2.0 * np.pi
 MIN_CURVES = 1000  # the smallest ensemble the representation check accepts
@@ -76,17 +76,18 @@ _BOTH_WAYS = np.array([[1], [-1]])  # directions of a chunk's forward and backwa
 
 
 class DomainFlow:
-    """Reference flow of a domain restricted to the inset subdomain."""
+    """Reference flow of a covered grid's domain on the inset subdomain {sd > level = inset - delta}.
 
-    def __init__(self, domain: Domain, inset: float):
-        if inset >= domain.delta:
-            raise ValueError("inset must be smaller than the collar width")
-        self.domain = domain
-        self.inset = inset
-        self.level = inset - domain.delta  # inside <=> signed_distance > level
-        ridge = ridge_set(domain)
-        self.ridge = ridge if ridge.length > 0 else None  # a disk's ridge is one point
-        (x0, x1), (y0, y1) = domain.bounding_box()
+    Its domain, ridge record and cell size h are the grid's, and its inset
+    is 2h, capped at delta/2 so that coarse grids still leave a collar margin.
+    """
+
+    def __init__(self, grid: Grid):
+        self.ridge = grid.ridge if grid.ridge.length > 0 else None  # a disk's ridge is one point
+        self.domain, self.h = grid.domain, grid.h
+        self.inset = min(2.0 * self.h, 0.5 * self.domain.delta)
+        self.level = self.inset - self.domain.delta  # inside <=> signed_distance > level
+        (x0, x1), (y0, y1) = self.domain.bounding_box()
         self.bbox = (x0, x1, y0, y1)
 
     def m(self, x: np.ndarray) -> np.ndarray:
@@ -367,30 +368,17 @@ def sample_chi_points(flow, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return pts, np.mod(u, TWO_PI, out=u)
 
 
-def ensemble_flow(domain: Domain, h: float) -> DomainFlow:
-    """The flow the ensemble check traces on a grid of cell size h.
-
-    Its inset is 2h, capped so that coarse grids still leave a collar margin.
-    """
-    return DomainFlow(domain, min(2.0 * h, 0.5 * domain.delta))
-
-
-def ensemble_representation_check(
-    flow,
-    n_curves: int,
-    T: float,
-    seed: int,
-    h: float,
-) -> EnsembleReport:
+def ensemble_representation_check(flow, n_curves: int, T: float, seed: int) -> EnsembleReport:
     """Monte Carlo validation of the characteristic ensemble.
 
     Reports, for the sampled ensemble: a chi-squared comparison of the
     time-t pushforward against the chi density at several probe times;
-    the fraction of empirical kinetic mass within 2h of the ridge; the
-    cancellation ratio TV(aggregate)/sum of per-curve TVs; a
-    two-window Kolmogorov-Smirnov test of angular stationarity; and the
-    largest distance, over curves that are not stuck, between a traced
-    end and the place ``curve_at`` gives it from the curve's records.
+    the fraction of empirical kinetic mass within 2h of the ridge, h
+    being ``flow.h``, the cell size of the flow's grid; the cancellation
+    ratio TV(aggregate)/sum of per-curve TVs; a two-window
+    Kolmogorov-Smirnov test of angular stationarity; and the largest
+    distance, over curves that are not stuck, between a traced end and
+    the place ``curve_at`` gives it from the curve's records.
 
     The phase points are sampled once by :func:`sample_chi_points`, in
     one pass with the law of rejection on (x, y, s) and m read once per
@@ -403,6 +391,7 @@ def ensemble_representation_check(
     """
     if n_curves < MIN_CURVES:
         raise ValueError(f"ensemble check needs at least {MIN_CURVES} curves")
+    h = flow.h
     # spatial (x, y) and angular bins of the pushforward test
     nbx, nby, angular_bins = (10, 6, 8) if n_curves >= 50000 else (6, 4, 6)
     rng = np.random.default_rng(seed)

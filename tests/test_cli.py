@@ -18,7 +18,7 @@ from aglab import cli
 from aglab.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main, parse_config, run
 from aglab.energy import MinimizeOptions
 from aglab.errors import ConfigError
-from aglab.fields import ScalarField, dump_field, load_field
+from aglab.fields import ScalarField, VectorField, dump_field, load_field
 from aglab.geometry import Ellipse, Grid
 
 ELLIPSE_CFG = """
@@ -139,11 +139,11 @@ def test_run_bad_config_exit_code(tmp_path):
     assert run("fly-to-the-moon", p) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("extra", ["[minimize]\noptimizer = lbfgs", "[diagnostics]\nn_s = 64"],
-                         ids=["optimizer", "n_s"])
+@pytest.mark.parametrize("extra", ["[minimize]\noptimizer = lbfgs", "[diagnostics]\nn_s = 64", "[grid]\nghost = -5"],
+                         ids=["optimizer", "n_s", "ghost"])
 def test_removed_key_is_a_config_error(tmp_path, extra):
-    # there is one minimizer, and nothing samples the circle on n_s points;
-    # a config asking for either must not run
+    # there is one minimizer, nothing samples the circle on n_s points, and
+    # every grid has two ghost layers; a config asking otherwise must not run
     p = write_cfg(tmp_path, ELLIPSE_CFG + "\n" + extra + "\n")
     assert run("minimize", p) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
@@ -211,6 +211,18 @@ def test_a_stadium_run_computes_its_limit_field_once(tmp_path, monkeypatch):
     assert sizes.count(nodes) == 1
 
 
+@pytest.mark.parametrize("text", [ELLIPSE_CFG, STADIUM_CFG], ids=["ellipse", "stadium"])
+def test_a_run_builds_one_ridge_record(tmp_path, monkeypatch, text):
+    # f0_jump, the ridge sigma, the test bank, the tracer and the limit table read the grid's one ridge
+    from aglab import geometry
+
+    built = []
+    ridge_set = geometry.RidgeSet
+    monkeypatch.setattr(geometry, "RidgeSet", lambda *a: built.append(a) or ridge_set(*a))
+    assert run("all", write_cfg(tmp_path, text)) == EXIT_OK
+    assert len(built) == 1
+
+
 def test_negative_eta_min_is_rejected_at_parse(tmp_path):
     # at hessian_power = 1 such a value would never end the eta schedule, so it is checked only here
     text = ELLIPSE_CFG.replace("hessian_power = 2", "hessian_power = 1\neta_min = -1")
@@ -235,7 +247,7 @@ def test_config_holds_typed_values_and_built_objects(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, ELLIPSE_CFG.replace(
         "hessian_power = 2", "hessian_power = 2\nwarm_start = fields/u_eps0.5.txt")))
     assert cfg.domain == Ellipse(1.0, 0.5)
-    assert cfg.values["eps_list"] == [0.5, 0.4] and cfg.values["seed"] == 99 and cfg.values["ghost"] == 2
+    assert cfg.values["eps_list"] == [0.5, 0.4] and cfg.values["seed"] == 99
     assert cfg.values["directory"] == tmp_path / "out"
     assert (cfg.opts.max_iter, cfg.opts.tol, cfg.opts.hessian_power, cfg.opts.eta0) == (1500, 5e-3, 2, 1.0)
     assert np.array_equal(cfg.opts.warm_start.values, load_field(field_dir / "u_eps0.5.txt").values)
@@ -259,6 +271,37 @@ def test_warm_start_on_another_lattice_is_a_config_error(tmp_path, capsys, case,
     p = write_cfg(tmp_path, text)
     line = text.splitlines().index("warm_start = fields/u.txt") + 1
     with pytest.raises(ConfigError, match=rf":{line}: warm_start lies on another grid: "):
+        parse_config(p)
+    assert run(subcommand, p) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["vector", "half-the-rows", "components-not-a-number"])
+@pytest.mark.parametrize("subcommand", ["minimize", "limit-table"])
+def test_warm_start_that_is_not_one_scalar_per_node_is_a_config_error(tmp_path, capsys, case, subcommand):
+    # a dump of m on the run's lattice, or of a zero field with its second half of rows cut away or
+    # with a sidecar whose component count is text
+    grid = parse_config(write_cfg(tmp_path, WARM_CFG)).grid
+    dump = tmp_path / "fields" / "u.txt"
+    if case == "vector":
+        dump_field(dump, VectorField(grid, np.zeros(grid.shape + (2,))))
+        reason = "warm_start must be a scalar field, not a vector field"
+    elif case == "half-the-rows":
+        dump_field(dump, ScalarField(grid, np.zeros(grid.shape)))
+        rows = dump.read_text().splitlines(keepends=True)
+        dump.write_text("".join(rows[:len(rows) // 2]))
+        reason = "cannot load warm_start: .* does not hold one row of 1 finite value"
+    else:
+        dump_field(dump, ScalarField(grid, np.zeros(grid.shape)))
+        sidecar = Path(f"{dump}.json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "components": "one"}))
+        reason = "cannot load warm_start: "
+    text = WARM_CFG.replace("hessian_power = 2", "hessian_power = 2\nwarm_start = fields/u.txt")
+    p = write_cfg(tmp_path, text)
+    line = text.splitlines().index("warm_start = fields/u.txt") + 1
+    with pytest.raises(ConfigError, match=rf":{line}: {reason}"):
         parse_config(p)
     assert run(subcommand, p) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -519,6 +562,16 @@ def test_disk_reports_zero_jump_energy(tmp_path):
 def test_main_entry(tmp_path, capsys):
     p = write_cfg(tmp_path, ELLIPSE_CFG)
     assert main(["entropy-report", str(p)]) == EXIT_OK
+
+
+def test_usage_errors_exit_3_with_one_line(tmp_path, capsys):
+    # no arguments, a subcommand alone, an unknown subcommand: each exits as a config error, never as 2
+    cfg = str(write_cfg(tmp_path, ELLIPSE_CFG))
+    for argv in ([], ["minimize"], ["bogus", cfg]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_output_dir_created(tmp_path):

@@ -9,8 +9,8 @@ The second check parses the package and fails on a function, class or
 method that no program code calls, and on an error that no program code
 raises.  The third fails when a module names a ``_``-prefixed attribute
 of another module of the package, save the ones the benchmark patches.
-The fourth fails on a function that takes a grid and, beside it, the
-domain that the grid already carries.
+The fourth fails on a function that takes a grid or a flow and, beside
+it, the domain or the cell size h that the grid or flow already carries.
 """
 
 import ast
@@ -144,13 +144,15 @@ def test_modules_use_no_private_name_of_another():
 
 
 def test_no_function_takes_a_grid_and_its_domain():
-    # a covered grid carries its domain, so a second argument could only disagree with it
+    # a covered grid carries its domain and h, and a flow takes both from its grid,
+    # so a second argument could only disagree with them
+    carried = {"grid": {"domain", "h"}, "flow": {"domain", "h"}}
     both = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
-                if {"domain", "grid"} <= names:
+                if any(names & carried[name] for name in names & carried.keys()):
                     both.append(f"{path.stem}.{node.name}")
     assert both == []

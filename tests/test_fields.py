@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aglab import entropy, fields, geometry, kinetic
+from aglab import entropy, fields, geometry, kinetic, lagrangian
 from aglab.fields import (
     ScalarField,
     VectorField,
@@ -282,12 +282,13 @@ def test_dump_roundtrip(tmp_path, grid64, limit64):
 
 
 def test_a_loaded_grid_has_no_limit_field(tmp_path, limit64):
-    # only Grid.cover gives a grid its domain, and with it the field
+    # only Grid.cover gives a grid its domain, and with it the field and the ridge
     dump_field(tmp_path / "u.txt", limit64[0])
     u = load_field(tmp_path / "u.txt")
     grid = u.grid
     assert grid.domain is None
-    for needs_a_domain in (exact_limit_field, kinetic.ridge_sigma_field, kinetic.default_test_bank):
+    for needs_a_domain in (exact_limit_field, kinetic.ridge_sigma_field, kinetic.default_test_bank,
+                           lagrangian.DomainFlow, lambda g: g.ridge):
         with pytest.raises(ValueError, match="no domain"):
             needs_a_domain(grid)
     # nor node classes, which every operator on the active nodes reads

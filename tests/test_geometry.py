@@ -23,7 +23,7 @@ from aglab.geometry import (
     signed_distance,
     signed_distance_grad,
 )
-from aglab.lagrangian import ensemble_flow, ensemble_representation_check
+from aglab.lagrangian import DomainFlow, ensemble_representation_check
 
 RNG = np.random.default_rng(20240811)
 
@@ -152,7 +152,7 @@ def test_grid_classification(ellipse, grid64):
 
 
 @pytest.mark.parametrize("size", [{"h": 0.0}, {"h": -0.1}, {"h": np.nan}, {"resolution": 0},
-                                  {"resolution": -3}, {"resolution": 16, "ghost": -5}, {"h": 0.1, "ghost": -1},
+                                  {"resolution": -3}, {"h": -np.inf}, {"resolution": np.nan},
                                   {}, {"h": 0.1, "resolution": 16}])
 def test_grid_cover_rejects_bad_sizes(ellipse, size):
     with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ def test_stadium_queries_never_project(stadium, monkeypatch):
     project = geometry._project_raw
     monkeypatch.setattr(geometry, "_project_raw", lambda d, x: calls.append(1) or project(d, x))
     exact_limit_field(Grid.cover(stadium, h=1 / 32))
-    ensemble_representation_check(ensemble_flow(stadium, 1 / 64), 2000, 0.5, seed=1, h=1 / 64)
+    ensemble_representation_check(DomainFlow(Grid.cover(stadium, h=1 / 64)), 2000, 0.5, seed=1)
     assert calls == []
 
 

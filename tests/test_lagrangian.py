@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -12,23 +13,33 @@ from scipy.special import kolmogorov as kolmogorov_sf
 from scipy.stats import ks_2samp, kstwobign
 
 from aglab import geometry, lagrangian
-from aglab.geometry import Ellipse, Stadium
+from aglab.geometry import Ellipse, Grid, Stadium
 from aglab.lagrangian import (
     DomainFlow,
     _trace_batch,
     _weighted_ks,
     arc_arrays,
     curve_at,
-    ensemble_flow,
     ensemble_representation_check,
 )
 
 NO_REFLECTION = (-np.inf, np.nan, np.nan)
 
 
+@functools.cache
+def covered(domain, h):
+    """The domain's grid of cell size h, covered once per (domain, h)."""
+    return Grid.cover(domain, h=h)
+
+
+def flow_on(domain, h=1 / 64):
+    """The flow the ensemble traces on the domain's grid of cell size h: inset min(2h, delta/2)."""
+    return DomainFlow(covered(domain, h))
+
+
 def trace(domain, start, s, T):
-    """One forward curve from `start` at angle `s` over [0, T], on the inset delta/4."""
-    flow = DomainFlow(domain, 0.25 * domain.delta)
+    """One forward curve from `start` at angle `s` over [0, T], on the inset delta/4 of the grid h = delta/8."""
+    flow = flow_on(domain, domain.delta / 8)
     elapsed, end, stuck, t_ref, x_ref, s_ref = _trace_batch(flow, np.array([start]), np.array([s]), np.array([T]), +1)
     return {"start": np.array(start), "s0": s, "t_plus": elapsed[0], "end": end[0], "stuck": stuck[0],
             "fwd": (t_ref[0], x_ref[0], s_ref[0])}
@@ -67,6 +78,7 @@ class ConstantFlow:
         self.bbox = (-half_width, half_width, -half_height, half_height)
         self.direction = direction
         self.ridge = None
+        self.h = 0.02  # the cell size the ensemble check reads; with no ridge there is no jump for it to bin
 
     def m(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -120,7 +132,7 @@ def test_trace_constant_field_square():
 
 def test_trace_batch_exits_in_one_call(ellipse):
     """A bounce, a free crossing and a curve that misses the ridge share one exit_time call."""
-    flow = DomainFlow(ellipse, 0.025)
+    flow = flow_on(ellipse, 1 / 80)  # inset 0.025
     calls = []
 
     def exit_time(p, v, t_end):
@@ -217,18 +229,18 @@ def test_weighted_ks_p_value_is_kstwobign_sf(monkeypatch):
 
 def test_ensemble_requires_thousand_curves(ellipse):
     with pytest.raises(ValueError):
-        ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 10, 1.0, 0, 1 / 64)
+        ensemble_representation_check(flow_on(ellipse), 10, 1.0, 0)
 
 
 def test_ensemble_uniform_reference():
     flow = ConstantFlow(1.0, 0.8)
-    rep = ensemble_representation_check(flow, 20000, 0.8, seed=3, h=0.02)
+    rep = ensemble_representation_check(flow, 20000, 0.8, seed=3)
     assert rep.pushforward_ok
     assert rep.n_jumps == 0 and rep.stuck_curves == 0
 
 
 def test_ensemble_ellipse_statistics(ellipse):
-    rep = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 20000, 1.0, seed=9, h=1 / 64)
+    rep = ensemble_representation_check(flow_on(ellipse), 20000, 1.0, seed=9)
     assert rep.pushforward_ok
     assert rep.ridge_mass_fraction >= 0.95
     assert 0.95 <= rep.cancellation_ratio <= 1.05
@@ -237,14 +249,14 @@ def test_ensemble_ellipse_statistics(ellipse):
 
 
 def test_ensemble_seed_reproducible(ellipse):
-    r1 = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 2000, 0.6, seed=17, h=1 / 64)
-    r2 = ensemble_representation_check(ensemble_flow(ellipse, 1 / 64), 2000, 0.6, seed=17, h=1 / 64)
+    r1 = ensemble_representation_check(flow_on(ellipse), 2000, 0.6, seed=17)
+    r2 = ensemble_representation_check(flow_on(ellipse), 2000, 0.6, seed=17)
     assert json.dumps(asdict(r1), sort_keys=True) == json.dumps(asdict(r2), sort_keys=True)
 
 
 def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
-    flow = ensemble_flow(ellipse, 1 / 64)
-    ref = ensemble_representation_check(flow, 2000, 0.6, seed=17, h=1 / 64)
+    flow = flow_on(ellipse)
+    ref = ensemble_representation_check(flow, 2000, 0.6, seed=17)
     assert ref.n_jumps > 0 and ref.endpoint_ok and ref.endpoint_error <= 1e-12
     trace = lagrangian._trace_batch
 
@@ -258,7 +270,7 @@ def test_endpoint_check_catches_a_bounce_without_a_turn(ellipse, monkeypatch):
         return elapsed, pos, stuck, t_ref, x_ref, ang
 
     monkeypatch.setattr(lagrangian, "_trace_batch", old_heading)
-    bad = ensemble_representation_check(flow, 2000, 0.6, seed=17, h=1 / 64)
+    bad = ensemble_representation_check(flow, 2000, 0.6, seed=17)
     assert not bad.endpoint_ok
     # no other verdict or statistic sees the mutation
     others = lambda rep: {k: v for k, v in asdict(rep).items() if not k.startswith("endpoint")}
@@ -312,7 +324,7 @@ DOMAINS = pytest.mark.parametrize("domain", [Ellipse(1.0, 0.5), Stadium(2.0, 1.0
 def test_ensemble_is_chunk_invariant(domain, chunk, monkeypatch):
     """The chunk size sets how many curves are held at once, not what is drawn or reported."""
     n = 3000
-    flow = ensemble_flow(domain, 1 / 64)
+    flow = flow_on(domain)
     inside, trace = flow.inside, lagrangian._trace_batch
     tested, calls = [], []
     monkeypatch.setattr(flow, "inside", lambda x: tested.append(len(x)) or inside(x))
@@ -324,7 +336,7 @@ def test_ensemble_is_chunk_invariant(domain, chunk, monkeypatch):
         sample = lagrangian.sample_chi_points(flow, n, np.random.default_rng(5))
         n_tested = sum(tested)
         calls.clear()
-        rep = asdict(ensemble_representation_check(flow, n, 0.5, seed=5, h=1 / 64))
+        rep = asdict(ensemble_representation_check(flow, n, 0.5, seed=5))
         chi2 = [probe.pop("chi2") for probe in rep["probes"]]
         return sample, n_tested, len(calls), rep, chi2
 
@@ -341,12 +353,12 @@ def test_ensemble_is_chunk_invariant(domain, chunk, monkeypatch):
 @DOMAINS
 def test_ensemble_memory_grows_by_the_sample_not_the_trace(domain):
     """Beyond one chunk the check holds, per curve, its sampled phase point, its draws and its jump records."""
-    flow = ensemble_flow(domain, 1 / 64)
+    flow = flow_on(domain)
     peaks = []
     for n in (10000, 40000):
         tracemalloc.start()
         try:
-            ensemble_representation_check(flow, n, 0.5, seed=1, h=1 / 64)
+            ensemble_representation_check(flow, n, 0.5, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -431,7 +443,7 @@ def test_sampler_has_the_law_of_the_rejection_sampler(domain):
     one law fail it on a domain with probability under 0.3% over seeds.
     At these seeds: 0.33, 0.61, 0.22 (ellipse) and 0.63, 0.59, 0.15 (stadium).
     """
-    flow = ensemble_flow(domain, 1 / 64)
+    flow = flow_on(domain)
     n = 200_000
 
     def coordinates(pts, angs):
@@ -448,9 +460,9 @@ def test_sampler_has_the_law_of_the_rejection_sampler(domain):
 
 def sampled_flows():
     """Ellipses with b/a in [0.1, 1] (the disk too), the stadium, and uniform fields on a box."""
-    ellipse = st.one_of(st.just(1.0), st.floats(0.1, 1.0)).map(lambda r: ensemble_flow(Ellipse(1.0, r), 1 / 64))
+    ellipse = st.one_of(st.just(1.0), st.floats(0.1, 1.0)).map(lambda r: flow_on(Ellipse(1.0, r)))
     constant = st.floats(0.0, 2 * np.pi).map(lambda d: ConstantFlow(1.0, 0.8, direction=d))
-    return st.one_of(ellipse, st.just(ensemble_flow(Stadium(2.0, 1.0), 1 / 64)), constant)
+    return st.one_of(ellipse, st.just(flow_on(Stadium(2.0, 1.0))), constant)
 
 
 @given(data=st.data())
@@ -502,15 +514,10 @@ def test_sampler_redraws_the_sliver():
     assert np.array_equal(pts, ref_pts) and np.array_equal(angs[untouched], ref_angs[untouched])
 
 
-def test_domain_flow_inset_guard(ellipse):
-    with pytest.raises(ValueError):
-        DomainFlow(ellipse, ellipse.delta * 2)
-
-
 # ---------------------------------------------------------------------------
 # hard inputs for the event tracer
 
-HARD_FLOWS = [DomainFlow(Ellipse(1.0, 0.5), 0.025), DomainFlow(Stadium(2.0, 1.0), 0.03125)]
+HARD_FLOWS = [flow_on(Ellipse(1.0, 0.5), 1 / 80), flow_on(Stadium(2.0, 1.0))]  # insets 0.025 and 1/32
 
 
 def exit_curve(flow, t):
